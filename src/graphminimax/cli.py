@@ -30,11 +30,12 @@ from .pinsker import (
     estimate_regression,
     linear_risk,
     pinsker_plan,
+    projection_cutoff,
     projection_estimate,
     sigmoid_link,
 )
 from .sobolev import SobolevSpec, ellipsoid_weights
-from .spectral import eigendecompose, fit_geometry, spectrum_csv_text
+from .spectral import eigendecompose, eigenvalues, fit_geometry, spectrum_csv_text
 
 
 def _fmt(x: float) -> str:
@@ -140,7 +141,7 @@ def _signal_csv_text(values: np.ndarray, column: str) -> str:
 
 def _cmd_spectrum(args) -> int:
     g, _ = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s = eigenvalues(g)
     _write_text(args.out, spectrum_csv_text(s))
     print(f"n = {s.n}")
     print(f"lambda_1 = {_fmt(s.lambdas[1])}")
@@ -149,7 +150,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_fit_r(args) -> int:
     g, _ = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s = eigenvalues(g)
     fit = fit_geometry(s, i0=args.i0, kappa=args.kappa)
     print(f"r_hat = {_fmt(fit.r_hat)}")
     print(f"slope = {_fmt(fit.slope)}")
@@ -174,7 +175,7 @@ def _cmd_denoise(args) -> int:
         print(f"x = {_fmt(plan.x)}")
         print(f"S = {_fmt(plan.S)}")
     else:
-        m = max(1, min(s.n, round(s.n ** (r / (2.0 * args.beta + r)))))
+        m = projection_cutoff(s.n, args.beta, r)
         fhat = projection_estimate(s, y, m)
         print(f"m = {m}")
     _write_text(args.out, _signal_csv_text(fhat, "f_hat"))
@@ -240,7 +241,7 @@ def _cmd_fano(args) -> int:
 
 def _cmd_prior_demo(args) -> int:
     g, known_r = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s = eigenvalues(g)
     r = _resolve_r(args, known_r, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     w = ellipsoid_weights(s, ball)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, sobolev_form
-from .spectral import Spectrum, gft_inverse
+from .spectral import Spectrum, gft_inverse, require_basis
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -184,7 +184,7 @@ def _classification_alpha_bound(
     Bernoulli divergence exactly at that amplitude bounds every pair.
     """
     scale = delta * N ** (-(2.0 * spec.beta + spec.r) / (2.0 * spec.r))
-    amps = scale * np.abs(s.basis[:, :N]).sum(axis=1)
+    amps = scale * np.abs(require_basis(s)[:, :N]).sum(axis=1)
     worst_kl = bernoulli_kl(link.psi(amps), np.full(s.n, 0.5))
     m = _vg_target(N)
     return (m / (m + 1.0)) * worst_kl / math.log(m)

@@ -198,6 +198,7 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
 
     Each non-blank line is "u v" with non-negative integer vertex ids;
     lines starting with '#' are ignored.  Duplicate edges are dropped.
+    Every id from 0 to the largest one must appear in some edge.
     """
     edges: set[tuple[int, int]] = set()
     max_id = -1
@@ -220,6 +221,16 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         max_id = max(max_id, u, v)
     if not edges:
         raise ValidationError("edge list contains no edges")
+    # The graph is sized by the largest id, so check that the ids are dense
+    # before anything of that size is allocated.  The first missing id is at
+    # most the number of distinct ids, which keeps the scan O(m).
+    ids = {u for edge in edges for u in edge}
+    if len(ids) != max_id + 1:
+        missing = next(i for i in range(max_id + 1) if i not in ids)
+        raise ValidationError(
+            f"vertex ids must be exactly 0..{max_id} (the largest id): id {missing} "
+            "appears in no edge"
+        )
     return _finish_graph(max_id + 1, edges)
 
 

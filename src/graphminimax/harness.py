@@ -6,6 +6,18 @@ per-replicate risks ||estimate - truth||_n^2, and fit the log-log slope of
 the mean risk against n.  For smooth targets the slope should track the
 minimax exponent -2 beta / (2 beta + r).
 
+Regression replicates are simulated in coefficient space and need only the
+Laplacian eigenvalues: closed forms for paths, grids and tori, an
+eigenvalues-only solve for small-world and file graphs.  Because the
+eigenbasis is orthonormal under <.,.>_n, the observations of a target with
+coefficients c are exactly Z_j = c_j + eps * zeta_j with eps = sigma /
+sqrt(n), and the risk of a linear estimator with weights l is exactly
+sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per (seed, n,
+rep), so they are equal in law to iid N(0, sigma^2) noise at the vertices.
+(Per-replicate CSV values changed once when this replaced the vertex-space
+simulation.)  Classification replicates need per-vertex labels and stay in
+vertex space on a full eigendecomposition.
+
 Reproducibility contract: every replicate derives its RNG streams from
 (master seed, n, rep) only, so identical specs produce bit-identical CSVs.
 """
@@ -13,22 +25,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import NumericError, ValidationError
 from .graphs import Graph, build_grid, build_path, build_small_world, build_torus, load_edge_list
-from .pinsker import (
-    estimate_classification,
-    estimate_regression,
-    pinsker_plan,
-    projection_estimate,
-)
-from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball
-from .spectral import Spectrum, eigendecompose, fit_geometry, gft_forward, gft_inverse
+from .pinsker import estimate_classification, pinsker_plan, projection_cutoff
+from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball, sample_ball_coefficients
+from .spectral import Spectrum, eigendecompose, eigenvalues, fit_geometry, path_eigenvalues
 
 REGRESSION_ESTIMATORS = ("pinsker", "projection")
 CLASSIFICATION_ESTIMATORS = ("classification-direct", "classification-link")
@@ -153,24 +159,48 @@ def _build_family_graph(family: str, n: int, seed: int) -> Graph:
     return g
 
 
-@lru_cache(maxsize=16)
-def _family_spectrum(family: str, n: int, seed: int) -> tuple[Graph, Spectrum, float]:
-    """Graph, spectrum and the geometry parameter the estimator should use.
+def _r_used(family: str, s: Spectrum) -> float:
+    """Geometry parameter the estimator should use for this family.
 
     Synthetic families get their known r (1 for paths, d for grids and
     tori); small-world and file graphs get the fitted value, floored at 1.
-    Cached because repeated experiment runs share the same decompositions.
     """
-    g = _build_family_graph(family, n, seed)
-    s = eigendecompose(g)
     kind, params = _parse_family(family)
     if kind == "path":
-        r_used = 1.0
-    elif kind in ("grid", "torus"):
-        r_used = float(params)
+        return 1.0
+    if kind in ("grid", "torus"):
+        return float(params)
+    return max(1.0, fit_geometry(s).r_hat)
+
+
+def _kronecker_sum(base: np.ndarray, d: int) -> np.ndarray:
+    """Sorted eigenvalues of the d-fold Cartesian power of a graph."""
+    lams = base
+    for _ in range(d - 1):
+        lams = np.add.outer(lams, base).ravel()
+    return np.sort(lams)
+
+
+def _family_eigenvalues(family: str, n: int, seed: int) -> Spectrum:
+    """Eigenvalues-only spectrum of the family's graph on n vertices.
+
+    The graph is always built, so every input the builders reject is still
+    rejected.  Paths, grids and tori then use their closed forms: the path
+    spectrum 4 sin^2(pi j / (2 side)) and, for tori, the cycle spectrum
+    4 sin^2(pi j / side), Kronecker-summed over the d axes.
+    """
+    g = _build_family_graph(family, n, seed)
+    kind, params = _parse_family(family)
+    if kind == "path":
+        lams = path_eigenvalues(n)
+    elif kind == "grid":
+        lams = _kronecker_sum(path_eigenvalues(_side_for(n, params)), params)
+    elif kind == "torus":
+        side = _side_for(n, params)
+        lams = _kronecker_sum(4.0 * np.sin(np.pi * np.arange(side) / side) ** 2, params)
     else:
-        r_used = max(1.0, fit_geometry(s).r_hat)
-    return g, s, r_used
+        return eigenvalues(g)
+    return Spectrum(n=n, lambdas=lams, basis=None)
 
 
 def _rep_seeds(master: int, n: int, rep: int) -> tuple[int, int]:
@@ -201,10 +231,6 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
         return slope, math.nan
     rss = float(np.sum((y - (slope * x + intercept)) ** 2))
     return slope, math.sqrt(rss / dof / sxx)
-
-
-def _identity_estimate(s: Spectrum, y: np.ndarray) -> np.ndarray:
-    return gft_inverse(s, gft_forward(s, y))
 
 
 def _aggregate(spec: ExperimentSpec, rows, r_used_final) -> RateReport:
@@ -239,31 +265,28 @@ def _aggregate(spec: ExperimentSpec, rows, r_used_final) -> RateReport:
 
 
 def run_regression_experiment(spec: ExperimentSpec) -> RateReport:
-    """Simulate Y = f + sigma * noise over the size grid and fit the rate."""
+    """Simulate Z = c + eps * zeta in coefficient space and fit the rate."""
     if spec.estimator not in REGRESSION_ESTIMATORS:
         raise ValidationError(f"regression runner got estimator {spec.estimator!r}")
     rows = []
     r_used_final = 1.0
     for n in spec.n_values:
         try:
-            _, s, r_used = _family_spectrum(spec.family, n, spec.seed)
-            r_used_final = r_used
-            ball = SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used)
-            plan = None
-            if spec.estimator == "pinsker" and spec.sigma > 0:
-                plan = pinsker_plan(ellipsoid_weights(s, ball), spec.sigma, n)
-            m = max(1, min(n, round(n ** (r_used / (2.0 * spec.beta + r_used)))))
+            s = _family_eigenvalues(spec.family, n, spec.seed)
+            r_used = r_used_final = _r_used(spec.family, s)
+            w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
+            if spec.estimator == "projection":
+                l = (np.arange(n) < projection_cutoff(n, spec.beta, r_used)).astype(float)
+            elif spec.sigma > 0:
+                l = pinsker_plan(w, spec.sigma, n).l
+            else:  # pinsker in the noiseless limit is the identity
+                l = np.ones(n)
+            epsilon = spec.sigma / np.sqrt(n)
             for rep in range(spec.reps):
                 ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
-                f = sample_ball(s, ball, spec.fill, ball_seed)
-                y = f + spec.sigma * np.random.default_rng(noise_seed).standard_normal(n)
-                if spec.estimator == "projection":
-                    fhat = projection_estimate(s, y, m)
-                elif plan is None:  # pinsker in the noiseless limit
-                    fhat = _identity_estimate(s, y)
-                else:
-                    fhat = estimate_regression(s, plan, y)
-                risk = float(np.mean((fhat - f) ** 2))
+                c = sample_ball_coefficients(w, spec.fill, ball_seed)
+                z = c + epsilon * np.random.default_rng(noise_seed).standard_normal(n)
+                risk = float(np.sum((l * z - c) ** 2))
                 rows.append((n, r_used, rep, ball_seed, risk))
         except (ValidationError, NumericError) as exc:
             raise type(exc)(f"{exc} (family={spec.family}, n={n})") from exc
@@ -282,8 +305,8 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
     warned = False
     for n in spec.n_values:
         try:
-            _, s, r_used = _family_spectrum(spec.family, n, spec.seed)
-            r_used_final = r_used
+            s = eigendecompose(_build_family_graph(spec.family, n, spec.seed))
+            r_used = r_used_final = _r_used(spec.family, s)
             if spec.beta < r_used / 2.0 and not warned:
                 warnings.warn(
                     f"beta={spec.beta} is below r/2={r_used / 2.0}: outside the regime "

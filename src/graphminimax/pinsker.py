@@ -158,6 +158,11 @@ def sup_risk_over_ellipsoid(l: np.ndarray, w: EllipsoidWeights, epsilon: float) 
     return float(w.R * np.max((1.0 - l) ** 2 / w.a**2) + epsilon**2 * np.sum(l**2))
 
 
+def projection_cutoff(n: int, beta: float, r: float) -> int:
+    """Rate-optimal truncation level m = round(n^(r/(2 beta + r))), in [1, n]."""
+    return max(1, min(n, round(n ** (r / (2.0 * beta + r)))))
+
+
 def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
     """Spectral truncation: keep the first m coefficients, zero the rest."""
     if not 1 <= m <= s.n:

@@ -10,6 +10,7 @@ lambda_j^beta, which is what the shrinkage estimator consumes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +66,24 @@ def ellipsoid_weights(s: Spectrum, spec: SobolevSpec) -> EllipsoidWeights:
     return EllipsoidWeights(a=a, R=float(spec.Q**2))
 
 
-def sample_ball(s: Spectrum, spec: SobolevSpec, fill: float, seed: int) -> np.ndarray:
-    """Draw a test signal whose Sobolev form equals exactly fill * Q^2.
+def sample_ball_coefficients(w: EllipsoidWeights, fill: float, seed: int) -> np.ndarray:
+    """Eigenbasis coefficients c with sum_j a_j^2 c_j^2 exactly fill * R.
 
     A standard normal vector g is scaled coefficient-wise by
-    sqrt(fill) * Q / (a_j ||g||_2), which places the draw on the boundary
-    of the ball of radius sqrt(fill) * Q.  Deterministic given the seed.
+    sqrt(fill) * Q / (a_j ||g||_2) with Q = sqrt(R), which places the draw
+    on the boundary of the ball of radius sqrt(fill) * Q.  Deterministic
+    given the seed.
     """
     if not 0.0 < fill <= 1.0:
         raise ValidationError(f"fill must be in (0, 1], got {fill!r}")
-    w = ellipsoid_weights(s, spec)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal(s.n)
-    coeffs = np.sqrt(fill) * spec.Q * g / (w.a * np.linalg.norm(g))
-    return gft_inverse(s, coeffs)
+    g = rng.standard_normal(len(w.a))
+    return np.sqrt(fill) * math.sqrt(w.R) * g / (w.a * np.linalg.norm(g))
+
+
+def sample_ball(s: Spectrum, spec: SobolevSpec, fill: float, seed: int) -> np.ndarray:
+    """Draw a test signal whose Sobolev form equals exactly fill * Q^2.
+
+    The signal is the inverse GFT of sample_ball_coefficients.
+    """
+    return gft_inverse(s, sample_ball_coefficients(ellipsoid_weights(s, spec), fill, seed))

@@ -17,6 +17,7 @@ from .graphs import DEFAULT_DENSE_CAP, Graph, laplacian
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
+_MOMENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,16 @@ class Spectrum:
     exceeds 1e-12 is positive.  For repeated eigenvalues any orthonormal
     basis of the eigenspace is acceptable, so comparisons on degenerate
     spectra should use eigenvalue multisets or eigenspace projectors.
+
+    ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
+    Such a spectrum serves everything that reads only n and the eigenvalues
+    (ellipsoid weights, shrinkage plans, geometry fits); every consumer of
+    the eigenvectors raises ValidationError on it.
     """
 
     n: int
     lambdas: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,31 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 
 def _freeze(s: Spectrum) -> Spectrum:
     s.lambdas.setflags(write=False)
-    s.basis.setflags(write=False)
+    if s.basis is not None:
+        s.basis.setflags(write=False)
     return s
+
+
+def _checked_lambdas(lams: np.ndarray, n: int) -> np.ndarray:
+    """Clamp solver eigenvalues at 0 after checking the null eigenvalue."""
+    if lams[0] < -1e-9:
+        raise NumericError(f"negative eigenvalue {lams[0]:.3e} from eigensolver")
+    lams = np.maximum(lams, 0.0)
+    if lams[0] > 1e-9:
+        raise NumericError(f"null eigenvalue missing: lambda_0 = {lams[0]:.3e}")
+    lams[0] = 0.0
+    if n > 1 and lams[1] <= 0.0:
+        raise NumericError("second eigenvalue is not positive; graph should be connected")
+    return lams
+
+
+def require_basis(s: Spectrum) -> np.ndarray:
+    """The eigenbasis of s; ValidationError for an eigenvalues-only spectrum."""
+    if s.basis is None:
+        raise ValidationError(
+            "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
+        )
+    return s.basis
 
 
 def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
@@ -78,14 +107,7 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     """
     L = laplacian(g, max_n=max_n)
     lams, vecs = np.linalg.eigh(L)
-    if lams[0] < -1e-9:
-        raise NumericError(f"negative eigenvalue {lams[0]:.3e} from eigensolver")
-    lams = np.maximum(lams, 0.0)
-    if lams[0] > 1e-9:
-        raise NumericError(f"null eigenvalue missing: lambda_0 = {lams[0]:.3e}")
-    lams[0] = 0.0
-    if g.n > 1 and lams[1] <= 0.0:
-        raise NumericError("second eigenvalue is not positive; graph should be connected")
+    lams = _checked_lambdas(lams, g.n)
     basis = _fix_signs(vecs * np.sqrt(g.n))
     resid = L @ basis - basis * lams
     rel = np.linalg.norm(resid, axis=0) / np.maximum(1.0, lams)
@@ -95,18 +117,45 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
 
 
+def eigenvalues(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
+    """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
+
+    Runs the same null-eigenvalue and connectivity checks as
+    eigendecompose.  Without eigenvectors there is no residual to check, so
+    the solver output must instead reproduce the exact moments
+    sum(lambda) = trace(L) = sum_i d_i and
+    sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10 relative.
+    """
+    L = laplacian(g, max_n=max_n)
+    raw = np.linalg.eigvalsh(L)
+    d = g.degrees.astype(float)
+    for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
+        got = float(np.sum(raw**k))
+        if abs(got - want) > _MOMENT_RTOL * want:
+            raise NumericError(
+                f"eigenvalue moment {k} is {got:.15g}, expected {want:.15g} from the degrees"
+            )
+    return _freeze(Spectrum(n=g.n, lambdas=_checked_lambdas(raw, g.n), basis=None))
+
+
+def path_eigenvalues(n: int) -> np.ndarray:
+    """Exact path Laplacian eigenvalues 4 sin^2(pi j / (2n)), j = 0..n-1."""
+    if n < 2:
+        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
+    lams = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+    lams[0] = 0.0
+    return lams
+
+
 def path_spectrum_closed_form(n: int) -> Spectrum:
     """Exact spectrum of the path graph on n vertices.
 
-    lambda_j = 4 sin^2(pi j / (2n)) and, for vertex i = 1..n (stored
+    lambda_j = path_eigenvalues(n)[j] and, for vertex i = 1..n (stored
     0-based), psi_j(i) = c_j cos(pi j (2i - 1) / (2n)) with c_0 = 1 and
     c_j = sqrt(2) for j >= 1, which makes <psi_j, psi_j>_n = 1.
     """
-    if n < 2:
-        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
+    lams = path_eigenvalues(n)
     j = np.arange(n)
-    lams = 4.0 * np.sin(np.pi * j / (2 * n)) ** 2
-    lams[0] = 0.0
     odd = 2.0 * np.arange(1, n + 1) - 1.0
     basis = np.cos(np.pi * np.outer(odd, j) / (2 * n))
     basis[:, 1:] *= np.sqrt(2.0)
@@ -153,23 +202,25 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
 
 def sup_norm_bound(s: Spectrum) -> float:
     """Exact maximum absolute entry over the whole eigenbasis."""
-    return float(np.abs(s.basis).max())
+    return float(np.abs(require_basis(s)).max())
 
 
 def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
     """Coefficients <f, psi_j>_n of a signal in the eigenbasis."""
+    basis = require_basis(s)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n,):
         raise ValidationError(f"signal length {f.shape} does not match n={s.n}")
-    return s.basis.T @ f / s.n
+    return basis.T @ f / s.n
 
 
 def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
     """Signal sum_j coeffs_j psi_j; inverts gft_forward."""
+    basis = require_basis(s)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (s.n,):
         raise ValidationError(f"coefficient length {coeffs.shape} does not match n={s.n}")
-    return s.basis @ coeffs
+    return basis @ coeffs
 
 
 def spectrum_csv_text(s: Spectrum) -> str:

@@ -140,8 +140,9 @@ class TestDenoiseCommand:
         assert "m = " in capsys.readouterr().out
 
     def test_matches_harness_risk_for_same_seed(self, tmp_path):
-        # regenerate the harness replicate (n=64, rep 0) and denoise it by
-        # hand: the realized risk must match the recorded harness row
+        # regenerate the harness replicate (n=64, rep 0) in vertex space as
+        # y = gft_inverse(c + eps * zeta) and denoise it through the CLI: the
+        # realized risk must match the recorded coefficient-space harness row
         spec = gm.ExperimentSpec(
             family="path", n_values=(64, 128), beta=1.0, Q=1.0, sigma=1.0,
             estimator="pinsker", reps=1, seed=9,
@@ -152,8 +153,10 @@ class TestDenoiseCommand:
         assert row[3] == ball_seed
         s = gm.eigendecompose(gm.build_path(64))
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
-        f = gm.sample_ball(s, ball, 1.0, ball_seed)
-        y = f + 1.0 * np.random.default_rng(noise_seed).standard_normal(64)
+        c = gm.sample_ball_coefficients(gm.ellipsoid_weights(s, ball), 1.0, ball_seed)
+        zeta = np.random.default_rng(noise_seed).standard_normal(64)
+        f = gm.gft_inverse(s, c)
+        y = gm.gft_inverse(s, c + 1.0 / np.sqrt(64) * zeta)
         obs = tmp_path / "obs.csv"
         write_obs_csv(obs, y)
         out = tmp_path / "fhat.csv"

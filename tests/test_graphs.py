@@ -169,6 +169,25 @@ class TestLoadEdgeList:
         with pytest.raises(ValidationError, match=r"vertices 0 and 2"):
             gm.load_edge_list(io.StringIO("0 1\n2 3\n"))
 
+    def test_sparse_ids_rejected_before_allocation(self):
+        import time
+        import tracemalloc
+
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValidationError, match=r"0\.\.100000000.*id 1 appears"):
+                gm.load_edge_list(io.StringIO("0 100000000\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 20
+
+    def test_missing_low_id_is_named(self):
+        with pytest.raises(ValidationError, match=r"id 0 appears in no edge"):
+            gm.load_edge_list(io.StringIO("1 2\n"))
+
     def test_self_loop_reports_line_number(self):
         with pytest.raises(ValidationError, match=r"line 2"):
             gm.load_edge_list(io.StringIO("0 1\n1 1\n"))

@@ -5,7 +5,7 @@ import pytest
 
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
-from graphminimax.harness import AGGREGATE_HEADER, RESULTS_HEADER
+from graphminimax.harness import AGGREGATE_HEADER, RESULTS_HEADER, _rep_seeds
 
 
 def small_spec(**overrides):
@@ -136,6 +136,52 @@ class TestRegressionRunner:
     def test_rejects_classification_estimator(self):
         with pytest.raises(ValidationError):
             gm.run_regression_experiment(small_spec(estimator="classification-direct"))
+
+
+class TestCoefficientSpaceOracle:
+    """Harness risks against the same replicates simulated in vertex space.
+
+    The vertex-space side draws f with sample_ball, adds the noise as the
+    inverse GFT of eps * zeta, and runs the library estimator on a full
+    eigendecomposition.  On the degenerate 8x8 grid the eigenbasis inside
+    each repeated eigenvalue is whatever the solver returns; Parseval makes
+    the risk independent of that choice.
+    """
+
+    @pytest.mark.parametrize(
+        "family,n_values,dims",
+        [("path", (32, 64), None), ("grid:2", (16, 64), [8, 8])],
+    )
+    @pytest.mark.parametrize(
+        "estimator,sigma", [("pinsker", 1.0), ("projection", 1.0), ("pinsker", 0.0)]
+    )
+    def test_replicate_risk_matches_vertex_space(self, family, n_values, dims, estimator, sigma):
+        spec = small_spec(family=family, n_values=n_values, estimator=estimator,
+                          sigma=sigma, reps=3, seed=11, fill=0.8)
+        report = gm.run_regression_experiment(spec)
+        r = report.r_used_final
+        s = gm.eigendecompose(gm.build_path(64) if dims is None else gm.build_grid(dims))
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        rows = [row for row in report.rows if row[0] == 64]
+        assert len(rows) == 3
+        for _, _, rep, ball_seed, risk in rows:
+            expected_ball_seed, noise_seed = _rep_seeds(11, 64, rep)
+            assert ball_seed == expected_ball_seed
+            f = gm.sample_ball(s, ball, 0.8, ball_seed)
+            zeta = np.random.default_rng(noise_seed).standard_normal(64)
+            y = f + gm.gft_inverse(s, sigma / np.sqrt(64) * zeta)
+            if estimator == "projection":
+                fhat = gm.projection_estimate(s, y, gm.projection_cutoff(64, 1.0, r))
+            elif sigma > 0:
+                plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), sigma, 64)
+                fhat = gm.estimate_regression(s, plan, y)
+            else:  # the noiseless Pinsker estimate is the identity
+                fhat = gm.projection_estimate(s, y, 64)
+            vertex = float(np.mean((fhat - f) ** 2))
+            if sigma > 0:
+                assert abs(risk - vertex) <= 1e-9 * vertex
+            else:
+                assert risk == 0.0 and vertex < 1e-20
 
 
 class TestClassificationRunner:

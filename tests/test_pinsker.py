@@ -236,6 +236,12 @@ class TestProjection:
             with pytest.raises(ValidationError):
                 gm.projection_estimate(s, np.zeros(16), m)
 
+    def test_cutoff_formula_and_clipping(self):
+        assert gm.projection_cutoff(64, 1.0, 1.0) == 4  # 64^(1/3)
+        assert gm.projection_cutoff(1024, 1.0, 2.0) == 32  # 1024^(1/2)
+        assert gm.projection_cutoff(2, 1e-6, 1.0) == 2  # never above n
+        assert gm.projection_cutoff(2, 1e6, 1.0) == 1  # never below 1
+
     def test_rate_matched_cutoff_within_factor_of_pinsker(self):
         cfg = dict(family="path", n_values=(512, 1024), beta=1.0, Q=1.0,
                    sigma=1.0, reps=50, seed=7)

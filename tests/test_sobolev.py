@@ -104,6 +104,13 @@ class TestSampleBall:
             with pytest.raises(ValidationError):
                 gm.sample_ball(path64_eig, BALL, bad, seed=0)
 
+    def test_signal_is_inverse_gft_of_coefficient_draw(self, path64_eig):
+        w = gm.ellipsoid_weights(path64_eig, BALL)
+        c = gm.sample_ball_coefficients(w, 0.7, seed=13)
+        assert abs(np.sum(w.a**2 * c**2) - 0.7 * w.R) < 1e-12
+        f = gm.sample_ball(path64_eig, BALL, 0.7, seed=13)
+        assert np.array_equal(f, gm.gft_inverse(path64_eig, c))
+
 
 def test_spec_validation():
     with pytest.raises(ValidationError):

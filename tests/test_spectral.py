@@ -85,6 +85,69 @@ class TestEigendecompose:
             assert np.max(np.abs(p_numeric - p_kron)) < 1e-8
 
 
+class TestEigenvalues:
+    def test_matches_eigendecompose_on_small_world(self):
+        g = gm.build_small_world(200, 6, 0.2, seed=4)
+        s = gm.eigenvalues(g)
+        assert s.basis is None and s.n == g.n
+        assert s.lambdas[0] == 0.0
+        assert np.max(np.abs(s.lambdas - gm.eigendecompose(g).lambdas)) < 1e-10
+
+    def test_closed_form_families_match_solver(self):
+        # the harness's closed forms against an eigenvalues-only solve of the
+        # graph it builds; side 3 is the smallest torus
+        from graphminimax.harness import _family_eigenvalues
+
+        cases = {
+            "path": ((gm.build_path(64), 64),),
+            "grid:2": ((gm.build_grid([8, 8]), 64), (gm.build_grid([5, 5]), 25)),
+            "grid:3": ((gm.build_grid([4, 4, 4]), 64),),
+            "torus:2": ((gm.build_torus([3, 3]), 9), (gm.build_torus([8, 8]), 64)),
+        }
+        for family, graphs in cases.items():
+            for g, n in graphs:
+                closed = _family_eigenvalues(family, n, seed=0)
+                assert closed.basis is None and closed.lambdas[0] == 0.0
+                assert np.max(np.abs(closed.lambdas - gm.eigenvalues(g).lambdas)) < 1e-10
+
+    def test_moment_check_rejects_wrong_eigenvalues(self, monkeypatch):
+        g = gm.build_path(16)
+        exact = np.linalg.eigvalsh(gm.laplacian(g))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda L: exact * (1.0 + 1e-8))
+        with pytest.raises(NumericError, match="moment 1"):
+            gm.eigenvalues(g)
+
+    def test_path_eigenvalues_split_out_of_closed_form(self):
+        assert np.array_equal(gm.path_eigenvalues(32), gm.path_spectrum_closed_form(32).lambdas)
+        with pytest.raises(ValidationError):
+            gm.path_eigenvalues(1)
+
+    def test_every_basis_consumer_rejects_eigenvalues_only(self):
+        s = gm.eigenvalues(gm.build_path(512))  # certificates need N = 512^(1/3) >= 8
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+        w = gm.ellipsoid_weights(s, ball)  # needs eigenvalues only
+        plan = gm.pinsker_plan(w, 1.0, s.n)
+        y = np.zeros(s.n)
+        pack = gm.vg_packing(8, seed=0)
+        consumers = [
+            lambda: gm.gft_forward(s, y),
+            lambda: gm.gft_inverse(s, y),
+            lambda: gm.sup_norm_bound(s),
+            lambda: gm.sample_ball(s, ball, 1.0, seed=0),
+            lambda: gm.sobolev_form(s, ball, y),
+            lambda: gm.estimate_regression(s, plan, y),
+            lambda: gm.projection_estimate(s, y, 4),
+            lambda: gm.estimate_classification(s, plan, y),
+            lambda: gm.hard_alternatives(s, ball, 0.1, pack),
+            lambda: gm.calibrate_delta(s, ball, 8),
+            lambda: gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=0),
+            lambda: gm.fano_certificate(s, ball, 1.0, seed=0),
+        ]
+        for consume in consumers:
+            with pytest.raises(ValidationError, match="eigenvalues only"):
+                consume()
+
+
 class TestClosedFormBasis:
     def test_j0_is_constant_with_zero_eigenvalue(self):
         s = gm.path_spectrum_closed_form(32)
