@@ -200,6 +200,7 @@ def _family_eigenvalues(family: str, n: int, seed: int) -> Spectrum:
         lams = _kronecker_sum(4.0 * np.sin(np.pi * np.arange(side) / side) ** 2, params)
     else:
         return eigenvalues(g)
+    lams.setflags(write=False)
     return Spectrum(n=n, lambdas=lams, basis=None)
 
 

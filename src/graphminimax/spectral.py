@@ -117,7 +117,7 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
 
 
-def eigenvalues(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
+def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
     Runs the same null-eigenvalue and connectivity checks as
@@ -126,8 +126,7 @@ def eigenvalues(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     sum(lambda) = trace(L) = sum_i d_i and
     sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10 relative.
     """
-    L = laplacian(g, max_n=max_n)
-    raw = np.linalg.eigvalsh(L)
+    raw = np.linalg.eigvalsh(laplacian(g))
     d = g.degrees.astype(float)
     for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
         got = float(np.sum(raw**k))

@@ -108,6 +108,7 @@ class TestEigenvalues:
             for g, n in graphs:
                 closed = _family_eigenvalues(family, n, seed=0)
                 assert closed.basis is None and closed.lambdas[0] == 0.0
+                assert not closed.lambdas.flags.writeable
                 assert np.max(np.abs(closed.lambdas - gm.eigenvalues(g).lambdas)) < 1e-10
 
     def test_moment_check_rejects_wrong_eigenvalues(self, monkeypatch):
