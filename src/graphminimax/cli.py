@@ -1,10 +1,14 @@
 """Command-line driver.
 
 Subcommands: spectrum, fit-r, denoise, classify, simulate, fano,
-prior-demo.  Graphs are named with a one-line mini-language so every
-experiment is reproducible from its command line:
+prior-demo.  Graphs are named with the one-line spec language of
+graphs.parse_graph_spec (the harness builds its graphs through it too), so
+every experiment is reproducible from its command line:
 
     path:N  grid:AxB[xC...]  torus:AxB[...]  ws:N,K,P,SEED  file:PATH
+
+Paths, grids and tori get their closed-form eigenvalues and known r (the
+number of axes); --r overrides r, and other graphs get a fitted r.
 
 Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 All floating-point output uses 12 significant digits.
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
-from .graphs import Graph, build_grid, build_path, build_small_world, build_torus, load_edge_list
+from .graphs import parse_graph_spec
 from .harness import (
     ExperimentSpec,
     aggregate_csv_text,
@@ -35,7 +39,7 @@ from .pinsker import (
     sigmoid_link,
 )
 from .sobolev import SobolevSpec, ellipsoid_weights
-from .spectral import eigendecompose, eigenvalues, fit_geometry, spectrum_csv_text
+from .spectral import eigendecompose, eigenvalues, fit_geometry, geometry_r, spectrum_csv_text
 
 
 def _fmt(x: float) -> str:
@@ -47,53 +51,6 @@ class _Parser(argparse.ArgumentParser):
     # package's validation-error path (exit 1) instead.
     def error(self, message):
         raise ValidationError(message)
-
-
-def parse_graph_spec(text: str) -> tuple[Graph, float | None]:
-    """Build the graph named by a spec string.
-
-    Returns the graph and, when the family has a known geometry parameter,
-    that value (1 for paths, the dimension for grids and tori); random and
-    file graphs return None so callers fit it instead.
-    """
-    kind, sep, rest = text.partition(":")
-    if not sep:
-        raise ValidationError(f"bad graph spec {text!r}: expected '<family>:<params>'")
-    if kind == "path":
-        try:
-            return build_path(int(rest)), 1.0
-        except ValueError:
-            raise ValidationError(f"bad path size in {text!r}") from None
-    if kind in ("grid", "torus"):
-        try:
-            dims = [int(tok) for tok in rest.split("x")]
-        except ValueError:
-            raise ValidationError(f"bad dimensions in {text!r}") from None
-        g = build_grid(dims) if kind == "grid" else build_torus(dims)
-        return g, float(len(dims))
-    if kind == "ws":
-        parts = rest.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"bad small-world spec {text!r}: need ws:N,K,P,SEED")
-        try:
-            n, k, p, seed = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
-            raise ValidationError(f"could not parse small-world parameters in {text!r}") from None
-        return build_small_world(n, k, p, seed), None
-    if kind == "file":
-        with open(rest, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh), None
-    raise ValidationError(f"unknown graph family in {text!r}")
-
-
-def _resolve_r(args, known_r, spectrum) -> float:
-    if args.r is not None:
-        if not args.r >= 1:
-            raise ValidationError(f"--r must be >= 1, got {args.r}")
-        return args.r
-    if known_r is not None:
-        return known_r
-    return max(1.0, fit_geometry(spectrum).r_hat)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -140,7 +97,7 @@ def _signal_csv_text(values: np.ndarray, column: str) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    g, _ = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
     _write_text(args.out, spectrum_csv_text(s))
     print(f"n = {s.n}")
@@ -149,7 +106,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit_r(args) -> int:
-    g, _ = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
     fit = fit_geometry(s, i0=args.i0, kappa=args.kappa)
     print(f"r_hat = {_fmt(fit.r_hat)}")
@@ -163,10 +120,10 @@ def _cmd_fit_r(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    g, known_r = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph)
     s = eigendecompose(g)
     y = _read_observation_csv(args.obs, s.n)
-    r = _resolve_r(args, known_r, s)
+    r = args.r if args.r is not None else geometry_r(g, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     if args.estimator == "pinsker":
         plan = pinsker_plan(ellipsoid_weights(s, ball), args.sigma, s.n)
@@ -183,10 +140,10 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g, known_r = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph)
     s = eigendecompose(g)
     y = _read_observation_csv(args.obs, s.n)
-    r = _resolve_r(args, known_r, s)
+    r = args.r if args.r is not None else geometry_r(g, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     plan = pinsker_plan(ellipsoid_weights(s, ball), args.sigma, s.n)
     rho_hat = estimate_classification(s, plan, y, mode=args.mode)
@@ -225,9 +182,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fano(args) -> int:
-    g, known_r = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph)
     s = eigendecompose(g)
-    r = _resolve_r(args, known_r, s)
+    r = args.r if args.r is not None else geometry_r(g, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     sigma_or_link = sigmoid_link() if args.mode == "clf" else args.sigma
     cert = fano_certificate(s, ball, sigma_or_link, args.seed)
@@ -240,9 +197,11 @@ def _cmd_fano(args) -> int:
 
 
 def _cmd_prior_demo(args) -> int:
-    g, known_r = parse_graph_spec(args.graph)
+    if args.draws < 1:
+        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
-    r = _resolve_r(args, known_r, s)
+    r = args.r if args.r is not None else geometry_r(g, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     w = ellipsoid_weights(s, ball)
     plan = pinsker_plan(w, args.sigma, s.n)

@@ -4,6 +4,10 @@ Vertex ids are 0-based everywhere.  Every constructor validates simplicity
 (no self-loops, no duplicate edges) and connectivity, so downstream spectral
 code can rely on the second-smallest Laplacian eigenvalue being positive.
 Graphs are immutable after construction and safe to share across threads.
+
+Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
+
+    path:N  grid:AxB[xC...]  torus:AxB[...]  ws:N,K,P,SEED  file:PATH
 """
 from __future__ import annotations
 
@@ -29,12 +33,16 @@ class Graph:
     ``u < v``, sorted lexicographically.  ``degrees[i]`` counts the edges
     incident to vertex ``i``.  ``build_seed`` records the RNG seed that
     actually produced a randomized graph (None for deterministic families).
+    ``shape`` is ``("grid", dims)`` for a grid (a path is the 1-axis grid),
+    ``("torus", dims)`` for a torus and None for every other graph; spectral
+    code reads it to use the closed-form spectrum and the known r = len(dims).
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     degrees: np.ndarray
     build_seed: int | None = None
+    shape: tuple[str, tuple[int, ...]] | None = None
 
     @property
     def num_edges(self) -> int:
@@ -66,7 +74,7 @@ def _connectivity_witness(n: int, edges: Iterable[tuple[int, int]]):
     return 0, int(np.flatnonzero(~seen)[0])
 
 
-def _finish_graph(n: int, edge_set: set[tuple[int, int]], build_seed=None) -> Graph:
+def _finish_graph(n: int, edge_set: set[tuple[int, int]], build_seed=None, shape=None) -> Graph:
     """Validate a candidate edge set and freeze it into a Graph."""
     for u, v in edge_set:
         if u == v:
@@ -87,14 +95,14 @@ def _finish_graph(n: int, edge_set: set[tuple[int, int]], build_seed=None) -> Gr
         degrees[u] += 1
         degrees[v] += 1
     degrees.setflags(write=False)
-    return Graph(n=n, edges=edges, degrees=degrees, build_seed=build_seed)
+    return Graph(n=n, edges=edges, degrees=degrees, build_seed=build_seed, shape=shape)
 
 
 def build_path(n: int) -> Graph:
     """Path graph on n vertices: edges {i, i+1} for i = 0..n-2."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"path graph needs n >= 2, got {n!r}")
-    return _finish_graph(int(n), {(i, i + 1) for i in range(n - 1)})
+    return _finish_graph(int(n), {(i, i + 1) for i in range(n - 1)}, shape=("grid", (int(n),)))
 
 
 def _flatten(coords: tuple[int, ...], dims: list[int]) -> int:
@@ -127,7 +135,7 @@ def build_grid(dims: list[int]) -> Graph:
                 nb = coords.copy()
                 nb[axis] += 1
                 edges.add((flat, _flatten(tuple(nb), dims)))
-    return _finish_graph(n, edges)
+    return _finish_graph(n, edges, shape=("grid", tuple(dims)))
 
 
 def build_torus(dims: list[int]) -> Graph:
@@ -142,7 +150,7 @@ def build_torus(dims: list[int]) -> Graph:
             nb[axis] = (coords[axis] + 1) % d
             other = _flatten(tuple(nb), dims)
             edges.add((min(flat, other), max(flat, other)))
-    return _finish_graph(n, edges)
+    return _finish_graph(n, edges, shape=("torus", tuple(dims)))
 
 
 def _ws_edge_set(n: int, k: int, p: float, seed: int) -> set[tuple[int, int]]:
@@ -232,6 +240,37 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
             "appears in no edge"
         )
     return _finish_graph(max_id + 1, edges)
+
+
+def parse_graph_spec(text: str) -> Graph:
+    """Build the graph named by a spec string such as ``grid:8x8``."""
+    kind, sep, rest = text.partition(":")
+    if not sep or not rest:
+        raise ValidationError(f"bad graph spec {text!r}: expected '<family>:<params>'")
+    if kind == "path":
+        try:
+            return build_path(int(rest))
+        except ValueError:
+            raise ValidationError(f"bad path size in {text!r}") from None
+    if kind in ("grid", "torus"):
+        try:
+            dims = [int(tok) for tok in rest.split("x")]
+        except ValueError:
+            raise ValidationError(f"bad dimensions in {text!r}") from None
+        return build_grid(dims) if kind == "grid" else build_torus(dims)
+    if kind == "ws":
+        parts = rest.split(",")
+        if len(parts) != 4:
+            raise ValidationError(f"bad small-world spec {text!r}: need ws:N,K,P,SEED")
+        try:
+            n, k, p, seed = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError:
+            raise ValidationError(f"could not parse small-world parameters in {text!r}") from None
+        return build_small_world(n, k, p, seed)
+    if kind == "file":
+        with open(rest, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh)
+    raise ValidationError(f"unknown graph family in {text!r}")
 
 
 def laplacian(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> np.ndarray:

@@ -6,14 +6,20 @@ per-replicate risks ||estimate - truth||_n^2, and fit the log-log slope of
 the mean risk against n.  For smooth targets the slope should track the
 minimax exponent -2 beta / (2 beta + r).
 
+Families are size-free ("grid:2"); at each n the family becomes a graph
+spec ("grid:8x8" at n = 64) and is built by ``graphs.parse_graph_spec``,
+the parser behind the CLI's --graph, so both share one graph language and
+the known r of paths, grids and tori (``spectral.geometry_r``).
+
 Regression replicates are simulated in coefficient space and need only the
-Laplacian eigenvalues: closed forms for paths, grids and tori, an
-eigenvalues-only solve for small-world and file graphs.  Because the
-eigenbasis is orthonormal under <.,.>_n, the observations of a target with
-coefficients c are exactly Z_j = c_j + eps * zeta_j with eps = sigma /
-sqrt(n), and the risk of a linear estimator with weights l is exactly
-sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per (seed, n,
-rep), so they are equal in law to iid N(0, sigma^2) noise at the vertices.
+Laplacian eigenvalues (``spectral.eigenvalues``): closed forms for paths,
+grids and tori, an eigenvalues-only solve for small-world and file graphs.
+Because the eigenbasis is orthonormal under <.,.>_n, the observations of a
+target with coefficients c are exactly Z_j = c_j + eps * zeta_j with
+eps = sigma / sqrt(n), and the risk of a linear estimator with weights l is
+exactly sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per
+(seed, n, rep), so they are equal in law to iid N(0, sigma^2) noise at the
+vertices.
 (Per-replicate CSV values changed once when this replaced the vertex-space
 simulation.)  Classification replicates need per-vertex labels and stay in
 vertex space on a full eigendecomposition.
@@ -28,13 +34,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, ValidationError
-from .graphs import Graph, build_grid, build_path, build_small_world, build_torus, load_edge_list
-from .pinsker import estimate_classification, pinsker_plan, projection_cutoff
+from .graphs import Graph, parse_graph_spec
+from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball, sample_ball_coefficients
-from .spectral import Spectrum, eigendecompose, eigenvalues, fit_geometry, path_eigenvalues
+from .spectral import eigendecompose, eigenvalues, geometry_r
 
 REGRESSION_ESTIMATORS = ("pinsker", "projection")
 CLASSIFICATION_ESTIMATORS = ("classification-direct", "classification-link")
@@ -81,7 +86,8 @@ class ExperimentSpec:
             raise ValidationError(f"fill must be in (0, 1], got {self.fill}")
         if self.sigma < 0:
             raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
-        _parse_family(self.family)
+        for n in self.n_values:
+            _graph_spec(self.family, n, self.seed)
 
 
 @dataclass(frozen=True)
@@ -104,104 +110,32 @@ class RateReport:
     note: str = ""
 
 
-def _parse_family(family: str):
-    """Split a family string into (kind, params); raises on bad syntax."""
-    if family == "path":
-        return "path", None
+def _graph_spec(family: str, n: int, seed: int) -> str:
+    """The graph spec (see ``parse_graph_spec``) of a size-free family at size n."""
     kind, _, rest = family.partition(":")
-    if kind in ("grid", "torus"):
-        try:
-            d = int(rest)
-        except ValueError:
-            raise ValidationError(f"{kind} family needs a dimension, got {family!r}") from None
-        if d < 1:
-            raise ValidationError(f"{kind} dimension must be >= 1, got {d}")
-        return kind, d
-    if kind == "ws":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"ws family needs 'ws:<k>,<p>', got {family!r}")
-        try:
-            k, p = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValidationError(f"could not parse ws parameters in {family!r}") from None
-        return "ws", (k, p)
-    if kind == "file":
-        if not rest:
-            raise ValidationError("file family needs a path")
-        return "file", rest
-    raise ValidationError(f"unknown graph family {family!r}")
+    if family == "path":
+        return f"path:{n}"
+    if kind in ("grid", "torus") and rest.isdecimal() and int(rest) >= 1:
+        d = int(rest)
+        side = round(n ** (1.0 / d))
+        if side**d != n:
+            raise ValidationError(f"n={n} is not a perfect {d}-th power for this family")
+        return f"{kind}:" + "x".join([str(side)] * d)
+    if kind == "ws" and rest.count(",") == 1:
+        return f"ws:{n},{rest},{seed}"
+    if kind == "file" and rest:
+        return "file:" + rest.replace("{n}", str(n))
+    raise ValidationError(
+        f"bad graph family {family!r}: expected path, grid:<d>, torus:<d>, ws:<k>,<p> "
+        "or file:<path>"
+    )
 
 
-def _side_for(n: int, d: int) -> int:
-    side = round(n ** (1.0 / d))
-    if side**d != n:
-        raise ValidationError(f"n={n} is not a perfect {d}-th power for this family")
-    return side
-
-
-def _build_family_graph(family: str, n: int, seed: int) -> Graph:
-    kind, params = _parse_family(family)
-    if kind == "path":
-        return build_path(n)
-    if kind == "grid":
-        return build_grid([_side_for(n, params)] * params)
-    if kind == "torus":
-        return build_torus([_side_for(n, params)] * params)
-    if kind == "ws":
-        k, p = params
-        return build_small_world(n, k, p, seed)
-    path = params.replace("{n}", str(n))
-    with open(path, "r", encoding="utf-8") as fh:
-        g = load_edge_list(fh)
+def _build_graph(spec: ExperimentSpec, n: int) -> Graph:
+    g = parse_graph_spec(_graph_spec(spec.family, n, spec.seed))
     if g.n != n:
-        raise ValidationError(f"edge list {path} has n={g.n}, expected {n}")
+        raise ValidationError(f"graph has n={g.n}, expected {n}")
     return g
-
-
-def _r_used(family: str, s: Spectrum) -> float:
-    """Geometry parameter the estimator should use for this family.
-
-    Synthetic families get their known r (1 for paths, d for grids and
-    tori); small-world and file graphs get the fitted value, floored at 1.
-    """
-    kind, params = _parse_family(family)
-    if kind == "path":
-        return 1.0
-    if kind in ("grid", "torus"):
-        return float(params)
-    return max(1.0, fit_geometry(s).r_hat)
-
-
-def _kronecker_sum(base: np.ndarray, d: int) -> np.ndarray:
-    """Sorted eigenvalues of the d-fold Cartesian power of a graph."""
-    lams = base
-    for _ in range(d - 1):
-        lams = np.add.outer(lams, base).ravel()
-    return np.sort(lams)
-
-
-def _family_eigenvalues(family: str, n: int, seed: int) -> Spectrum:
-    """Eigenvalues-only spectrum of the family's graph on n vertices.
-
-    The graph is always built, so every input the builders reject is still
-    rejected.  Paths, grids and tori then use their closed forms: the path
-    spectrum 4 sin^2(pi j / (2 side)) and, for tori, the cycle spectrum
-    4 sin^2(pi j / side), Kronecker-summed over the d axes.
-    """
-    g = _build_family_graph(family, n, seed)
-    kind, params = _parse_family(family)
-    if kind == "path":
-        lams = path_eigenvalues(n)
-    elif kind == "grid":
-        lams = _kronecker_sum(path_eigenvalues(_side_for(n, params)), params)
-    elif kind == "torus":
-        side = _side_for(n, params)
-        lams = _kronecker_sum(4.0 * np.sin(np.pi * np.arange(side) / side) ** 2, params)
-    else:
-        return eigenvalues(g)
-    lams.setflags(write=False)
-    return Spectrum(n=n, lambdas=lams, basis=None)
 
 
 def _rep_seeds(master: int, n: int, rep: int) -> tuple[int, int]:
@@ -273,8 +207,9 @@ def run_regression_experiment(spec: ExperimentSpec) -> RateReport:
     r_used_final = 1.0
     for n in spec.n_values:
         try:
-            s = _family_eigenvalues(spec.family, n, spec.seed)
-            r_used = r_used_final = _r_used(spec.family, s)
+            g = _build_graph(spec, n)
+            s = eigenvalues(g)
+            r_used = r_used_final = geometry_r(g, s)
             w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
             if spec.estimator == "projection":
                 l = (np.arange(n) < projection_cutoff(n, spec.beta, r_used)).astype(float)
@@ -301,13 +236,15 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
     if not spec.sigma > 0:
         raise ValidationError("classification needs a positive plan noise scale sigma")
     mode = "direct" if spec.estimator == "classification-direct" else "link"
+    psi = sigmoid_link().psi
     rows = []
     r_used_final = 1.0
     warned = False
     for n in spec.n_values:
         try:
-            s = eigendecompose(_build_family_graph(spec.family, n, spec.seed))
-            r_used = r_used_final = _r_used(spec.family, s)
+            g = _build_graph(spec, n)
+            s = eigendecompose(g)
+            r_used = r_used_final = geometry_r(g, s)
             if spec.beta < r_used / 2.0 and not warned:
                 warnings.warn(
                     f"beta={spec.beta} is below r/2={r_used / 2.0}: outside the regime "
@@ -320,7 +257,7 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
             plan = pinsker_plan(ellipsoid_weights(s, ball), spec.sigma, n)
             for rep in range(spec.reps):
                 ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
-                rho = expit(sample_ball(s, ball, spec.fill, ball_seed))
+                rho = psi(sample_ball(s, ball, spec.fill, ball_seed))
                 labels = (
                     np.random.default_rng(noise_seed).random(n) < rho
                 ).astype(float)

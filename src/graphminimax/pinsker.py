@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import NumericError, ValidationError
 from .sobolev import EllipsoidWeights
@@ -193,11 +192,17 @@ class LinkFunction:
         return self.sup_dpsi * self.sup_ratio
 
 
+def _sigmoid(t):
+    # exp(-t) overflows to inf for t < -709, which correctly gives 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
+
+
 def _sigmoid_inv(p):
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValidationError("inverse link needs probabilities strictly inside (0, 1)")
-    return logit(p)
+    return np.log(p / (1.0 - p))
 
 
 def _sigmoid_deriv(t):
@@ -214,7 +219,7 @@ def sigmoid_link() -> LinkFunction:
     """
     return LinkFunction(
         name="sigmoid",
-        psi=lambda t: expit(np.asarray(t, dtype=float)),
+        psi=_sigmoid,
         psi_inv=_sigmoid_inv,
         dpsi=_sigmoid_deriv,
         sup_dpsi=0.25,

@@ -117,16 +117,37 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
 
 
+def _shape_eigenvalues(shape: tuple[str, tuple[int, ...]]) -> np.ndarray:
+    """Closed-form spectrum of a grid or torus: the Kronecker sum over its axes.
+
+    Each grid axis is a path with eigenvalues 4 sin^2(pi j / (2 side)); each
+    torus axis is a cycle with eigenvalues 4 sin^2(pi j / side).
+    """
+    kind, dims = shape
+    axes = [
+        path_eigenvalues(side) if kind == "grid"
+        else 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2
+        for side in dims
+    ]
+    lams = axes[0]
+    for axis in axes[1:]:
+        lams = np.add.outer(lams, axis).ravel()
+    return np.sort(lams)
+
+
 def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
-    Runs the same null-eigenvalue and connectivity checks as
-    eigendecompose.  Without eigenvectors there is no residual to check, so
-    the solver output must instead reproduce the exact moments
-    sum(lambda) = trace(L) = sum_i d_i and
+    Grids, paths and tori (``g.shape`` set) use their closed form; any other
+    graph gets a dense ``eigvalsh``.  Both run the same null-eigenvalue and
+    connectivity checks as eigendecompose.  Without eigenvectors there is no
+    residual to check, so the eigenvalues must instead reproduce the exact
+    moments sum(lambda) = trace(L) = sum_i d_i and
     sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10 relative.
     """
-    raw = np.linalg.eigvalsh(laplacian(g))
+    raw = np.linalg.eigvalsh(laplacian(g)) if g.shape is None else _shape_eigenvalues(g.shape)
+    if raw.shape != (g.n,):
+        raise NumericError(f"{raw.size} eigenvalues for a graph on n={g.n} vertices")
     d = g.degrees.astype(float)
     for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
         got = float(np.sum(raw**k))
@@ -197,6 +218,17 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
         c2_hat=float(ratios.max()),
         rss=rss,
     )
+
+
+def geometry_r(g: Graph, s: Spectrum) -> float:
+    """Geometry parameter r of a graph with spectrum s.
+
+    Grids, paths and tori have the known r = number of axes; any other graph
+    gets the fitted r_hat of fit_geometry(s), floored at 1.
+    """
+    if g.shape is not None:
+        return float(len(g.shape[1]))
+    return max(1.0, fit_geometry(s).r_hat)
 
 
 def sup_norm_bound(s: Spectrum) -> float:

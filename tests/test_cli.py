@@ -48,6 +48,29 @@ class TestSpectrumCommand:
         assert run_cli("spectrum", "--graph", "path:one", "--out", str(tmp_path / "x.csv")) == 1
         assert run_cli("spectrum", "--graph", "blob:4", "--out", str(tmp_path / "x.csv")) == 1
 
+    def test_torus_3x5_matches_closed_form(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--graph", "torus:3x5", "--out", str(out)) == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().strip().split("\n")[1:]]
+        # cycle eigenvalues 2 - 2 cos(2 pi j / m), summed over the two axes
+        cycle3 = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(3) / 3)
+        cycle5 = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(5) / 5)
+        assert np.allclose(values, np.sort(np.add.outer(cycle3, cycle5).ravel()), atol=1e-11)
+
+    def test_path_above_dense_cap_needs_no_laplacian(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Laplacian was built")
+
+        monkeypatch.setattr("graphminimax.spectral.laplacian", refuse)
+        monkeypatch.setattr("graphminimax.graphs.laplacian", refuse)
+        n = 10000
+        assert n > gm.DEFAULT_DENSE_CAP
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--graph", f"path:{n}", "--out", str(out)) == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().strip().split("\n")[1:]]
+        assert len(values) == n
+        assert values[-1] == pytest.approx(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2)
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("spectrum", "--graph", "path:64", "--out", str(a))
@@ -169,6 +192,17 @@ class TestDenoiseCommand:
         risk = float(np.mean((fhat - f) ** 2))
         assert abs(risk - row[4]) < 1e-9 * row[4]
 
+    def test_eigenvectors_above_dense_cap_rejected(self, tmp_path, capsys):
+        n = 10000
+        obs = tmp_path / "obs.csv"
+        write_obs_csv(obs, np.zeros(n))
+        code = run_cli(
+            "denoise", "--graph", f"path:{n}", "--obs", str(obs), "--beta", "1",
+            "--sigma", "1", "--out", str(tmp_path / "fhat.csv"),
+        )
+        assert code == 1
+        assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_smoke(self, tmp_path, capsys):
@@ -228,6 +262,14 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    def test_bad_family_syntax(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--family", "ws:4", "--n-list", "64,128", "--beta", "1",
+            "--sigma", "1", "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "ws:4" in capsys.readouterr().err
+
 
 class TestFanoCommand:
     def test_small_graph_rejected_with_message(self, tmp_path, capsys):
@@ -278,6 +320,15 @@ class TestPriorDemoCommand:
         S = float(out.split("S = ")[1].split("\n")[0])
         bayes = float(out.split("bayes_risk = ")[1].split("\n")[0])
         assert 0.9 * 0.8 * S <= bayes <= 1.05 * S
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_must_be_positive(self, draws, capsys):
+        code = run_cli(
+            "prior-demo", "--graph", "path:128", "--beta", "1", "--draws", draws,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--draws" in err and "Traceback" not in err
 
     def test_reproducible(self, capsys):
         args = [

@@ -238,3 +238,30 @@ class TestLaplacian:
         g = gm.build_path(17)
         with pytest.raises(ValidationError):
             gm.laplacian(g, max_n=16)
+
+
+class TestParseGraphSpec:
+    def test_each_family_records_its_shape(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n")
+        cases = {
+            "path:5": (5, ("grid", (5,))),
+            "grid:3x4": (12, ("grid", (3, 4))),
+            "torus:3x4x5": (60, ("torus", (3, 4, 5))),
+            "ws:20,4,0.1,3": (20, None),
+            f"file:{edges}": (3, None),
+        }
+        for text, (n, shape) in cases.items():
+            g = gm.parse_graph_spec(text)
+            assert (g.n, g.shape) == (n, shape), text
+
+    def test_same_graph_as_the_builders(self):
+        assert gm.parse_graph_spec("grid:3x4").edges == gm.build_grid([3, 4]).edges
+        g = gm.parse_graph_spec("ws:20,4,0.1,3")
+        assert g.edges == gm.build_small_world(20, 4, 0.1, 3).edges
+
+    def test_bad_specs(self):
+        for text in ("path", "path:", "path:one", "grid:3xa", "ws:20,4,0.1", "ws:20,4,p,3",
+                     "file:", "blob:4"):
+            with pytest.raises(ValidationError):
+                gm.parse_graph_spec(text)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,20 @@ class TestSigmoidLink:
         t = np.linspace(-50.0, 50.0, 2001)
         ratio = link.dpsi(t) / (link.psi(t) * link.psi(-t))
         assert np.max(np.abs(ratio - 1.0)) < 1e-10
+
+
+    def test_matches_scipy_oracle(self):
+        special = pytest.importorskip("scipy.special")
+        link = gm.sigmoid_link()
+        t = np.linspace(-700.0, 700.0, 20001)
+        assert np.max(np.abs(link.psi(t) / special.expit(t) - 1.0)) < 1e-14
+        p = np.linspace(1e-12, 1.0 - 1e-12, 20001)
+        assert np.max(np.abs(link.psi_inv(p) - special.logit(p))) < 1e-14
+
+    def test_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(gm.sigmoid_link().psi(np.array([-800.0, 800.0])), [0.0, 1.0])
 
 
 class TestEstimateClassification:

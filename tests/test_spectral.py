@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
@@ -94,29 +97,58 @@ class TestEigenvalues:
         assert np.max(np.abs(s.lambdas - gm.eigendecompose(g).lambdas)) < 1e-10
 
     def test_closed_form_families_match_solver(self):
-        # the harness's closed forms against an eigenvalues-only solve of the
-        # graph it builds; side 3 is the smallest torus
-        from graphminimax.harness import _family_eigenvalues
+        # closed forms read from the graph's shape against a dense solve of its
+        # Laplacian; side 3 is the smallest torus
+        for g in (
+            gm.build_path(64),
+            gm.build_grid([8, 8]),
+            gm.build_grid([5, 5]),
+            gm.build_grid([4, 4, 4]),
+            gm.build_torus([3, 3]),
+            gm.build_torus([8, 8]),
+        ):
+            closed = gm.eigenvalues(g)
+            assert closed.basis is None and closed.lambdas[0] == 0.0
+            assert not closed.lambdas.flags.writeable
+            oracle = np.linalg.eigvalsh(gm.laplacian(g))
+            assert np.max(np.abs(closed.lambdas - oracle)) < 1e-10
 
-        cases = {
-            "path": ((gm.build_path(64), 64),),
-            "grid:2": ((gm.build_grid([8, 8]), 64), (gm.build_grid([5, 5]), 25)),
-            "grid:3": ((gm.build_grid([4, 4, 4]), 64),),
-            "torus:2": ((gm.build_torus([3, 3]), 9), (gm.build_torus([8, 8]), 64)),
-        }
-        for family, graphs in cases.items():
-            for g, n in graphs:
-                closed = _family_eigenvalues(family, n, seed=0)
-                assert closed.basis is None and closed.lambdas[0] == 0.0
-                assert not closed.lambdas.flags.writeable
-                assert np.max(np.abs(closed.lambdas - gm.eigenvalues(g).lambdas)) < 1e-10
+    @settings(max_examples=40, deadline=None)
+    @given(
+        torus=st.booleans(),
+        dims=st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=3),
+    )
+    def test_closed_form_matches_solver_on_any_dims(self, torus, dims):
+        if torus:
+            dims = [max(d, 3) for d in dims]
+        g = gm.build_torus(dims) if torus else gm.build_grid(dims)
+        assert g.shape == ("torus" if torus else "grid", tuple(dims))
+        oracle = np.linalg.eigvalsh(gm.laplacian(g))
+        assert np.max(np.abs(gm.eigenvalues(g).lambdas - oracle)) < 1e-10
 
     def test_moment_check_rejects_wrong_eigenvalues(self, monkeypatch):
-        g = gm.build_path(16)
+        g = gm.build_small_world(16, 4, 0.2, seed=1)
         exact = np.linalg.eigvalsh(gm.laplacian(g))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda L: exact * (1.0 + 1e-8))
         with pytest.raises(NumericError, match="moment 1"):
             gm.eigenvalues(g)
+
+    def test_moment_check_rejects_wrong_shape(self):
+        g = gm.build_grid([4, 4])
+        for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
+            with pytest.raises(NumericError, match="moment"):
+                gm.eigenvalues(dataclasses.replace(g, shape=shape))
+        with pytest.raises(NumericError, match="n=16"):
+            gm.eigenvalues(dataclasses.replace(g, shape=("grid", (5, 5))))
+
+    def test_geometry_r_known_for_shaped_graphs_fitted_otherwise(self):
+        for g, r in ((gm.build_path(64), 1.0), (gm.build_grid([4, 4, 4]), 3.0),
+                     (gm.build_torus([8, 8]), 2.0)):
+            assert gm.geometry_r(g, gm.eigenvalues(g)) == r
+        g = gm.build_small_world(256, 4, 0.1, seed=2)
+        s = gm.eigenvalues(g)
+        assert g.shape is None
+        assert gm.geometry_r(g, s) == max(1.0, gm.fit_geometry(s).r_hat)
 
     def test_path_eigenvalues_split_out_of_closed_form(self):
         assert np.array_equal(gm.path_eigenvalues(32), gm.path_spectrum_closed_form(32).lambdas)
