@@ -183,7 +183,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fano(args) -> int:
     g = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s = eigenvalues(g) if args.mode == "reg" else eigendecompose(g)
     r = args.r if args.r is not None else geometry_r(g, s)
     ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     sigma_or_link = sigmoid_link() if args.mode == "clf" else args.sigma

@@ -7,12 +7,16 @@ divergence to the base measure stays below alpha * log M with alpha < 1.
 A FanoCertificate records the whole configuration so it can be re-verified
 from its seed.
 
-Hamming distance here always counts DISAGREEING coordinates of two +/-1
-vectors; that is the convention under which the separation identity
+The alternatives are spectral bumps f_theta = a sum_{j<N} theta_j psi_j
+with amplitude a = delta N^(-(2 beta + r)/(2r)).  Because the psi_j are
+<.,.>_n-orthonormal, these certificate quantities hold exactly:
 
-    ||f_theta - f_theta'||_n^2 = 4 delta^2 N^(-(2 beta + r)/r) d_h
+    ||f_theta - f_theta'||_n^2 = 4 a^2 d_h        ||f_theta - 0||_n^2 = a^2 N
+    Sobolev form of f_theta = a^2 sum_{j<N} (1 + n^(2 beta / r) lambda_j^beta)
+    Gaussian KL(P_theta, P_0) = n a^2 N / (2 sigma^2)
 
-holds exactly for the spectral bump alternatives.
+where the Hamming distance d_h counts DISAGREEING coordinates of two +/-1
+vectors.  Only the Bernoulli KL is measured on vertex values.
 """
 from __future__ import annotations
 
@@ -23,12 +27,14 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, sigmoid_link
-from .sobolev import EllipsoidWeights, SobolevSpec, sobolev_form
+from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, gft_inverse, require_basis
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
-_PACKING_TARGET_CAP = 65536
+# The greedy packing costs O(target^2 N) time; 4096 = 2^(96/8) allows N <= 96.
+_PACKING_TARGET_CAP = 4096
+_ORTHONORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ def _vg_target(N: int) -> int:
     target = max(2, int(math.floor(2.0 ** (N / 8.0))))
     if target > _PACKING_TARGET_CAP:
         raise ValidationError(
-            f"packing target {target} for N={N} is infeasible to construct greedily"
+            f"packing target {target} for N={N} exceeds the greedy packing limit "
+            f"{_PACKING_TARGET_CAP} (N <= 96)"
         )
     return target
 
@@ -91,25 +98,28 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     d_min = math.ceil(N / 8)
     target = _vg_target(N)
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    attempts = 0
-    max_attempts = _PACKING_ATTEMPT_FACTOR * target
-    while len(accepted) < target and attempts < max_attempts:
-        attempts += 1
+    thetas = np.empty((target, N), dtype=np.int64)
+    M, min_h = 0, N
+    for _ in range(_PACKING_ATTEMPT_FACTOR * target):
+        if M == target:
+            break
         cand = rng.integers(0, 2, size=N, dtype=np.int64) * 2 - 1
-        if accepted:
-            dots = np.asarray(accepted) @ cand
-            if ((N - dots) // 2).min() < d_min:
-                continue
-        accepted.append(cand)
-    if len(accepted) < 2:
-        raise NumericError(f"packing failed: only {len(accepted)} vectors for N={N}")
-    thetas = np.asarray(accepted)
-    gram = thetas @ thetas.T
-    dists = (N - gram) // 2
-    min_h = int(dists[~np.eye(len(accepted), dtype=bool)].min())
+        closest = int(((N - thetas[:M] @ cand) // 2).min(initial=N))
+        if closest < d_min:
+            continue
+        min_h = min(min_h, closest)
+        thetas[M] = cand
+        M += 1
+    if M < 2:
+        raise NumericError(f"packing failed: only {M} vectors for N={N}")
+    thetas = thetas[:M]
     thetas.setflags(write=False)
-    return PackingSet(N=N, M=len(accepted), thetas=thetas, min_hamming=min_h)
+    return PackingSet(N=N, M=M, thetas=thetas, min_hamming=min_h)
+
+
+def _bump_amplitude(delta: float, spec: SobolevSpec, N: int) -> float:
+    """Coefficient size a = delta * N^(-(2 beta + r)/(2r)) of every bump."""
+    return delta * N ** (-(2.0 * spec.beta + spec.r) / (2.0 * spec.r))
 
 
 def hard_alternatives(
@@ -118,14 +128,13 @@ def hard_alternatives(
     """Spectral bump alternatives, one row per hypothesis.
 
     Row 0 is the zero base point; row j >= 1 is the signal with eigenbasis
-    coefficients delta * N^(-(2 beta + r)/(2r)) * theta^(j) on the first N
-    coordinates.
+    coefficients a * theta^(j) on the first N coordinates (a as in the module
+    docstring).  This is the vertex-space reference for fano_certificate.
     """
     if pack.N > s.n:
         raise ValidationError(f"packing dimension {pack.N} exceeds n={s.n}")
-    scale = delta * pack.N ** (-(2.0 * spec.beta + spec.r) / (2.0 * spec.r))
     coeffs = np.zeros((pack.M + 1, s.n))
-    coeffs[1:, : pack.N] = scale * pack.thetas
+    coeffs[1:, : pack.N] = _bump_amplitude(delta, spec, pack.N) * pack.thetas
     return np.vstack([gft_inverse(s, c) for c in coeffs])
 
 
@@ -174,18 +183,17 @@ def _sobolev_delta_cap(s: Spectrum, spec: SobolevSpec, N: int) -> float:
 
 
 def _classification_alpha_bound(
-    s: Spectrum, spec: SobolevSpec, N: int, delta: float, link: LinkFunction
+    profile: np.ndarray, spec: SobolevSpec, N: int, delta: float, link: LinkFunction
 ) -> float:
     """Upper bound on the certificate's alpha, uniform over sign patterns.
 
     Per vertex the divergence from the base measure Psi(0) = 1/2 grows with
     |f_theta(i)|, which is at most the worst-case sign alignment
-    delta * N^(-(2 beta + r)/(2r)) * sum_j |psi_j(i)|.  Evaluating the
+    a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|.  Evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
     """
-    scale = delta * N ** (-(2.0 * spec.beta + spec.r) / (2.0 * spec.r))
-    amps = scale * np.abs(require_basis(s)[:, :N]).sum(axis=1)
-    worst_kl = bernoulli_kl(link.psi(amps), np.full(s.n, 0.5))
+    amps = _bump_amplitude(delta, spec, N) * profile
+    worst_kl = bernoulli_kl(link.psi(amps), np.full(len(profile), 0.5))
     m = _vg_target(N)
     return (m / (m + 1.0)) * worst_kl / math.log(m)
 
@@ -201,17 +209,23 @@ def calibrate_delta(s: Spectrum, spec: SobolevSpec, N: int) -> float:
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
     link = sigmoid_link()
+    profile = np.abs(require_basis(s)[:, :N]).sum(axis=1)
     delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-    if _classification_alpha_bound(s, spec, N, delta_a, link) <= _ALPHA_TARGET:
+    if _classification_alpha_bound(profile, spec, N, delta_a, link) <= _ALPHA_TARGET:
         return delta_a
     lo, hi = 0.0, delta_a
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _classification_alpha_bound(s, spec, N, mid, link) <= _ALPHA_TARGET:
+        if _classification_alpha_bound(profile, spec, N, mid, link) <= _ALPHA_TARGET:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _gaussian_kl(n: int, spec: SobolevSpec, N: int, delta: float, sigma: float) -> float:
+    """Exact KL(P_theta, P_0) = n ||f_theta||_n^2 / (2 sigma^2), the same for every theta."""
+    return n * _bump_amplitude(delta, spec, N) ** 2 * N / (2.0 * sigma**2)
 
 
 def _gaussian_calibrated_delta(
@@ -219,13 +233,12 @@ def _gaussian_calibrated_delta(
 ) -> float:
     """Regression analogue of calibrate_delta with exact Gaussian KL.
 
-    Shifted Gaussian product measures give K(P_j, P_0) = n ||f_j||_n^2 /
-    (2 sigma^2) = n delta^2 N^(-2 beta / r) / (2 sigma^2) for every full
-    sign pattern, so the alpha <= 1/2 condition is closed-form in delta.
+    The KL is delta^2 times its value at delta = 1, so the alpha <= 1/2
+    condition is closed-form in delta.
     """
     m = _vg_target(N)
     kl_cap = _ALPHA_TARGET * math.log(m) * (m + 1.0) / m
-    delta_b = math.sqrt(2.0 * sigma**2 * kl_cap / (s.n * N ** (-2.0 * spec.beta / spec.r)))
+    delta_b = math.sqrt(kl_cap / _gaussian_kl(s.n, spec, N, 1.0, sigma))
     return min(_sobolev_delta_cap(s, spec, N), delta_b) * (1.0 - 1e-9)
 
 
@@ -244,9 +257,13 @@ def fano_certificate(
     """Build and verify a complete lower-bound configuration.
 
     Pass a LinkFunction for the classification (Bernoulli) certificate or a
-    positive noise level sigma for the regression (Gaussian) analogue.  The
-    divergence budget is computed exactly on the constructed alternatives;
-    the recorded seed reproduces the packing, so certificates re-validate.
+    positive noise level sigma for the regression (Gaussian) analogue.
+    separation_min, sobolev_max and the Gaussian KL are the closed forms of
+    the module docstring, so a regression certificate reads eigenvalues
+    only.  The Bernoulli KL is summed over the M x n vertex values of the
+    alternatives; the first N eigenvectors they are built from must be
+    orthonormal to 1e-10 (else NumericError), which keeps the closed forms
+    self-checking.  The recorded seed reproduces the packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:
@@ -254,31 +271,29 @@ def fano_certificate(
     if isinstance(sigma_or_link, LinkFunction):
         mode = "classification"
         link = sigma_or_link
-        sigma = None
         delta = calibrate_delta(s, spec, N)
     else:
         mode = "regression"
-        link = None
         sigma = float(sigma_or_link)
         if not sigma > 0:
             raise ValidationError(f"sigma must be positive, got {sigma_or_link!r}")
         delta = _gaussian_calibrated_delta(s, spec, N, sigma)
     pack = vg_packing(N, seed)
-    alts = hard_alternatives(s, spec, delta, pack)
-
-    gram = alts @ alts.T / s.n
-    sq = np.diag(gram)
-    dist2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    separation_min = float(np.sqrt(dist2[~np.eye(len(alts), dtype=bool)].min()))
-
-    sobolev_max = max(sobolev_form(s, spec, f) for f in alts)
+    a = _bump_amplitude(delta, spec, N)
+    separation_min = a * math.sqrt(min(N, 4 * pack.min_hamming))
+    sobolev_max = a**2 * _head_form_sum(s, spec, N)
 
     if mode == "classification":
-        base = link.psi(alts[0])
-        kls = [bernoulli_kl(link.psi(f), base) for f in alts[1:]]
+        head = require_basis(s)[:, :N]
+        gram_err = float(np.abs(head.T @ head / s.n - np.eye(N)).max())
+        if gram_err > _ORTHONORMAL_TOL:
+            raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")
+        values = a * pack.thetas @ head.T
+        base = link.psi(np.zeros(s.n))
+        kl_total = sum(bernoulli_kl(link.psi(f), base) for f in values)
     else:
-        kls = [s.n * float(np.mean(f**2)) / (2.0 * sigma**2) for f in alts[1:]]
-    kl_budget = float(sum(kls)) / (pack.M + 1)
+        kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)
+    kl_budget = kl_total / (pack.M + 1)
     alpha = kl_budget / math.log(pack.M)
     fano_bound = (math.log(pack.M + 1) - math.log(2.0)) / math.log(pack.M) - alpha
 

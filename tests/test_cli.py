@@ -297,6 +297,51 @@ class TestFanoCommand:
         run_cli(*args, "--out", str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_reg_mode_above_dense_cap_needs_no_laplacian(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Laplacian was built")
+
+        monkeypatch.setattr("graphminimax.spectral.laplacian", refuse)
+        monkeypatch.setattr("graphminimax.graphs.laplacian", refuse)
+        out = tmp_path / "cert.csv"
+        code = run_cli(
+            "fano", "--graph", "path:10000", "--beta", "1", "--mode", "reg", "--out", str(out)
+        )
+        assert code == 0
+        fields = out.read_text().split("\n")[1].split(",")
+        assert fields[0] == "10000" and fields[12] == "true"
+
+    def test_clf_mode_above_dense_cap_rejected(self, tmp_path, capsys):
+        code = run_cli(
+            "fano", "--graph", "path:10000", "--beta", "1", "--mode", "clf",
+            "--out", str(tmp_path / "cert.csv"),
+        )
+        assert code == 1
+        assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+
+    def test_packing_limit_rejected_before_packing(self, tmp_path, capsys, monkeypatch):
+        import time
+        import tracemalloc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a packing was built")
+
+        monkeypatch.setattr("graphminimax.fano.vg_packing", refuse)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = run_cli(
+                "fano", "--graph", "grid:128x128", "--beta", "1", "--mode", "reg",
+                "--out", str(tmp_path / "cert.csv"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 5.0
+        assert peak < 64 << 20
+        assert code == 1
+        assert "N=128 exceeds the greedy packing limit 4096" in capsys.readouterr().err
+
 
 class TestPriorDemoCommand:
     def test_tiny_prior_mass(self, capsys):

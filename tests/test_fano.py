@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,40 @@ BALL = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
 def pairwise_disagreements(thetas):
     gram = thetas @ thetas.T
     return (thetas.shape[1] - gram) // 2
+
+
+@pytest.fixture(scope="module")
+def torus16_eig():
+    return gm.eigendecompose(gm.build_torus([16, 16]))
+
+
+@pytest.fixture(scope="module")
+def ws512_eig():
+    return gm.eigendecompose(gm.parse_graph_spec("ws:512,6,0.1,3"))
+
+
+def vertex_space_fields(s, ball, how, cert):
+    """The certificate's fields recomputed from the hard_alternatives rows."""
+    pack = gm.vg_packing(cert.N, cert.seed)
+    alts = gm.hard_alternatives(s, ball, cert.delta, pack)
+    gram = alts @ alts.T / s.n
+    sq = np.diag(gram)
+    dist2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    if how == "clf":
+        link = gm.sigmoid_link()
+        kls = [gm.bernoulli_kl(link.psi(f), link.psi(alts[0])) for f in alts[1:]]
+    else:
+        kls = [s.n * np.mean(f**2) / (2.0 * how**2) for f in alts[1:]]
+    kl_budget = sum(kls) / (pack.M + 1)
+    alpha = kl_budget / math.log(pack.M)
+    return {
+        "M": pack.M,
+        "separation_min": math.sqrt(dist2[~np.eye(pack.M + 1, dtype=bool)].min()),
+        "sobolev_max": max(gm.sobolev_form(s, ball, f) for f in alts),
+        "kl_budget": kl_budget,
+        "alpha": alpha,
+        "fano_bound": (math.log(pack.M + 1) - math.log(2.0)) / math.log(pack.M) - alpha,
+    }
 
 
 class TestVgPacking:
@@ -48,6 +83,15 @@ class TestVgPacking:
     def test_rejects_infeasible_target(self):
         with pytest.raises(ValidationError):
             gm.vg_packing(512, seed=0)
+
+    def test_largest_allowed_target(self):
+        p = gm.vg_packing(96, seed=1)
+        assert p.M == 4096
+        assert p.min_hamming >= 12
+
+    def test_target_limit_is_named(self):
+        with pytest.raises(ValidationError, match=r"N=97 exceeds the greedy packing limit 4096"):
+            gm.vg_packing(97, seed=0)
 
 
 class TestHardAlternatives:
@@ -215,6 +259,48 @@ class TestFanoCertificate:
         s = gm.path_spectrum_closed_form(1024)
         with pytest.raises(ValidationError):
             gm.fano_certificate(s, BALL, 0.0, seed=0)
+
+    @pytest.mark.parametrize("how", ["clf", 1.0])
+    @pytest.mark.parametrize(
+        "eig, r",
+        [("path2048_eig", 1.0), ("grid32_eig", 2.0), ("torus16_eig", 2.0), ("ws512_eig", 2.0)],
+    )
+    def test_fields_match_vertex_space_oracle(self, eig, r, how, request):
+        s = request.getfixturevalue(eig)
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        link_or_sigma = gm.sigmoid_link() if how == "clf" else how
+        cert = gm.fano_certificate(s, ball, link_or_sigma, seed=3)
+        assert cert.valid
+        for name, want in vertex_space_fields(s, ball, how, cert).items():
+            assert getattr(cert, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+    def test_non_orthonormal_basis_rejected(self, path2048_eig):
+        bad = dataclasses.replace(path2048_eig, basis=path2048_eig.basis * (1.0 + 1e-8))
+        with pytest.raises(NumericError, match="not orthonormal"):
+            gm.fano_certificate(bad, BALL, gm.sigmoid_link(), seed=3)
+
+    @pytest.mark.parametrize(
+        "eig, graph, r",
+        [
+            ("path2048_eig", "path:2048", 1.0),
+            ("grid32_eig", "grid:32x32", 2.0),
+            ("torus16_eig", "torus:16x16", 2.0),
+        ],
+    )
+    def test_regression_needs_eigenvalues_only(self, eig, graph, r, request):
+        s = request.getfixturevalue(eig)
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        for sigma in (1.0, 0.3):
+            full = gm.fano_certificate(s, ball, sigma, seed=3)
+            no_basis = gm.fano_certificate(dataclasses.replace(s, basis=None), ball, sigma, seed=3)
+            assert gm.certificate_csv_text(no_basis) == gm.certificate_csv_text(full)
+            # eigenvalues() is the exact closed form, while eigh rounds the small
+            # eigenvalues by about 1e-15 absolute: agreement to 1e-10, not bitwise
+            closed = gm.fano_certificate(gm.eigenvalues(gm.parse_graph_spec(graph)), ball, sigma, 3)
+            for name in ("delta", "separation_min", "sobolev_max", "kl_budget", "alpha"):
+                want = getattr(full, name)
+                assert getattr(closed, name) == pytest.approx(want, rel=1e-10, abs=0.0), name
+            assert (closed.M, closed.valid) == (full.M, full.valid)
 
 
 class TestWorstCasePrior:

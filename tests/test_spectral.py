@@ -174,7 +174,6 @@ class TestEigenvalues:
             lambda: gm.hard_alternatives(s, ball, 0.1, pack),
             lambda: gm.calibrate_delta(s, ball, 8),
             lambda: gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=0),
-            lambda: gm.fano_certificate(s, ball, 1.0, seed=0),
         ]
         for consume in consumers:
             with pytest.raises(ValidationError, match="eigenvalues only"):
