@@ -187,28 +187,33 @@ def _classification_alpha_bound(
 ) -> float:
     """Upper bound on the certificate's alpha, uniform over sign patterns.
 
-    Per vertex the divergence from the base measure Psi(0) = 1/2 grows with
-    |f_theta(i)|, which is at most the worst-case sign alignment
-    a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|.  Evaluating the
+    For a link with Psi(-t) = 1 - Psi(t), such as the sigmoid and its
+    rescalings sigmoid(c t), the divergence of Bernoulli(Psi(f)) from the
+    base measure Bernoulli(Psi(0)) depends on |f| only and grows with it.
+    Per vertex |f_theta(i)| is at most the worst-case sign alignment
+    a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
     """
     amps = _bump_amplitude(delta, spec, N) * profile
-    worst_kl = bernoulli_kl(link.psi(amps), np.full(len(profile), 0.5))
+    worst_kl = bernoulli_kl(link.psi(amps), link.psi(np.zeros(len(profile))))
     m = _vg_target(N)
     return (m / (m + 1.0)) * worst_kl / math.log(m)
 
 
-def calibrate_delta(s: Spectrum, spec: SobolevSpec, N: int) -> float:
+def calibrate_delta(
+    s: Spectrum, spec: SobolevSpec, N: int, link: LinkFunction | None = None
+) -> float:
     """Largest bump amplitude passing both certificate conditions.
 
     Condition (a): the common Sobolev form of the alternatives stays within
     Q^2; its solution delta_a is closed-form.  Condition (b): the
-    classification KL budget (sigmoid link, worst pair bound) gives
-    alpha <= 1/2; enforced by bisection below delta_a when needed.
+    classification KL budget (the given link, sigmoid if None; worst pair
+    bound) gives alpha <= 1/2; enforced by bisection below delta_a when
+    needed.
     """
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
-    link = sigmoid_link()
+    link = sigmoid_link() if link is None else link
     profile = np.abs(require_basis(s)[:, :N]).sum(axis=1)
     delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
     if _classification_alpha_bound(profile, spec, N, delta_a, link) <= _ALPHA_TARGET:
@@ -271,7 +276,7 @@ def fano_certificate(
     if isinstance(sigma_or_link, LinkFunction):
         mode = "classification"
         link = sigma_or_link
-        delta = calibrate_delta(s, spec, N)
+        delta = calibrate_delta(s, spec, N, link)
     else:
         mode = "regression"
         sigma = float(sigma_or_link)

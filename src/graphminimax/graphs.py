@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-#: Largest vertex count for which a dense Laplacian may be materialized.
+#: Largest vertex count for which a dense n x n array may be materialized:
+#: the Laplacian of ``laplacian`` or the eigenbasis of ``eigendecompose``
+#: (closed-form bases of paths, grids and tori included).
 DEFAULT_DENSE_CAP = 8192
 
 _WS_RETRY_BUDGET = 64
@@ -273,16 +275,21 @@ def parse_graph_spec(text: str) -> Graph:
     raise ValidationError(f"unknown graph family in {text!r}")
 
 
+def check_dense_cap(n: int, max_n: int = DEFAULT_DENSE_CAP) -> None:
+    """ValidationError naming the cap if an n x n dense array exceeds it."""
+    if n > max_n:
+        raise ValidationError(
+            f"n={n} exceeds the dense Laplacian cap {max_n}; raise max_n explicitly"
+        )
+
+
 def laplacian(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense combinatorial Laplacian L = D - A of the graph.
 
     Refuses to materialize matrices beyond ``max_n`` so the O(n^2) memory
     and O(n^3) eigendecomposition cost stay an explicit, desk-scale choice.
     """
-    if g.n > max_n:
-        raise ValidationError(
-            f"n={g.n} exceeds the dense Laplacian cap {max_n}; raise max_n explicitly"
-        )
+    check_dense_cap(g.n, max_n)
     L = np.zeros((g.n, g.n))
     for u, v in g.edges:
         L[u, v] = -1.0

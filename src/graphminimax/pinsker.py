@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .sobolev import EllipsoidWeights
-from .spectral import Spectrum, gft_forward, gft_inverse
+from .spectral import Spectrum, require_basis
 
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
@@ -130,10 +130,27 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     return ShrinkagePlan(N=N, x=x, l=l, S=float(epsilon**2 * l.sum()), epsilon=float(epsilon))
 
 
+def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
+    """sum_{j<k} l_j <y, psi_j>_n psi_j with k = len(l_head).
+
+    Only the head columns basis[:, :k] are read, so the cost is O(n k).
+    """
+    head = require_basis(s)[:, : len(l_head)]
+    y = np.asarray(y, dtype=float)
+    if y.shape != (s.n,):
+        raise ValidationError(f"signal length {y.shape} does not match n={s.n}")
+    return head @ (l_head * (head.T @ y / s.n))
+
+
 def estimate_regression(s: Spectrum, plan: ShrinkagePlan, y: np.ndarray) -> np.ndarray:
-    """Shrink the observed signal coefficient-wise: inverse GFT of l * Z."""
-    z = gft_forward(s, y)
-    return gft_inverse(s, plan.l * z)
+    """Shrink the observed signal coefficient-wise: sum_j l_j Z_j psi_j.
+
+    The weights vanish from plan.N on, so only the first plan.N eigenvectors
+    are read; the result equals the inverse GFT of l * Z.
+    """
+    if len(plan.l) != s.n:
+        raise ValidationError(f"plan has {len(plan.l)} weights for a spectrum on n={s.n}")
+    return _shrink_head(s, y, plan.l[: plan.N])
 
 
 def linear_risk(l: np.ndarray, f_coeffs: np.ndarray, epsilon: float) -> float:
@@ -163,12 +180,13 @@ def projection_cutoff(n: int, beta: float, r: float) -> int:
 
 
 def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
-    """Spectral truncation: keep the first m coefficients, zero the rest."""
+    """Spectral truncation: keep the first m coefficients, zero the rest.
+
+    Reads only the first m eigenvectors.
+    """
     if not 1 <= m <= s.n:
         raise ValidationError(f"projection cutoff must be in [1, {s.n}], got {m}")
-    z = gft_forward(s, y)
-    z[m:] = 0.0
-    return gft_inverse(s, z)
+    return _shrink_head(s, y, np.ones(m))
 
 
 @dataclass(frozen=True)

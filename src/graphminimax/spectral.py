@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graphs import DEFAULT_DENSE_CAP, Graph, laplacian
+from .graphs import DEFAULT_DENSE_CAP, Graph, check_dense_cap, laplacian
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
+_RESIDUAL_CHUNK = 256
+_ORTHONORMAL_TOL = 1e-10
 _MOMENT_RTOL = 1e-10
 
 
@@ -26,9 +28,13 @@ class Spectrum:
 
     ``lambdas`` is non-decreasing with lambdas[0] == 0.  ``basis[:, j]`` is
     the eigenvector psi_j; the first component of each psi_j whose magnitude
-    exceeds 1e-12 is positive.  For repeated eigenvalues any orthonormal
-    basis of the eigenspace is acceptable, so comparisons on degenerate
-    spectra should use eigenvalue multisets or eigenspace projectors.
+    exceeds 1e-12 is positive.  The basis is column-major, so a head
+    ``basis[:, :k]`` is one contiguous block.  Inside a repeated eigenvalue
+    a path, grid or torus gets the fixed product basis of eigendecompose
+    (per-axis vectors, in the row-major order of their axis indices), the
+    same on every platform; any other graph gets whatever orthonormal basis
+    of the eigenspace the solver returns.  Results that must not depend on
+    that choice should compare eigenvalue multisets or eigenspace projectors.
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -61,11 +67,14 @@ class GeometryFit:
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component of each column positive."""
+    """Make the first non-negligible component of each column positive.
+
+    The result is column-major, like every returned basis.
+    """
     firsts = np.argmax(np.abs(basis) > _SIGN_EPS, axis=0)
     signs = np.sign(basis[firsts, np.arange(basis.shape[1])])
     signs[signs == 0] = 1.0
-    return basis * signs
+    return np.multiply(basis, signs, order="F")
 
 
 def _freeze(s: Spectrum) -> Spectrum:
@@ -98,41 +107,138 @@ def require_basis(s: Spectrum) -> np.ndarray:
 
 
 def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
-    """Full dense symmetric eigendecomposition of the graph Laplacian.
+    """All n eigenpairs of the graph Laplacian, every column self-checked.
 
-    All n eigenpairs are computed because the shrinkage estimators and the
-    smoothness form need the whole spectrum.  Raises NumericError if the
-    solver output fails the residual check ||L psi - lambda psi|| /
-    max(1, lambda) <= 1e-8 or if the null eigenvalue is out of tolerance.
+    Paths, grids and tori (``g.shape`` set) use their closed form: products
+    of per-axis path (DCT-II) or cycle eigenvectors, ordered by a stable sort
+    of the Kronecker-sum eigenvalues, so ``lambdas`` equals
+    ``eigenvalues(g).lambdas`` bit for bit and the basis inside a repeated
+    eigenvalue is that fixed product basis.  The per-axis factors must be
+    orthonormal to 1e-10; a Kronecker product of orthonormal factors is
+    orthonormal.  Any other graph gets a dense ``eigh``.
+
+    On both paths every column must pass the residual check
+    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8, with L applied from
+    the edge list (O(m n), no n x n Laplacian), and the null eigenvalue must
+    be in tolerance; NumericError otherwise.  The n x n basis is dense, so
+    n above ``max_n`` raises ValidationError before anything is allocated.
     """
-    L = laplacian(g, max_n=max_n)
-    lams, vecs = np.linalg.eigh(L)
-    lams = _checked_lambdas(lams, g.n)
-    basis = _fix_signs(vecs * np.sqrt(g.n))
-    resid = L @ basis - basis * lams
-    rel = np.linalg.norm(resid, axis=0) / np.maximum(1.0, lams)
-    worst = float(rel.max())
+    check_dense_cap(g.n, max_n)
+    if g.shape is None:
+        lams, vecs = np.linalg.eigh(laplacian(g, max_n=max_n))
+        lams = _checked_lambdas(lams, g.n)
+        basis = _fix_signs(vecs * np.sqrt(g.n))
+    else:
+        lams, basis = _shape_eigenpairs(g)
+    worst = _worst_residual(g, lams, basis)
     if worst > _RESIDUAL_TOL:
         raise NumericError(f"eigendecomposition residual too large: {worst:.3e}")
     return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
 
 
-def _shape_eigenvalues(shape: tuple[str, tuple[int, ...]]) -> np.ndarray:
-    """Closed-form spectrum of a grid or torus: the Kronecker sum over its axes.
+def _worst_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> float:
+    """max_j ||L psi_j - lambda_j psi_j|| / max(1, lambda_j), L applied from the edges.
 
-    Each grid axis is a path with eigenvalues 4 sin^2(pi j / (2 side)); each
-    torus axis is a cycle with eigenvalues 4 sin^2(pi j / side).
+    Column i of the neighbour table ``nbrs`` lists the neighbours of vertex
+    i, padded with i itself up to the largest degree D, so
+    (L psi)(i) = D psi(i) - sum_k psi(nbrs[k, i]).  Columns of the
+    (column-major) basis are checked in chunks, as contiguous rows of its
+    transpose, which keeps the gathered arrays at chunk x n.
     """
-    kind, dims = shape
-    axes = [
-        path_eigenvalues(side) if kind == "grid"
-        else 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2
-        for side in dims
-    ]
-    lams = axes[0]
-    for axis in axes[1:]:
-        lams = np.add.outer(lams, axis).ravel()
-    return np.sort(lams)
+    edges = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    width = int(g.degrees.max())
+    nbrs = np.repeat(np.arange(g.n)[None, :], width, axis=0)
+    nbrs[np.arange(src.size) - np.searchsorted(src, src), src] = dst
+    worst = 0.0
+    for j0 in range(0, basis.shape[1], _RESIDUAL_CHUNK):
+        psi = basis[:, j0 : j0 + _RESIDUAL_CHUNK].T
+        lam = lams[j0 : j0 + _RESIDUAL_CHUNK]
+        resid = psi * (width - lam)[:, None]
+        for nb in nbrs:
+            resid -= np.take(psi, nb, axis=1)
+        rel = np.linalg.norm(resid, axis=1) / np.maximum(1.0, lam)
+        worst = max(worst, float(rel.max()))
+    return worst
+
+
+def _axis_eigenvalues(kind: str, side: int) -> np.ndarray:
+    """Path eigenvalues for a grid axis, 4 sin^2(pi j / side) for a cycle."""
+    if kind == "grid":
+        return path_eigenvalues(side)
+    return 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2
+
+
+def _path_vectors(n: int) -> np.ndarray:
+    """DCT-II path eigenvectors as rows, row j paired with path_eigenvalues(n)[j].
+
+    For vertex i = 1..n (stored 0-based), psi_j(i) = c_j cos(pi j (2i - 1) /
+    (2n)) with c_0 = 1 and c_j = sqrt(2) for j >= 1, which makes
+    <psi_j, psi_j>_n = 1.  Every psi_j starts with a positive entry.
+    """
+    odd = 2.0 * np.arange(1, n + 1) - 1.0
+    rows = np.cos(np.pi * np.outer(np.arange(n), odd) / (2 * n))
+    rows[1:] *= np.sqrt(2.0)
+    return rows
+
+
+def _cycle_vectors(d: int) -> np.ndarray:
+    """Cycle eigenvectors as rows, row j paired with 4 sin^2(pi j / d).
+
+    psi_0 is constant, psi_j(i) = sqrt(2) cos(2 pi j i / d) for j < d/2,
+    sqrt(2) sin(2 pi (d - j) i / d) for j > d/2 and, for even d,
+    psi_{d/2}(i) = (-1)^i.  The first non-zero entry of every psi_j is
+    positive (sin(0) is exactly 0).
+    """
+    j = np.arange(d)
+    angle = 2.0 * np.pi * np.outer(np.minimum(j, d - j), np.arange(d)) / d
+    rows = np.sqrt(2.0) * np.where((j < d / 2)[:, None], np.cos(angle), np.sin(angle))
+    rows[0] = 1.0
+    if d % 2 == 0:
+        rows[d // 2] = (-1.0) ** np.arange(d)
+    return rows
+
+
+def _kronecker_sum(g: Graph) -> np.ndarray:
+    """Closed-form eigenvalues of a shaped graph, unsorted.
+
+    Entry k is the sum of the per-axis eigenvalues at the row-major axis
+    indices np.unravel_index(k, dims), the order of the product basis.
+    """
+    kind, dims = g.shape
+    lams = np.zeros(1)
+    for side in dims:
+        lams = np.add.outer(lams, _axis_eigenvalues(kind, side)).ravel()
+    if lams.shape != (g.n,):
+        raise NumericError(f"{lams.size} eigenvalues for a graph on n={g.n} vertices")
+    return lams
+
+
+def _shape_eigenpairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenvalues and product basis of a path, grid or torus."""
+    kind, dims = g.shape
+    raw = _kronecker_sum(g)
+    order = np.argsort(raw, kind="stable")
+    lams = _checked_lambdas(raw[order], g.n)
+    factors = [_path_vectors(side) if kind == "grid" else _cycle_vectors(side) for side in dims]
+    for f in factors:
+        gram = f @ f.T / len(f)
+        gram.flat[:: len(f) + 1] -= 1.0
+        gram_err = float(np.abs(gram).max())
+        if gram_err > _ORTHONORMAL_TOL:
+            raise NumericError(
+                f"{kind} axis basis of side {len(f)} is not orthonormal: {gram_err:.3e}"
+            )
+    # Vertices are flattened row-major, like the axis indices of raw, so
+    # psi_k is the outer product over axes of the factor rows idx[axis][k].
+    idx = np.unravel_index(order, dims)
+    rows = np.take(factors[0], idx[0], axis=0)
+    for f, ks in zip(factors[1:], idx[1:]):
+        rows = (rows[:, :, None] * np.take(f, ks, axis=0)[:, None, :]).reshape(g.n, -1)
+    return lams, rows.T
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -145,9 +251,7 @@ def eigenvalues(g: Graph) -> Spectrum:
     moments sum(lambda) = trace(L) = sum_i d_i and
     sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10 relative.
     """
-    raw = np.linalg.eigvalsh(laplacian(g)) if g.shape is None else _shape_eigenvalues(g.shape)
-    if raw.shape != (g.n,):
-        raise NumericError(f"{raw.size} eigenvalues for a graph on n={g.n} vertices")
+    raw = np.linalg.eigvalsh(laplacian(g)) if g.shape is None else np.sort(_kronecker_sum(g))
     d = g.degrees.astype(float)
     for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
         got = float(np.sum(raw**k))
@@ -168,18 +272,13 @@ def path_eigenvalues(n: int) -> np.ndarray:
 
 
 def path_spectrum_closed_form(n: int) -> Spectrum:
-    """Exact spectrum of the path graph on n vertices.
+    """Exact spectrum of the path graph on n vertices, without building the graph.
 
-    lambda_j = path_eigenvalues(n)[j] and, for vertex i = 1..n (stored
-    0-based), psi_j(i) = c_j cos(pi j (2i - 1) / (2n)) with c_0 = 1 and
-    c_j = sqrt(2) for j >= 1, which makes <psi_j, psi_j>_n = 1.
+    lambda_j = path_eigenvalues(n)[j] and psi_j is the DCT-II vector of
+    ``_path_vectors``; equal to ``eigendecompose(build_path(n))``.
     """
     lams = path_eigenvalues(n)
-    j = np.arange(n)
-    odd = 2.0 * np.arange(1, n + 1) - 1.0
-    basis = np.cos(np.pi * np.outer(odd, j) / (2 * n))
-    basis[:, 1:] *= np.sqrt(2.0)
-    return _freeze(Spectrum(n=n, lambdas=lams, basis=_fix_signs(basis)))
+    return _freeze(Spectrum(n=n, lambdas=lams, basis=_path_vectors(n).T))
 
 
 def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:

@@ -237,6 +237,26 @@ class TestFanoCertificate:
         base_floor = cert.delta * cert.N ** (-1.0)
         assert cert.separation_min >= min(floor, base_floor) - 1e-12
 
+    def test_calibrates_with_the_certificates_link(self):
+        # psi(t) = sigmoid(4t) leaves the KL bound at a sigmoid-calibrated
+        # delta far above the 1/2 target (alpha 0.735 when calibrated with the
+        # sigmoid); calibrating with the link itself keeps alpha <= 1/2
+        sig = gm.sigmoid_link()
+        steep = gm.LinkFunction(
+            name="sigmoid(4t)",
+            psi=lambda t: sig.psi(4.0 * np.asarray(t, dtype=float)),
+            psi_inv=lambda p: sig.psi_inv(p) / 4.0,
+            dpsi=lambda t: 4.0 * sig.dpsi(4.0 * np.asarray(t, dtype=float)),
+            sup_dpsi=1.0,
+            sup_ratio=4.0,
+        )
+        s = gm.path_spectrum_closed_form(2048)
+        cert = gm.fano_certificate(s, BALL, steep, seed=3)
+        assert cert.valid and cert.alpha <= 0.5
+        sigmoid_delta = gm.calibrate_delta(s, BALL, cert.N)
+        assert cert.delta == gm.calibrate_delta(s, BALL, cert.N, steep) < sigmoid_delta
+        assert gm.calibrate_delta(s, BALL, cert.N, sig) == sigmoid_delta
+
     def test_regression_certificate(self):
         s = gm.path_spectrum_closed_form(2048)
         cert = gm.fano_certificate(s, BALL, 1.0, seed=3)

@@ -1,7 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
@@ -139,6 +142,23 @@ class TestEstimateRegression:
         assert plan.N < 256
         fhat = gm.estimate_regression(s, plan, s.basis[:, plan.N])
         assert np.max(np.abs(fhat)) < 1e-12
+
+    def test_matches_full_basis_reference(self):
+        s, _, plan = path_plan(256)
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            y = rng.standard_normal(256)
+            want = gm.gft_inverse(s, plan.l * gm.gft_forward(s, y))
+            assert np.max(np.abs(gm.estimate_regression(s, plan, y) - want)) < 1e-12
+
+    def test_rejects_plan_for_another_size(self):
+        s, _, _ = path_plan(64)
+        _, _, other = path_plan(128)
+        assert other.N <= 64  # only the weight count is wrong
+        with pytest.raises(ValidationError, match="128 weights"):
+            gm.estimate_regression(s, other, np.zeros(64))
+        with pytest.raises(ValidationError, match="signal length"):
+            gm.estimate_regression(s, path_plan(64)[2], np.zeros(63))
 
     def test_monte_carlo_risk_within_sup_risk(self):
         # the risk at any ball point is at most S; allow Monte Carlo slack
@@ -334,3 +354,79 @@ class TestEstimateClassification:
         s, _, plan = path_plan(32, sigma=0.5)
         with pytest.raises(ValidationError):
             gm.estimate_classification(s, plan, np.zeros(32), mode="other")
+
+
+def test_estimators_read_only_their_head_columns():
+    # every column an estimator may not read is NaN, so reading one shows
+    s = gm.eigendecompose(gm.build_grid([12, 12]))
+    plan = gm.pinsker_plan(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, 2.0)), 0.5, s.n)
+    m = 20
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(s.n)
+    labels = (rng.random(s.n) < 0.5).astype(float)
+    for k, estimate in (
+        (plan.N, lambda t: gm.estimate_regression(t, plan, y)),
+        (plan.N, lambda t: gm.estimate_classification(t, plan, labels, mode="link")),
+        (m, lambda t: gm.projection_estimate(t, y, m)),
+    ):
+        assert k < s.n
+        basis = s.basis.copy(order="F")
+        basis[:, k:] = np.nan
+        assert np.array_equal(estimate(dataclasses.replace(s, basis=basis)), estimate(s))
+
+
+def rotate_within_eigenspaces(s, rng):
+    """The basis turned by a random orthogonal matrix inside every eigenvalue cluster.
+
+    Clusters use a relative tolerance of 1e-12: mathematically equal
+    eigenvalues can differ by an ulp (torus 32x64 has such pairs).
+    """
+    lams = s.lambdas
+    basis = s.basis.copy(order="F")
+    bounds = np.flatnonzero(np.diff(lams) > 1e-12 * lams[1:]) + 1
+    for sel in np.split(np.arange(s.n), bounds):
+        if len(sel) > 1:
+            q, _ = np.linalg.qr(rng.standard_normal((len(sel), len(sel))))
+            basis[:, sel] = basis[:, sel] @ q
+    return dataclasses.replace(s, basis=basis), bounds
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    torus=st.booleans(),
+    dims=st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=3),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+    sigma=st.sampled_from([0.1, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(torus=True, dims=[32, 64], beta=1.0, sigma=1.0, seed=0)
+@example(torus=False, dims=[32, 32], beta=1.0, sigma=1.0, seed=0)
+def test_estimates_do_not_depend_on_the_basis_inside_an_eigenspace(
+    torus, dims, beta, sigma, seed
+):
+    # Pinsker weights are equal on equal eigenvalues, so the estimators must
+    # not change when the basis turns inside an eigenspace.  A head read that
+    # split an eigenvalue cluster would change; the control at the end shows
+    # that the rotation detects such a split.  projection_estimate is left
+    # out: its rate-matched cutoff can split a cluster (m = 32 on grid 32x32,
+    # ROADMAP item 5).
+    if torus:
+        dims = [max(d, 3) for d in dims]
+    g = gm.build_torus(dims) if torus else gm.build_grid(dims)
+    s = gm.eigendecompose(g)
+    rng = np.random.default_rng(seed)
+    turned, bounds = rotate_within_eigenspaces(s, rng)
+    ball = gm.SobolevSpec(beta=beta, Q=1.0, r=float(len(dims)))
+    plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), sigma, s.n)
+    y = rng.standard_normal(s.n)
+    labels = (rng.random(s.n) < 0.5).astype(float)
+    for estimate in (
+        lambda t: gm.estimate_regression(t, plan, y),
+        lambda t: gm.estimate_classification(t, plan, labels, mode="direct"),
+        lambda t: gm.estimate_classification(t, plan, labels, mode="link"),
+    ):
+        assert np.max(np.abs(estimate(turned) - estimate(s))) < 1e-10
+    splits = [b + 1 for b, e in zip(np.r_[0, bounds], np.r_[bounds, s.n]) if e - b > 1]
+    if splits:
+        diff = gm.projection_estimate(turned, y, splits[0]) - gm.projection_estimate(s, y, splits[0])
+        assert np.max(np.abs(diff)) > 1e-8

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,25 +68,124 @@ class TestEigendecompose:
     def test_degenerate_eigenspaces_match_as_projectors(self):
         # the 4x4 torus has repeated eigenvalues, so individual vectors are
         # basis-dependent; eigenspace projectors are not
-        s = gm.eigendecompose(gm.build_torus([4, 4]))
-        c4 = gm.eigendecompose(gm.build_torus([4]))
-        kron_basis = np.empty((16, 16))
-        kron_lams = np.empty(16)
-        k = 0
-        for a in range(4):
-            for b in range(4):
-                kron_basis[:, k] = np.kron(c4.basis[:, a], c4.basis[:, b])
-                kron_lams[k] = c4.lambdas[a] + c4.lambdas[b]
-                k += 1
-        order = np.argsort(kron_lams, kind="stable")
-        kron_lams, kron_basis = kron_lams[order], kron_basis[:, order]
-        assert np.max(np.abs(s.lambdas - kron_lams)) < 1e-8
-        for lam in np.unique(np.round(kron_lams, 6)):
-            sel_n = np.abs(s.lambdas - lam) < 1e-6
-            sel_k = np.abs(kron_lams - lam) < 1e-6
-            p_numeric = s.basis[:, sel_n] @ s.basis[:, sel_n].T / s.n
-            p_kron = kron_basis[:, sel_k] @ kron_basis[:, sel_k].T / s.n
-            assert np.max(np.abs(p_numeric - p_kron)) < 1e-8
+        g = gm.build_torus([4, 4])
+        assert_matches_eigh_oracle(gm.eigendecompose(g), g)
+
+
+def assert_matches_eigh_oracle(s, g):
+    lams, vecs = np.linalg.eigh(gm.laplacian(g))
+    vecs = vecs * np.sqrt(g.n)
+    assert np.max(np.abs(s.lambdas - lams)) < 1e-10
+    # eigenvalues within 1e-6 of each other form one eigenspace; compare the
+    # projectors onto each, which do not depend on the basis chosen inside it
+    for sel in np.split(np.arange(g.n), np.flatnonzero(np.diff(lams) > 1e-6) + 1):
+        p_s = s.basis[:, sel] @ s.basis[:, sel].T / g.n
+        p_o = vecs[:, sel] @ vecs[:, sel].T / g.n
+        assert np.max(np.abs(p_s - p_o)) < 1e-8
+
+
+SHAPED_SPECS = [
+    "path:40", "grid:5x7", "grid:3x4x5", "grid:16x16",
+    "torus:3x3", "torus:4", "torus:5x6", "torus:3x4x5", "torus:16x16",
+]
+
+
+class TestClosedFormEigendecompose:
+    @pytest.mark.parametrize("spec", SHAPED_SPECS)
+    def test_matches_dense_oracle(self, spec):
+        g = gm.parse_graph_spec(spec)
+        s = gm.eigendecompose(g)
+        assert_matches_eigh_oracle(s, g)
+        assert np.array_equal(s.lambdas, gm.eigenvalues(g).lambdas)
+        firsts = np.argmax(np.abs(s.basis) > 1e-12, axis=0)
+        assert np.all(s.basis[firsts, np.arange(g.n)] > 0.0)
+        assert not s.lambdas.flags.writeable and not s.basis.flags.writeable
+        # column-major, so every head basis[:, :k] is one contiguous block
+        assert s.basis.flags.f_contiguous
+
+    def test_fixed_product_basis_inside_repeated_eigenvalues(self):
+        # column k is the Kronecker product of the per-axis vectors at the
+        # k-th entry of a stable sort of the Kronecker-sum eigenvalues
+        p4 = gm.path_spectrum_closed_form(4)
+        sums = np.add.outer(p4.lambdas, p4.lambdas).ravel()
+        expected = np.column_stack([
+            np.kron(p4.basis[:, k // 4], p4.basis[:, k % 4])
+            for k in np.argsort(sums, kind="stable")
+        ])
+        assert np.array_equal(gm.eigendecompose(gm.build_grid([4, 4])).basis, expected)
+
+    def test_shaped_graphs_solve_no_eigenproblem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Laplacian or eigh was used")
+
+        monkeypatch.setattr(gm.spectral, "laplacian", refuse)
+        monkeypatch.setattr(gm.graphs, "laplacian", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for spec in SHAPED_SPECS:
+            g = gm.parse_graph_spec(spec)
+            assert gm.eigendecompose(g).basis.shape == (g.n, g.n)
+
+    def test_cap_is_checked_before_allocation(self):
+        g = gm.build_path(10000)
+        assert g.n > gm.DEFAULT_DENSE_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap"):
+                gm.eigendecompose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_wrong_shape_fails_the_residual_check(self):
+        g = gm.build_grid([4, 4])
+        for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
+            with pytest.raises(NumericError, match="residual"):
+                gm.eigendecompose(dataclasses.replace(g, shape=shape))
+        with pytest.raises(NumericError, match="n=16"):
+            gm.eigendecompose(dataclasses.replace(g, shape=("grid", (5, 5))))
+
+    def test_wrong_axis_vectors_are_caught(self, monkeypatch):
+        cycle = gm.spectral._cycle_vectors
+
+        def wrong_frequency(d):
+            rows = cycle(d)
+            rows[[1, 2]] = rows[[2, 1]]  # eigenvectors paired with the wrong eigenvalues
+            return rows
+
+        def repeated_vector(d):
+            rows = cycle(d)
+            rows[d - 1] = rows[1]  # an eigenvector, but a copy of another one
+            return rows
+
+        g = gm.build_torus([5, 6])
+        monkeypatch.setattr(gm.spectral, "_cycle_vectors", wrong_frequency)
+        with pytest.raises(NumericError, match="residual"):
+            gm.eigendecompose(g)
+        monkeypatch.setattr(gm.spectral, "_cycle_vectors", repeated_vector)
+        with pytest.raises(NumericError, match="not orthonormal"):
+            gm.eigendecompose(g)
+
+    def test_solver_output_is_residual_checked(self, monkeypatch):
+        g = gm.build_small_world(64, 4, 0.2, seed=1)
+        lams, vecs = np.linalg.eigh(gm.laplacian(g))
+        swapped = vecs[:, [0, 2, 1] + list(range(3, g.n))]
+        monkeypatch.setattr(np.linalg, "eigh", lambda L: (lams, swapped))
+        with pytest.raises(NumericError, match="residual"):
+            gm.eigendecompose(g)
+
+    def test_edge_residual_matches_dense_product(self):
+        # uneven degrees (a hub and a tail) exercise the padded neighbour
+        # table, and n = 280 more than one column chunk
+        lines = [f"0 {v}" for v in range(1, 9)] + [f"{v} {v + 1}" for v in range(8, 20)]
+        rng = np.random.default_rng(3)
+        for g in (gm.load_edge_list(lines), gm.build_grid([3, 5]), gm.build_torus([4, 70])):
+            basis = np.asfortranarray(rng.standard_normal((g.n, g.n)))
+            lams = np.sort(rng.uniform(0.0, 5.0, g.n))
+            dense = gm.laplacian(g) @ basis - basis * lams
+            want = np.max(np.linalg.norm(dense, axis=0) / np.maximum(1.0, lams))
+            got = gm.spectral._worst_residual(g, lams, basis)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestEigenvalues:
