@@ -1,9 +1,10 @@
 """Simple undirected connected graphs and their combinatorial Laplacians.
 
 Vertex ids are 0-based everywhere.  Every constructor validates simplicity
-(no self-loops, no duplicate edges) and connectivity, so downstream spectral
-code can rely on the second-smallest Laplacian eigenvalue being positive.
-Graphs are immutable after construction and safe to share across threads.
+(no self-loops, no duplicate edges) and connectivity (lattices by construction,
+other graphs by one BFS), so spectral code can rely on the second-smallest
+Laplacian eigenvalue being positive.  Graphs are immutable after construction
+and safe to share across threads; ``apply_laplacian`` applies L from the edges.
 
 Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 
@@ -11,7 +12,6 @@ Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,17 +31,18 @@ _WS_RETRY_BUDGET = 64
 class Graph:
     """Immutable simple undirected connected graph.
 
-    ``edges`` holds each undirected edge once as a ``(u, v)`` pair with
-    ``u < v``, sorted lexicographically.  ``degrees[i]`` counts the edges
-    incident to vertex ``i``.  ``build_seed`` records the RNG seed that
-    actually produced a randomized graph (None for deterministic families).
-    ``shape`` is ``("grid", dims)`` for a grid (a path is the 1-axis grid),
+    ``edges`` is a read-only ``(m, 2)`` int64 array holding each undirected
+    edge once as a row ``(u, v)`` with ``u < v``, rows sorted
+    lexicographically.  ``degrees[i]`` counts the edges incident to vertex
+    ``i``.  ``build_seed`` records the RNG seed that actually produced a
+    randomized graph (None for deterministic families).  ``shape`` is
+    ``("grid", dims)`` for a grid (a path is the 1-axis grid),
     ``("torus", dims)`` for a torus and None for every other graph; spectral
     code reads it to use the closed-form spectrum and the known r = len(dims).
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     degrees: np.ndarray
     build_seed: int | None = None
     shape: tuple[str, tuple[int, ...]] | None = None
@@ -51,68 +52,47 @@ class Graph:
         return len(self.edges)
 
 
-def _adjacency_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def _half_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of every edge as (src, dst), sorted stably by src."""
+    src, dst = np.concatenate([edges, edges[:, ::-1]]).T
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order]
 
 
-def _connectivity_witness(n: int, edges: Iterable[tuple[int, int]]):
-    """Return None if connected, else a pair (reached, unreachable)."""
-    adj = _adjacency_lists(n, edges)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
+def _connectivity_witness(n: int, edges: np.ndarray):
+    """None if connected, else (0, the first vertex a BFS from 0 misses)."""
+    src, dst = _half_edges(edges)
+    start, nbrs = np.searchsorted(src, np.arange(n + 1)).tolist(), dst.tolist()
+    seen = bytearray(n)
+    seen[0] = 1
+    queue = [0]
+    for u in queue:
+        for w in nbrs[start[u] : start[u + 1]]:
             if not seen[w]:
-                seen[w] = True
+                seen[w] = 1
                 queue.append(w)
-    if seen.all():
-        return None
-    return 0, int(np.flatnonzero(~seen)[0])
+    return None if len(queue) == n else (0, seen.index(0))
 
 
-def _finish_graph(n: int, edge_set: set[tuple[int, int]], build_seed=None, shape=None) -> Graph:
-    """Validate a candidate edge set and freeze it into a Graph."""
-    for u, v in edge_set:
-        if u == v:
-            raise ValidationError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edge_set))
-    if len(edges) != len(edge_set):
+def _finish_graph(n: int, edges: np.ndarray, build_seed=None, shape=None) -> Graph:
+    """Check an (m, 2) edge array for simplicity (connectivity is the caller's) and freeze it."""
+    u, v = edges[:, 0], edges[:, 1]
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise ValidationError(f"self-loop at vertex {u[loops[0]]}")
+    outside = np.flatnonzero((edges < 0).any(axis=1) | (edges >= n).any(axis=1))
+    if outside.size:
+        a, b = edges[outside[0]]
+        raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
+    # a sort, not np.unique, which numpy 2.4 runs 30-40x slower on large int64 arrays
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edges after normalization")
-    witness = _connectivity_witness(n, edges)
-    if witness is not None:
-        a, b = witness
-        raise ValidationError(
-            f"graph is disconnected: vertices {a} and {b} are not connected"
-        )
-    degrees = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
+    edges = np.stack(divmod(keys, n), axis=1)
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    edges.setflags(write=False)
     degrees.setflags(write=False)
     return Graph(n=n, edges=edges, degrees=degrees, build_seed=build_seed, shape=shape)
-
-
-def build_path(n: int) -> Graph:
-    """Path graph on n vertices: edges {i, i+1} for i = 0..n-2."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
-    return _finish_graph(int(n), {(i, i + 1) for i in range(n - 1)}, shape=("grid", (int(n),)))
-
-
-def _flatten(coords: tuple[int, ...], dims: list[int]) -> int:
-    # row-major: last coordinate varies fastest
-    idx = 0
-    for c, d in zip(coords, dims):
-        idx = idx * d + c
-    return idx
 
 
 def _check_dims(dims, min_dim: int, what: str) -> list[int]:
@@ -125,37 +105,40 @@ def _check_dims(dims, min_dim: int, what: str) -> list[int]:
     return [int(d) for d in dims]
 
 
+def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
+    """Each row-major vertex id joined to its successor along every axis."""
+    coords = np.indices(dims).reshape(len(dims), -1)
+    pairs = []
+    for axis, d in enumerate(dims):
+        tail = coords[:, slice(None) if wrap else coords[axis] < d - 1]
+        head = tail.copy()
+        head[axis] += 1
+        pairs.append([np.ravel_multi_index(c, dims, mode="wrap") for c in (tail, head)])
+    return np.concatenate(pairs, axis=1).T
+
+
+def build_path(n: int) -> Graph:
+    """Path graph on n vertices: edges {i, i+1} for i = 0..n-2 (the 1-axis grid)."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
+    return build_grid([n])
+
+
 def build_grid(dims: list[int]) -> Graph:
     """Cartesian product of path graphs, vertices flattened row-major."""
     dims = _check_dims(dims, 2, "grid")
-    n = int(np.prod(dims))
-    edges: set[tuple[int, int]] = set()
-    for flat in range(n):
-        coords = list(np.unravel_index(flat, dims))
-        for axis, d in enumerate(dims):
-            if coords[axis] + 1 < d:
-                nb = coords.copy()
-                nb[axis] += 1
-                edges.add((flat, _flatten(tuple(nb), dims)))
-    return _finish_graph(n, edges, shape=("grid", tuple(dims)))
+    edges = _lattice_edges(dims, wrap=False)
+    return _finish_graph(int(np.prod(dims)), edges, shape=("grid", tuple(dims)))
 
 
 def build_torus(dims: list[int]) -> Graph:
     """Cartesian product of cycles: grid coordinates wrap modulo each dim."""
     dims = _check_dims(dims, 3, "torus")
-    n = int(np.prod(dims))
-    edges: set[tuple[int, int]] = set()
-    for flat in range(n):
-        coords = list(np.unravel_index(flat, dims))
-        for axis, d in enumerate(dims):
-            nb = coords.copy()
-            nb[axis] = (coords[axis] + 1) % d
-            other = _flatten(tuple(nb), dims)
-            edges.add((min(flat, other), max(flat, other)))
-    return _finish_graph(n, edges, shape=("torus", tuple(dims)))
+    edges = _lattice_edges(dims, wrap=True)
+    return _finish_graph(int(np.prod(dims)), edges, shape=("torus", tuple(dims)))
 
 
-def _ws_edge_set(n: int, k: int, p: float, seed: int) -> set[tuple[int, int]]:
+def _ws_edges(n: int, k: int, p: float, seed: int) -> np.ndarray:
     """One Watts-Strogatz draw: ring lattice plus seeded rewiring."""
     rng = np.random.default_rng(seed)
     edges = {(u, (u + j) % n) for j in range(1, k // 2 + 1) for u in range(n)}
@@ -174,7 +157,7 @@ def _ws_edge_set(n: int, k: int, p: float, seed: int) -> set[tuple[int, int]]:
                     edges.discard(e)
                     edges.add(cand)
                     break
-    return edges
+    return np.array(list(edges), dtype=np.int64)
 
 
 def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
@@ -195,8 +178,8 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"rewiring probability must be in [0, 1], got {p!r}")
     for attempt in range(_WS_RETRY_BUDGET):
         used = int(seed) + attempt
-        edges = _ws_edge_set(int(n), int(k), float(p), used)
-        if _connectivity_witness(n, edges) is None:
+        edges = _ws_edges(int(n), int(k), float(p), used)
+        if _connectivity_witness(int(n), edges) is None:
             return _finish_graph(int(n), edges, build_seed=used)
     raise NumericError(
         f"small-world construction failed: no connected draw in {_WS_RETRY_BUDGET} seeds"
@@ -210,8 +193,7 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     lines starting with '#' are ignored.  Duplicate edges are dropped.
     Every id from 0 to the largest one must appear in some edge.
     """
-    edges: set[tuple[int, int]] = set()
-    max_id = -1
+    ids: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -227,21 +209,27 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
             raise ValidationError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-        edges.add((min(u, v), max(u, v)))
-        max_id = max(max_id, u, v)
-    if not edges:
+        ids += (u, v)
+    if not ids:
         raise ValidationError("edge list contains no edges")
     # The graph is sized by the largest id, so check that the ids are dense
-    # before anything of that size is allocated.  The first missing id is at
-    # most the number of distinct ids, which keeps the scan O(m).
-    ids = {u for edge in edges for u in edge}
-    if len(ids) != max_id + 1:
-        missing = next(i for i in range(max_id + 1) if i not in ids)
+    # before anything of that size is allocated.  The first distinct id that
+    # differs from its position is missing; an id beyond int64 stays a Python int.
+    n = max(ids) + 1
+    flat = np.array(ids, dtype=np.int64 if n <= 2**63 else object)
+    distinct = np.unique(flat)
+    if distinct.size != n:
+        missing = int(np.flatnonzero(distinct != np.arange(distinct.size))[0])
         raise ValidationError(
-            f"vertex ids must be exactly 0..{max_id} (the largest id): id {missing} "
+            f"vertex ids must be exactly 0..{n - 1} (the largest id): id {missing} "
             "appears in no edge"
         )
-    return _finish_graph(max_id + 1, edges)
+    edges = np.unique(np.sort(flat.reshape(-1, 2), axis=1), axis=0)
+    witness = _connectivity_witness(n, edges)
+    if witness is not None:
+        a, b = witness
+        raise ValidationError(f"graph is disconnected: vertices {a} and {b} are not connected")
+    return _finish_graph(n, edges)
 
 
 def parse_graph_spec(text: str) -> Graph:
@@ -275,24 +263,45 @@ def parse_graph_spec(text: str) -> Graph:
     raise ValidationError(f"unknown graph family in {text!r}")
 
 
-def check_dense_cap(n: int, max_n: int = DEFAULT_DENSE_CAP) -> None:
+def check_dense_cap(n: int) -> None:
     """ValidationError naming the cap if an n x n dense array exceeds it."""
-    if n > max_n:
-        raise ValidationError(
-            f"n={n} exceeds the dense Laplacian cap {max_n}; raise max_n explicitly"
-        )
+    if n > DEFAULT_DENSE_CAP:
+        raise ValidationError(f"n={n} exceeds the dense Laplacian cap {DEFAULT_DENSE_CAP}")
 
 
-def laplacian(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian L = D - A of the graph.
 
-    Refuses to materialize matrices beyond ``max_n`` so the O(n^2) memory
-    and O(n^3) eigendecomposition cost stay an explicit, desk-scale choice.
+    Refuses to materialize matrices beyond ``DEFAULT_DENSE_CAP`` so the
+    O(n^2) memory and O(n^3) eigendecomposition cost stay an explicit,
+    desk-scale choice; ``apply_laplacian`` applies L without it.
     """
-    check_dense_cap(g.n, max_n)
+    check_dense_cap(g.n)
     L = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        L[u, v] = -1.0
-        L[v, u] = -1.0
-    L[np.diag_indices(g.n)] = g.degrees.astype(float)
+    u, v = g.edges.T
+    L[u, v] = -1.0
+    L[v, u] = -1.0
+    L[np.diag_indices(g.n)] = g.degrees
     return L
+
+
+def apply_laplacian(g: Graph, X: np.ndarray) -> np.ndarray:
+    """L @ X from the edge array, without the n x n Laplacian.
+
+    ``X`` has shape (n,) or (n, k).  Column i of the neighbour table lists
+    the neighbours of vertex i, padded with i itself up to the largest
+    degree D, so (L x)(i) = D x(i) - sum_k x(table[k, i]).  That costs
+    O(D n) memory and O(D n k) time, not O(m k): a star has D = n - 1.
+    Columns are gathered as rows of X.T, contiguous for a column-major X.
+    """
+    rows = np.asarray(X, dtype=float).T
+    if rows.shape[-1] != g.n:
+        raise ValidationError(f"X has {rows.shape[-1]} rows, expected n={g.n}")
+    src, dst = _half_edges(g.edges)
+    width = int(g.degrees.max())
+    table = np.repeat(np.arange(g.n)[None, :], width, axis=0)
+    table[np.arange(src.size) - np.searchsorted(src, src), src] = dst
+    out = rows * width
+    for nb in table:
+        out -= np.take(rows, nb, axis=-1)
+    return out.T

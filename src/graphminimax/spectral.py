@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graphs import DEFAULT_DENSE_CAP, Graph, check_dense_cap, laplacian
+from .graphs import Graph, apply_laplacian, check_dense_cap, laplacian
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
@@ -106,7 +106,7 @@ def require_basis(s: Spectrum) -> np.ndarray:
     return s.basis
 
 
-def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
+def eigendecompose(g: Graph) -> Spectrum:
     """All n eigenpairs of the graph Laplacian, every column self-checked.
 
     Paths, grids and tori (``g.shape`` set) use their closed form: products
@@ -118,14 +118,14 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
     orthonormal.  Any other graph gets a dense ``eigh``.
 
     On both paths every column must pass the residual check
-    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8, with L applied from
-    the edge list (O(m n), no n x n Laplacian), and the null eigenvalue must
+    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8, with L applied by
+    ``apply_laplacian`` (no n x n Laplacian), and the null eigenvalue must
     be in tolerance; NumericError otherwise.  The n x n basis is dense, so
-    n above ``max_n`` raises ValidationError before anything is allocated.
+    n above the dense cap raises ValidationError before anything is allocated.
     """
-    check_dense_cap(g.n, max_n)
+    check_dense_cap(g.n)
     if g.shape is None:
-        lams, vecs = np.linalg.eigh(laplacian(g, max_n=max_n))
+        lams, vecs = np.linalg.eigh(laplacian(g))
         lams = _checked_lambdas(lams, g.n)
         basis = _fix_signs(vecs * np.sqrt(g.n))
     else:
@@ -137,30 +137,18 @@ def eigendecompose(g: Graph, max_n: int = DEFAULT_DENSE_CAP) -> Spectrum:
 
 
 def _worst_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> float:
-    """max_j ||L psi_j - lambda_j psi_j|| / max(1, lambda_j), L applied from the edges.
+    """max_j ||L psi_j - lambda_j psi_j|| / max(1, lambda_j), L from apply_laplacian.
 
-    Column i of the neighbour table ``nbrs`` lists the neighbours of vertex
-    i, padded with i itself up to the largest degree D, so
-    (L psi)(i) = D psi(i) - sum_k psi(nbrs[k, i]).  Columns of the
-    (column-major) basis are checked in chunks, as contiguous rows of its
-    transpose, which keeps the gathered arrays at chunk x n.
+    Columns of the (column-major) basis are checked in chunks, which keeps
+    the operator's gathered arrays at n x chunk.
     """
-    edges = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    width = int(g.degrees.max())
-    nbrs = np.repeat(np.arange(g.n)[None, :], width, axis=0)
-    nbrs[np.arange(src.size) - np.searchsorted(src, src), src] = dst
     worst = 0.0
     for j0 in range(0, basis.shape[1], _RESIDUAL_CHUNK):
-        psi = basis[:, j0 : j0 + _RESIDUAL_CHUNK].T
+        psi = basis[:, j0 : j0 + _RESIDUAL_CHUNK]
         lam = lams[j0 : j0 + _RESIDUAL_CHUNK]
-        resid = psi * (width - lam)[:, None]
-        for nb in nbrs:
-            resid -= np.take(psi, nb, axis=1)
-        rel = np.linalg.norm(resid, axis=1) / np.maximum(1.0, lam)
+        resid = apply_laplacian(g, psi)
+        resid -= psi * lam
+        rel = np.linalg.norm(resid, axis=0) / np.maximum(1.0, lam)
         worst = max(worst, float(rel.max()))
     return worst
 

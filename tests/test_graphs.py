@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -20,16 +21,44 @@ def product_spectrum(lams_a, lams_b):
     return np.sort(np.add.outer(lams_a, lams_b).ravel())
 
 
+def reference_lattice(dims, wrap):
+    """Edges and degrees of a grid (or, with wrap, a torus), one vertex at a time."""
+
+    def flatten(coords):
+        idx = 0
+        for c, d in zip(coords, dims):
+            idx = idx * d + c
+        return idx
+
+    edges = set()
+    for coords in itertools.product(*(range(d) for d in dims)):
+        for axis, d in enumerate(dims):
+            if wrap or coords[axis] + 1 < d:
+                nb = list(coords)
+                nb[axis] = (nb[axis] + 1) % d
+                u, v = flatten(coords), flatten(nb)
+                edges.add((min(u, v), max(u, v)))
+    degrees = [0] * int(np.prod(dims))
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return [list(e) for e in sorted(edges)], degrees
+
+
+def star_edge_list(n):
+    return io.StringIO("".join(f"0 {i}\n" for i in range(1, n)))
+
+
 class TestBuildPath:
     def test_smallest(self):
         g = gm.build_path(2)
         assert g.n == 2
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
         assert list(g.degrees) == [1, 1]
 
     def test_four_vertices(self):
         g = gm.build_path(4)
-        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
         assert list(g.degrees) == [1, 2, 2, 1]
 
     def test_too_small(self):
@@ -77,8 +106,9 @@ class TestBuildGrid:
     def test_row_major_flattening(self):
         g = gm.build_grid([2, 3])
         # vertex (i, j) -> 3i + j; (0,2)-(1,2) must be an edge
-        assert (2, 5) in g.edges
-        assert (0, 3) in g.edges
+        assert [2, 5] in g.edges.tolist()
+        assert [0, 3] in g.edges.tolist()
+        assert [0, 5] not in g.edges.tolist()
 
     def test_invalid_dims(self):
         with pytest.raises(ValidationError):
@@ -122,12 +152,12 @@ class TestSmallWorld:
         g = gm.build_small_world(20, 4, 1.0, seed=7)
         assert g.num_edges == 40
         assert int(g.degrees.sum()) == 80
-        assert len(set(g.edges)) == 40  # simple
+        assert len({tuple(e) for e in g.edges.tolist()}) == 40  # simple
 
     def test_same_seed_same_edges(self):
         g1 = gm.build_small_world(50, 4, 0.3, seed=9)
         g2 = gm.build_small_world(50, 4, 0.3, seed=9)
-        assert g1.edges == g2.edges
+        assert np.array_equal(g1.edges, g2.edges)
 
     def test_disconnected_draw_retries_with_next_seed(self):
         # (n=30, k=2, p=1, seed=1) disconnects on the first draw
@@ -158,7 +188,7 @@ class TestLoadEdgeList:
     def test_path_on_three_vertices(self):
         g = gm.load_edge_list(io.StringIO("0 1\n1 2\n"))
         assert g.n == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_comments_blanks_and_duplicates(self):
         g = gm.load_edge_list(io.StringIO("0 1\n\n1 2\n# comment\n2 0\n0 2\n"))
@@ -183,6 +213,10 @@ class TestLoadEdgeList:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 1.0
         assert peak < 1 << 20
+
+    def test_id_beyond_int64_is_a_missing_id(self):
+        with pytest.raises(ValidationError, match=r"id 1 appears in no edge"):
+            gm.load_edge_list(io.StringIO(f"0 {2**70}\n"))
 
     def test_missing_low_id_is_named(self):
         with pytest.raises(ValidationError, match=r"id 0 appears in no edge"):
@@ -235,9 +269,96 @@ class TestLaplacian:
             assert lams[1] > 1e-9  # connected: zero is simple
 
     def test_dense_cap(self):
-        g = gm.build_path(17)
-        with pytest.raises(ValidationError):
-            gm.laplacian(g, max_n=16)
+        g = gm.build_path(gm.DEFAULT_DENSE_CAP + 1)
+        with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap 8192"):
+            gm.laplacian(g)
+
+
+class TestEdgeArrays:
+    BUILT = [
+        (lambda: gm.build_path(7), [7], False),
+        (lambda: gm.build_grid([5, 7]), [5, 7], False),
+        (lambda: gm.build_grid([3, 4, 5]), [3, 4, 5], False),
+        (lambda: gm.build_torus([3, 3]), [3, 3], True),
+        (lambda: gm.build_torus([5]), [5], True),
+        (lambda: gm.build_torus([4, 70]), [4, 70], True),
+    ]
+
+    def test_builders_match_a_loop_reference(self):
+        for build, dims, wrap in self.BUILT:
+            g = build()
+            edges, degrees = reference_lattice(dims, wrap)
+            assert g.edges.tolist() == edges, dims
+            assert g.degrees.tolist() == degrees, dims
+
+    def test_edges_are_a_read_only_int64_array(self):
+        graphs = [build() for build, _, _ in self.BUILT] + [
+            gm.build_small_world(24, 4, 0.3, 2),
+            gm.load_edge_list(io.StringIO("0 1\n2 1\n0 2\n")),
+        ]
+        for g in graphs:
+            assert g.edges.dtype == np.int64
+            assert g.edges.shape == (g.num_edges, 2)
+            with pytest.raises(ValueError):
+                g.edges[0, 0] = 1
+
+    def test_shaped_builders_run_no_bfs(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("a lattice is connected by construction")
+
+        monkeypatch.setattr(gm.graphs, "_connectivity_witness", refuse)
+        for build, _, _ in self.BUILT:
+            build()
+        gm.parse_graph_spec("torus:3x4")
+
+    def test_one_bfs_per_draw(self, monkeypatch):
+        calls = []
+        witness = gm.graphs._connectivity_witness
+
+        def counted(n, edges):
+            calls.append(n)
+            return witness(n, edges)
+
+        monkeypatch.setattr(gm.graphs, "_connectivity_witness", counted)
+        # (n=30, k=2, p=1, seed=1) disconnects on the first draw
+        assert gm.build_small_world(30, 2, 1.0, seed=1).build_seed == 2
+        assert calls == [30, 30]
+        gm.load_edge_list(io.StringIO("0 1\n1 2\n"))
+        assert calls == [30, 30, 3]
+
+    def test_star_edge_list_loads_in_bounded_memory(self):
+        import tracemalloc
+
+        lines = star_edge_list(200_000)
+        tracemalloc.start()
+        try:
+            g = gm.load_edge_list(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.degrees[0] == 199_999
+        # a neighbour table padded to the largest degree would need n^2 entries
+        assert peak < 132 << 20
+
+
+class TestApplyLaplacian:
+    def test_matches_the_dense_laplacian(self):
+        rng = np.random.default_rng(4)
+        graphs = (
+            gm.build_path(17),
+            gm.build_grid([4, 5]),
+            gm.build_torus([3, 4]),
+            gm.build_small_world(24, 4, 0.3, 2),
+            gm.load_edge_list(star_edge_list(9)),
+        )
+        for g in graphs:
+            L = gm.laplacian(g)
+            for X in (rng.standard_normal(g.n), rng.standard_normal((g.n, 3))):
+                assert np.max(np.abs(gm.apply_laplacian(g, X) - L @ X)) <= 1e-12
+
+    def test_rejects_a_wrong_row_count(self):
+        with pytest.raises(ValidationError, match="expected n=5"):
+            gm.apply_laplacian(gm.build_path(5), np.ones((6, 2)))
 
 
 class TestParseGraphSpec:
@@ -256,9 +377,9 @@ class TestParseGraphSpec:
             assert (g.n, g.shape) == (n, shape), text
 
     def test_same_graph_as_the_builders(self):
-        assert gm.parse_graph_spec("grid:3x4").edges == gm.build_grid([3, 4]).edges
+        assert np.array_equal(gm.parse_graph_spec("grid:3x4").edges, gm.build_grid([3, 4]).edges)
         g = gm.parse_graph_spec("ws:20,4,0.1,3")
-        assert g.edges == gm.build_small_world(20, 4, 0.1, 3).edges
+        assert np.array_equal(g.edges, gm.build_small_world(20, 4, 0.1, 3).edges)
 
     def test_bad_specs(self):
         for text in ("path", "path:", "path:one", "grid:3xa", "ws:20,4,0.1", "ws:20,4,p,3",
