@@ -78,6 +78,8 @@ def _read_observation_csv(path: str, n: int) -> np.ndarray:
                 raise ValidationError(f"{path}:{lineno}: could not parse {line!r}") from None
             if not 0 <= i < n:
                 raise ValidationError(f"{path}:{lineno}: vertex {i} out of range for n={n}")
+            if not np.isfinite(y):
+                raise ValidationError(f"{path}:{lineno}: observation {tokens[1]!r} is not finite")
             if not np.isnan(values[i]):
                 raise ValidationError(f"{path}:{lineno}: duplicate vertex {i}")
             values[i] = y

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .pinsker import LinkFunction, ShrinkagePlan, sigmoid_link
+from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, gft_inverse, require_basis
 
@@ -34,7 +34,12 @@ _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
 # The greedy packing costs O(target^2 N) time; 4096 = 2^(96/8) allows N <= 96.
 _PACKING_TARGET_CAP = 4096
+# Candidates drawn per rng call and compared per pair of matrix products.
+_PACKING_BLOCK = 64
+# Vertex values held at once by the classification KL.
+_KL_BLOCK_VALUES = 32768
 _ORTHONORMAL_TOL = 1e-10
+_PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
 
 @dataclass(frozen=True)
@@ -90,29 +95,44 @@ def vg_packing(N: int, seed: int) -> PackingSet:
 
     Draws uniform sign vectors and accepts a candidate iff it disagrees
     with every accepted vector in at least ceil(N/8) coordinates, stopping
-    at floor(2^(N/8)) accepted vectors or after 1000x that many attempts.
+    at floor(2^(N/8)) accepted vectors or after 1000x that many candidates.
     Deterministic given the seed.
+
+    Candidates come in blocks of 64 from one rng call, which yields the same
+    stream as one draw per candidate.  Each block takes one product with the
+    accepted rows and one with itself, in float64 through BLAS; the dot
+    products of +/-1 vectors are integers of size <= N, so they are exact.
+    The accept scan then runs in candidate order over those distances, so
+    the result equals the one-candidate-at-a-time greedy loop.
     """
     if N < 8:
         raise ValidationError(f"packing needs N >= 8, got {N}")
     d_min = math.ceil(N / 8)
     target = _vg_target(N)
     rng = np.random.default_rng(seed)
-    thetas = np.empty((target, N), dtype=np.int64)
+    thetas = np.empty((target, N))
     M, min_h = 0, N
-    for _ in range(_PACKING_ATTEMPT_FACTOR * target):
-        if M == target:
-            break
-        cand = rng.integers(0, 2, size=N, dtype=np.int64) * 2 - 1
-        closest = int(((N - thetas[:M] @ cand) // 2).min(initial=N))
-        if closest < d_min:
-            continue
-        min_h = min(min_h, closest)
-        thetas[M] = cand
-        M += 1
+    budget = _PACKING_ATTEMPT_FACTOR * target
+    while M < target and budget > 0:
+        B = min(_PACKING_BLOCK, budget)
+        budget -= B
+        cand = rng.integers(0, 2, size=(B, N), dtype=np.int64) * 2.0 - 1.0
+        closest = ((N - cand @ thetas[:M].T) / 2.0).min(axis=1, initial=N)
+        inner = (N - cand @ cand.T) / 2.0
+        taken = []
+        for i in range(B):
+            if closest[i] < d_min:
+                continue
+            min_h = min(min_h, int(closest[i]))
+            taken.append(i)
+            if M + len(taken) == target:
+                break
+            np.minimum(closest[i + 1 :], inner[i, i + 1 :], out=closest[i + 1 :])
+        thetas[M : M + len(taken)] = cand[taken]
+        M += len(taken)
     if M < 2:
         raise NumericError(f"packing failed: only {M} vectors for N={N}")
-    thetas = thetas[:M]
+    thetas = thetas[:M].astype(np.int64)
     thetas.setflags(write=False)
     return PackingSet(N=N, M=M, thetas=thetas, min_hamming=min_h)
 
@@ -138,6 +158,17 @@ def hard_alternatives(
     return np.vstack([gft_inverse(s, c) for c in coeffs])
 
 
+def _bernoulli_kl_rows(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Bernoulli KL summed along the last axis; rho2 broadcasts against rho1.
+
+    The one home of the formula.  Each row is summed by np.sum over a
+    contiguous last axis, so a row of a 2-D block gets exactly the sum of
+    the same row passed alone.
+    """
+    terms = rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2))
+    return np.sum(terms, axis=-1)
+
+
 def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """KL divergence between products of Bernoulli distributions.
 
@@ -149,11 +180,8 @@ def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
     if rho1.shape != rho2.shape:
         raise ValidationError("probability vectors have different lengths")
     for rho in (rho1, rho2):
-        if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-            raise ValidationError("probabilities must lie strictly inside (0, 1)")
-    return float(
-        np.sum(rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2)))
-    )
+        require_probabilities(rho, _PROBABILITY_MESSAGE)
+    return float(_bernoulli_kl_rows(rho1.ravel(), rho2.ravel()))
 
 
 def kl_link_bound_check(
@@ -171,6 +199,29 @@ def kl_link_bound_check(
     return kl, bound, kl <= bound + 1e-12
 
 
+def _classification_kl(head: np.ndarray, thetas: np.ndarray, a: float, link: LinkFunction) -> float:
+    """Sum over the alternatives of KL(Bernoulli(psi(f_theta)), Bernoulli(psi(0))).
+
+    The vertex values a theta @ head.T are formed a block of rows at a time,
+    at most _KL_BLOCK_VALUES values per block, and the per-row divergences
+    are added in row order.  No M x n array is built.  The rows are split
+    into even blocks, so no block has a single row while n <= 10922: numpy
+    sends a one-row product to a matrix-vector BLAS call, which can round
+    differently from the product of all M rows.
+    """
+    n = head.shape[0]
+    base = link.psi(np.zeros(n))
+    require_probabilities(base, _PROBABILITY_MESSAGE)
+    blocks = -(-len(thetas) // max(1, _KL_BLOCK_VALUES // n))
+    total = 0.0
+    for rows in np.array_split(thetas, blocks):
+        rho = link.psi(a * rows @ head.T)
+        require_probabilities(rho, _PROBABILITY_MESSAGE)
+        for kl in _bernoulli_kl_rows(rho, base):
+            total += float(kl)
+    return total
+
+
 def _head_form_sum(s: Spectrum, spec: SobolevSpec, N: int) -> float:
     lam = s.lambdas[:N]
     return float(np.sum(1.0 + s.n ** (2.0 * spec.beta / spec.r) * lam ** spec.beta))
@@ -183,7 +234,12 @@ def _sobolev_delta_cap(s: Spectrum, spec: SobolevSpec, N: int) -> float:
 
 
 def _classification_alpha_bound(
-    profile: np.ndarray, spec: SobolevSpec, N: int, delta: float, link: LinkFunction
+    profile: np.ndarray,
+    base: np.ndarray,
+    spec: SobolevSpec,
+    N: int,
+    delta: float,
+    link: LinkFunction,
 ) -> float:
     """Upper bound on the certificate's alpha, uniform over sign patterns.
 
@@ -193,9 +249,10 @@ def _classification_alpha_bound(
     Per vertex |f_theta(i)| is at most the worst-case sign alignment
     a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
+    base is the base measure's link.psi(0) at every vertex.
     """
     amps = _bump_amplitude(delta, spec, N) * profile
-    worst_kl = bernoulli_kl(link.psi(amps), link.psi(np.zeros(len(profile))))
+    worst_kl = bernoulli_kl(link.psi(amps), base)
     m = _vg_target(N)
     return (m / (m + 1.0)) * worst_kl / math.log(m)
 
@@ -209,19 +266,28 @@ def calibrate_delta(
     Q^2; its solution delta_a is closed-form.  Condition (b): the
     classification KL budget (the given link, sigmoid if None; worst pair
     bound) gives alpha <= 1/2; enforced by bisection below delta_a when
-    needed.
+    needed.  The bisection keeps bound(lo) <= 1/2 < bound(hi), so once the
+    midpoint rounds to lo or hi neither end can move again: it stops there,
+    after about 55 steps, with the delta that 100 steps would return.
     """
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
     link = sigmoid_link() if link is None else link
     profile = np.abs(require_basis(s)[:, :N]).sum(axis=1)
+    base = link.psi(np.zeros(s.n))
+
+    def within_target(delta: float) -> bool:
+        return _classification_alpha_bound(profile, base, spec, N, delta, link) <= _ALPHA_TARGET
+
     delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-    if _classification_alpha_bound(profile, spec, N, delta_a, link) <= _ALPHA_TARGET:
+    if within_target(delta_a):
         return delta_a
     lo, hi = 0.0, delta_a
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _classification_alpha_bound(profile, spec, N, mid, link) <= _ALPHA_TARGET:
+        if mid == lo or mid == hi:
+            break
+        if within_target(mid):
             lo = mid
         else:
             hi = mid
@@ -265,10 +331,13 @@ def fano_certificate(
     positive noise level sigma for the regression (Gaussian) analogue.
     separation_min, sobolev_max and the Gaussian KL are the closed forms of
     the module docstring, so a regression certificate reads eigenvalues
-    only.  The Bernoulli KL is summed over the M x n vertex values of the
-    alternatives; the first N eigenvectors they are built from must be
-    orthonormal to 1e-10 (else NumericError), which keeps the closed forms
-    self-checking.  The recorded seed reproduces the packing.
+    only.  The Bernoulli KL is measured on the vertex values of the
+    alternatives, a block of rows at a time (_classification_kl), so a
+    classification certificate needs O(block + M N) memory beside the
+    n x N head profile, never M x n.  The first N eigenvectors the
+    alternatives are built from must be orthonormal to 1e-10 (else
+    NumericError), which keeps the closed forms self-checking.  The
+    recorded seed reproduces the packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:
@@ -293,9 +362,7 @@ def fano_certificate(
         gram_err = float(np.abs(head.T @ head / s.n - np.eye(N)).max())
         if gram_err > _ORTHONORMAL_TOL:
             raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")
-        values = a * pack.thetas @ head.T
-        base = link.psi(np.zeros(s.n))
-        kl_total = sum(bernoulli_kl(link.psi(f), base) for f in values)
+        kl_total = _classification_kl(head, pack.thetas, a, link)
     else:
         kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)
     kl_budget = kl_total / (pack.M + 1)

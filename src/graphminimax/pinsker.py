@@ -216,10 +216,18 @@ def _sigmoid(t):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
 
+def require_probabilities(p: np.ndarray, message: str) -> None:
+    """Raise ValidationError(message) unless every entry lies strictly inside (0, 1).
+
+    Written as one positive test so that NaN entries fail it too.
+    """
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValidationError(message)
+
+
 def _sigmoid_inv(p):
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValidationError("inverse link needs probabilities strictly inside (0, 1)")
+    require_probabilities(p, "inverse link needs probabilities strictly inside (0, 1)")
     return np.log(p / (1.0 - p))
 
 

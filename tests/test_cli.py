@@ -152,6 +152,23 @@ class TestDenoiseCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_non_finite_observation_rejected(self, tmp_path, capsys, bad):
+        obs = tmp_path / "obs.csv"
+        values = ["0.5"] * 64
+        values[3] = bad
+        obs.write_text("i,y\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values)))
+        out = tmp_path / "o.csv"
+        code = run_cli(
+            "denoise", "--graph", "path:64", "--obs", str(obs), "--beta", "1",
+            "--sigma", "1", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{obs}:5: observation '{bad}' is not finite" in err
+        assert "missing" not in err
+        assert not out.exists()
+
     def test_projection_mode_prints_cutoff(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         write_obs_csv(obs, np.zeros(64))
@@ -219,6 +236,19 @@ class TestClassifyCommand:
         rho = np.array([float(l.split(",")[1]) for l in out.read_text().strip().split("\n")[1:]])
         assert np.all(rho >= 1e-3) and np.all(rho <= 1 - 1e-3)
         assert "S = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_label_rejected(self, tmp_path, capsys, bad):
+        obs = tmp_path / "labels.csv"
+        labels = ["1"] * 16
+        labels[3] = bad
+        obs.write_text("i,y\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels)))
+        code = run_cli(
+            "classify", "--graph", "path:16", "--obs", str(obs), "--beta", "1",
+            "--out", str(tmp_path / "rho.csv"),
+        )
+        assert code == 1
+        assert f"{obs}:5: observation '{bad}' is not finite" in capsys.readouterr().err
 
     def test_non_binary_labels_rejected(self, tmp_path):
         obs = tmp_path / "labels.csv"

@@ -1,15 +1,80 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
-from graphminimax.fano import PackingSet, _vg_target
+from graphminimax import fano
+from graphminimax.fano import PackingSet, _bump_amplitude, _sobolev_delta_cap, _vg_target
 
 
 BALL = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+
+
+def reference_packing(N, seed, target=None, attempt_factor=1000):
+    """The greedy packing one candidate at a time, with int64 dot products."""
+    d_min = math.ceil(N / 8)
+    target = _vg_target(N) if target is None else target
+    rng = np.random.default_rng(seed)
+    thetas = np.empty((target, N), dtype=np.int64)
+    M, min_h = 0, N
+    for _ in range(attempt_factor * target):
+        if M == target:
+            break
+        cand = rng.integers(0, 2, size=N, dtype=np.int64) * 2 - 1
+        closest = int(((N - thetas[:M] @ cand) // 2).min(initial=N))
+        if closest < d_min:
+            continue
+        min_h = min(min_h, closest)
+        thetas[M] = cand
+        M += 1
+    return thetas[:M], M, min_h
+
+
+def assert_same_packing(p, ref):
+    thetas, M, min_h = ref
+    assert (p.M, p.min_hamming) == (M, min_h)
+    assert p.thetas.dtype == np.int64 and not p.thetas.flags.writeable
+    assert p.thetas.tobytes() == thetas.tobytes()
+
+
+def reference_calibrate(s, spec, N, link):
+    """100 bisection steps, recomputing the base measure at every step."""
+    profile = np.abs(s.basis[:, :N]).sum(axis=1)
+    m = _vg_target(N)
+
+    def alpha_bound(delta):
+        amps = _bump_amplitude(delta, spec, N) * profile
+        worst = gm.bernoulli_kl(link.psi(amps), link.psi(np.zeros(s.n)))
+        return (m / (m + 1.0)) * worst / math.log(m)
+
+    delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
+    if alpha_bound(delta_a) <= 0.5:
+        return delta_a
+    lo, hi = 0.0, delta_a
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if alpha_bound(mid) <= 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def steep_link():
+    """psi(t) = sigmoid(4t), a link whose KL constant is 16 times the sigmoid's."""
+    sig = gm.sigmoid_link()
+    return gm.LinkFunction(
+        name="sigmoid(4t)",
+        psi=lambda t: sig.psi(4.0 * np.asarray(t, dtype=float)),
+        psi_inv=lambda p: sig.psi_inv(p) / 4.0,
+        dpsi=lambda t: 4.0 * sig.dpsi(4.0 * np.asarray(t, dtype=float)),
+        sup_dpsi=1.0,
+        sup_ratio=4.0,
+    )
 
 
 def pairwise_disagreements(thetas):
@@ -25,6 +90,11 @@ def torus16_eig():
 @pytest.fixture(scope="module")
 def ws512_eig():
     return gm.eigendecompose(gm.parse_graph_spec("ws:512,6,0.1,3"))
+
+
+@pytest.fixture(scope="module")
+def grid48_eig():
+    return gm.eigendecompose(gm.build_grid([48, 48]))
 
 
 def vertex_space_fields(s, ball, how, cert):
@@ -92,6 +162,31 @@ class TestVgPacking:
     def test_target_limit_is_named(self):
         with pytest.raises(ValidationError, match=r"N=97 exceeds the greedy packing limit 4096"):
             gm.vg_packing(97, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_one_candidate_at_a_time_loop(self, seed):
+        for N in range(8, 97):
+            assert_same_packing(gm.vg_packing(N, seed), reference_packing(N, seed))
+
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_block_size_does_not_change_the_packing(self, block, monkeypatch):
+        monkeypatch.setattr(fano, "_PACKING_BLOCK", block)
+        for N in (8, 13, 40, 64):
+            assert_same_packing(gm.vg_packing(N, 4), reference_packing(N, 4))
+
+    def test_attempt_limit_counts_candidates(self, monkeypatch):
+        # 2^(N/8) vectors fit with room to spare, so the limit never binds at
+        # the real target; 2^(N/2) vectors with one attempt each make it bind,
+        # and the budget ends inside a block of candidates when it is below 64
+        monkeypatch.setattr(fano, "_PACKING_ATTEMPT_FACTOR", 1)
+        monkeypatch.setattr(fano, "_vg_target", lambda N: 2 ** (N // 2))
+        short = 0
+        for N in (8, 10, 12, 16):
+            for seed in range(3):
+                ref = reference_packing(N, seed, 2 ** (N // 2), attempt_factor=1)
+                assert_same_packing(gm.vg_packing(N, seed), ref)
+                short += ref[1] < 2 ** (N // 2)
+        assert short > 0
 
 
 class TestHardAlternatives:
@@ -164,6 +259,37 @@ class TestCalibrateDelta:
             m = _vg_target(N)
             assert (m / (m + 1.0)) * worst / math.log(m) <= 0.5 + 1e-9
 
+    @pytest.mark.parametrize(
+        "eig, r, link",
+        [
+            ("path2048_eig", 1.0, gm.sigmoid_link()),
+            ("grid32_eig", 2.0, gm.sigmoid_link()),
+            ("ws512_eig", 2.0, gm.sigmoid_link()),
+            ("path2048_eig", 1.0, steep_link()),
+        ],
+    )
+    def test_equals_hundred_step_bisection(self, eig, r, link, request):
+        s = request.getfixturevalue(eig)
+        spec = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        N = fano.packing_dimension(s.n, spec)
+        want = reference_calibrate(s, spec, N, link)
+        # the KL condition binds, so the bisection really ran
+        assert want < _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
+        assert gm.calibrate_delta(s, spec, N, link) == want
+
+    @pytest.mark.parametrize("eig, r", [("path2048_eig", 1.0), ("grid48_eig", 2.0)])
+    def test_bisection_stops_at_its_fixed_point(self, eig, r, request, monkeypatch):
+        s = request.getfixturevalue(eig)
+        spec = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        N = fano.packing_dimension(s.n, spec)
+        calls = []
+        bound = fano._classification_alpha_bound
+        monkeypatch.setattr(
+            fano, "_classification_alpha_bound", lambda *a: calls.append(a) or bound(*a)
+        )
+        gm.calibrate_delta(s, spec, N)
+        assert 40 <= len(calls) <= 60
+
 
 class TestBernoulliKl:
     def test_identical_inputs_give_zero(self):
@@ -192,6 +318,27 @@ class TestBernoulliKl:
             gm.bernoulli_kl(np.array([0.5]), np.array([1.0]))
         with pytest.raises(ValidationError):
             gm.bernoulli_kl(np.array([0.5, 0.5]), np.array([0.5]))
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(ValidationError, match="strictly inside"):
+            gm.bernoulli_kl(np.array([np.nan, 0.3]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="strictly inside"):
+            gm.bernoulli_kl(np.array([0.5, 0.3]), np.array([0.5, np.nan]))
+
+    def test_certificate_kernel_rejects_nan(self):
+        # a link that is undefined away from 0 reaches the kernel's own check
+        link = gm.LinkFunction(
+            name="broken",
+            psi=lambda t: np.where(np.asarray(t) == 0.0, 0.5, np.nan),
+            psi_inv=lambda p: p,
+            dpsi=lambda t: t,
+            sup_dpsi=1.0,
+            sup_ratio=1.0,
+        )
+        head = gm.path_spectrum_closed_form(64).basis[:, :8]
+        thetas = gm.vg_packing(8, seed=0).thetas
+        with pytest.raises(ValidationError, match="strictly inside"):
+            fano._classification_kl(head, thetas, 0.1, link)
 
 
 class TestKlLinkBound:
@@ -242,14 +389,7 @@ class TestFanoCertificate:
         # delta far above the 1/2 target (alpha 0.735 when calibrated with the
         # sigmoid); calibrating with the link itself keeps alpha <= 1/2
         sig = gm.sigmoid_link()
-        steep = gm.LinkFunction(
-            name="sigmoid(4t)",
-            psi=lambda t: sig.psi(4.0 * np.asarray(t, dtype=float)),
-            psi_inv=lambda p: sig.psi_inv(p) / 4.0,
-            dpsi=lambda t: 4.0 * sig.dpsi(4.0 * np.asarray(t, dtype=float)),
-            sup_dpsi=1.0,
-            sup_ratio=4.0,
-        )
+        steep = steep_link()
         s = gm.path_spectrum_closed_form(2048)
         cert = gm.fano_certificate(s, BALL, steep, seed=3)
         assert cert.valid and cert.alpha <= 0.5
@@ -293,6 +433,41 @@ class TestFanoCertificate:
         assert cert.valid
         for name, want in vertex_space_fields(s, ball, how, cert).items():
             assert getattr(cert, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("rows", [None, 3, 5])
+    @pytest.mark.parametrize(
+        "eig, r",
+        [("path2048_eig", 1.0), ("grid32_eig", 2.0), ("ws512_eig", 2.0), ("grid48_eig", 2.0)],
+    )
+    def test_kl_budget_is_the_per_row_sum(self, eig, r, rows, request, monkeypatch):
+        # the row-blocked kernel adds exactly what bernoulli_kl gives per row
+        # of the whole M x n value matrix, at the default block (14 rows of 64
+        # on grid 48^2) and at blocks of at most 3 or 5 rows
+        s = request.getfixturevalue(eig)
+        if rows is not None:
+            monkeypatch.setattr(fano, "_KL_BLOCK_VALUES", rows * s.n)
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        link = gm.sigmoid_link()
+        cert = gm.fano_certificate(s, ball, link, seed=3)
+        pack = gm.vg_packing(cert.N, cert.seed)
+        values = _bump_amplitude(cert.delta, ball, cert.N) * pack.thetas @ s.basis[:, : cert.N].T
+        base = link.psi(np.zeros(s.n))
+        kls = sum(gm.bernoulli_kl(link.psi(f), base) for f in values)
+        assert cert.kl_budget == kls / (pack.M + 1)
+
+    def test_classification_memory_stays_below_the_value_matrix(self):
+        # grid 64^2: M x n values would be 256 x 4096 doubles = 8 MiB; the
+        # n x N head profile of the calibration is 2 MiB
+        s = gm.eigendecompose(gm.build_grid([64, 64]))
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+        tracemalloc.start()
+        try:
+            cert = gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.valid and cert.M == 256
+        assert peak < 4 * 2**20
 
     def test_non_orthonormal_basis_rejected(self, path2048_eig):
         bad = dataclasses.replace(path2048_eig, basis=path2048_eig.basis * (1.0 + 1e-8))

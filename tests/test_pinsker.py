@@ -291,6 +291,12 @@ class TestSigmoidLink:
             with pytest.raises(ValidationError):
                 link.psi_inv(np.array([bad]))
 
+    def test_inverse_rejects_nan(self):
+        link = gm.sigmoid_link()
+        for bad in ([np.nan], [0.3, np.nan]):
+            with pytest.raises(ValidationError, match="strictly inside"):
+                link.psi_inv(np.array(bad))
+
     def test_constants(self):
         link = gm.sigmoid_link()
         assert link.sup_dpsi == 0.25
