@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec
-from .spectral import Spectrum, gft_inverse, require_basis
+from .spectral import Spectrum, gft_inverse, head_basis
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -163,9 +163,17 @@ def _bernoulli_kl_rows(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
 
     The one home of the formula.  Each row is summed by np.sum over a
     contiguous last axis, so a row of a 2-D block gets exactly the sum of
-    the same row passed alone.
+    the same row passed alone.  The two terms are formed in place, so at
+    most three arrays of rho1's shape exist beside it.
     """
-    terms = rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2))
+    terms = rho1 / rho2
+    np.log(terms, out=terms)
+    terms *= rho1
+    rest = 1.0 - rho1
+    ratio = rest / (1.0 - rho2)
+    np.log(ratio, out=ratio)
+    ratio *= rest
+    terms += ratio
     return np.sum(terms, axis=-1)
 
 
@@ -203,16 +211,18 @@ def _classification_kl(head: np.ndarray, thetas: np.ndarray, a: float, link: Lin
     """Sum over the alternatives of KL(Bernoulli(psi(f_theta)), Bernoulli(psi(0))).
 
     The vertex values a theta @ head.T are formed a block of rows at a time,
-    at most _KL_BLOCK_VALUES values per block, and the per-row divergences
-    are added in row order.  No M x n array is built.  The rows are split
-    into even blocks, so no block has a single row while n <= 10922: numpy
-    sends a one-row product to a matrix-vector BLAS call, which can round
-    differently from the product of all M rows.
+    and the per-row divergences are added in row order.  No M x n array is
+    built.  The M rows are split into max(1, M // r) even blocks with
+    r = max(2, _KL_BLOCK_VALUES // n).  A block then holds at most 2r - 1
+    rows, under 2 _KL_BLOCK_VALUES values while r > 2, and at least
+    min(M, r) >= 2 rows at any n: numpy sends a one-row product to a
+    matrix-vector BLAS call, which can round differently from the product
+    of all M rows.
     """
     n = head.shape[0]
     base = link.psi(np.zeros(n))
     require_probabilities(base, _PROBABILITY_MESSAGE)
-    blocks = -(-len(thetas) // max(1, _KL_BLOCK_VALUES // n))
+    blocks = max(1, len(thetas) // max(2, _KL_BLOCK_VALUES // n))
     total = 0.0
     for rows in np.array_split(thetas, blocks):
         rho = link.psi(a * rows @ head.T)
@@ -257,6 +267,19 @@ def _classification_alpha_bound(
     return (m / (m + 1.0)) * worst_kl / math.log(m)
 
 
+def _head_profile(s: Spectrum, N: int) -> np.ndarray:
+    """profile(i) = sum_{j<N} |psi_j(i)|, column by column.
+
+    The columns are added in the order np.abs(head).sum(axis=1) adds those
+    of the column-major head, so the result is the same bit for bit, but
+    without its n x N temporary.
+    """
+    profile = np.zeros(s.n)
+    for psi in head_basis(s, N).T:
+        profile += np.abs(psi)
+    return profile
+
+
 def calibrate_delta(
     s: Spectrum, spec: SobolevSpec, N: int, link: LinkFunction | None = None
 ) -> float:
@@ -273,7 +296,7 @@ def calibrate_delta(
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
     link = sigmoid_link() if link is None else link
-    profile = np.abs(require_basis(s)[:, :N]).sum(axis=1)
+    profile = _head_profile(s, N)
     base = link.psi(np.zeros(s.n))
 
     def within_target(delta: float) -> bool:
@@ -334,10 +357,10 @@ def fano_certificate(
     only.  The Bernoulli KL is measured on the vertex values of the
     alternatives, a block of rows at a time (_classification_kl), so a
     classification certificate needs O(block + M N) memory beside the
-    n x N head profile, never M x n.  The first N eigenvectors the
-    alternatives are built from must be orthonormal to 1e-10 (else
-    NumericError), which keeps the closed forms self-checking.  The
-    recorded seed reproduces the packing.
+    n x N head it reads (``head_basis``), never M x n.  The first N
+    eigenvectors the alternatives are built from must be orthonormal to
+    1e-10 (else NumericError), which keeps the closed forms self-checking.
+    The recorded seed reproduces the packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:
@@ -358,7 +381,7 @@ def fano_certificate(
     sobolev_max = a**2 * _head_form_sum(s, spec, N)
 
     if mode == "classification":
-        head = require_basis(s)[:, :N]
+        head = head_basis(s, N)
         gram_err = float(np.abs(head.T @ head / s.n - np.eye(N)).max())
         if gram_err > _ORTHONORMAL_TOL:
             raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")

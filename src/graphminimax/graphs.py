@@ -20,8 +20,10 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 #: Largest vertex count for which a dense n x n array may be materialized:
-#: the Laplacian of ``laplacian`` or the eigenbasis of ``eigendecompose``
-#: (closed-form bases of paths, grids and tori included).
+#: the Laplacian of ``laplacian``, the eigenbasis ``eigendecompose`` solves
+#: for a graph without shape, or a full ``Spectrum.basis`` of a path, grid or
+#: torus.  A head of k eigenvectors (``head_basis``) may hold n k values up
+#: to the square of this cap.
 DEFAULT_DENSE_CAP = 8192
 
 _WS_RETRY_BUDGET = 64
@@ -292,16 +294,17 @@ def apply_laplacian(g: Graph, X: np.ndarray) -> np.ndarray:
     the neighbours of vertex i, padded with i itself up to the largest
     degree D, so (L x)(i) = D x(i) - sum_k x(table[k, i]).  That costs
     O(D n) memory and O(D n k) time, not O(m k): a star has D = n - 1.
-    Columns are gathered as rows of X.T, contiguous for a column-major X.
+    Neighbour values are gathered as whole rows of a C-ordered copy of X,
+    and the result is C-ordered.
     """
-    rows = np.asarray(X, dtype=float).T
-    if rows.shape[-1] != g.n:
-        raise ValidationError(f"X has {rows.shape[-1]} rows, expected n={g.n}")
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[0] != g.n:
+        raise ValidationError(f"X has {X.shape[0]} rows, expected n={g.n}")
     src, dst = _half_edges(g.edges)
     width = int(g.degrees.max())
     table = np.repeat(np.arange(g.n)[None, :], width, axis=0)
     table[np.arange(src.size) - np.searchsorted(src, src), src] = dst
-    out = rows * width
+    out = X * width
     for nb in table:
-        out -= np.take(rows, nb, axis=-1)
-    return out.T
+        out -= X[nb]
+    return out

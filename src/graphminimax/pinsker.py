@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .sobolev import EllipsoidWeights
-from .spectral import Spectrum, require_basis
+from .spectral import Spectrum, head_basis
 
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
@@ -135,7 +135,7 @@ def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
 
     Only the head columns basis[:, :k] are read, so the cost is O(n k).
     """
-    head = require_basis(s)[:, : len(l_head)]
+    head = head_basis(s, len(l_head))
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
         raise ValidationError(f"signal length {y.shape} does not match n={s.n}")

@@ -8,12 +8,19 @@ bounded signal stay O(1) as the graph grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graphs import Graph, apply_laplacian, check_dense_cap, laplacian
+from .graphs import (
+    DEFAULT_DENSE_CAP,
+    Graph,
+    apply_laplacian,
+    build_path,
+    check_dense_cap,
+    laplacian,
+)
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
@@ -36,6 +43,14 @@ class Spectrum:
     of the eigenspace the solver returns.  Results that must not depend on
     that choice should compare eigenvalue multisets or eigenspace projectors.
 
+    Consumers that read k columns take them from ``head_basis(s, k)``, which
+    equals ``basis[:, :k]`` bit for bit.  A spectrum of a path, grid or torus
+    from eigendecompose holds no eigenvector until one is asked for: the
+    head builds and checks only the columns it returns, in O(n k) memory,
+    and ``basis`` is the head of all n columns, built on its first read
+    (n within ``DEFAULT_DENSE_CAP``).  Every other spectrum holds its basis
+    as given.
+
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
     (ellipsoid weights, shrinkage plans, geometry fits); every consumer of
@@ -44,7 +59,30 @@ class Spectrum:
 
     n: int
     lambdas: np.ndarray
-    basis: np.ndarray | None
+    basis: InitVar[np.ndarray | None] = None
+    _dense: np.ndarray | None = field(init=False, repr=False)
+    # (graph, stable order of its Kronecker-sum eigenvalues) of a lazy
+    # shaped spectrum, and the largest head built from it so far.
+    _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
+    _head: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self, basis):
+        object.__setattr__(self, "_dense", basis)
+
+
+def _spectrum_basis(s: Spectrum) -> np.ndarray | None:
+    if s._shaped is None:
+        return s._dense
+    check_dense_cap(s.n)
+    return head_basis(s, s.n)
+
+
+# ``basis`` is both an init argument and a computed attribute.  Assigned
+# after the decorator ran, the property is not taken for the field default.
+Spectrum.basis = property(
+    _spectrum_basis,
+    doc="The n x n eigenbasis (a lazy spectrum builds it on first read), or None.",
+)
 
 
 @dataclass(frozen=True)
@@ -79,8 +117,8 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 
 def _freeze(s: Spectrum) -> Spectrum:
     s.lambdas.setflags(write=False)
-    if s.basis is not None:
-        s.basis.setflags(write=False)
+    if s._dense is not None:
+        s._dense.setflags(write=False)
     return s
 
 
@@ -99,52 +137,98 @@ def _checked_lambdas(lams: np.ndarray, n: int) -> np.ndarray:
 
 def require_basis(s: Spectrum) -> np.ndarray:
     """The eigenbasis of s; ValidationError for an eigenvalues-only spectrum."""
-    if s.basis is None:
+    basis = s.basis
+    if basis is None:
         raise ValidationError(
             "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
         )
-    return s.basis
+    return basis
+
+
+def head_basis(s: Spectrum, k: int) -> np.ndarray:
+    """The first k eigenvectors, read-only, equal to ``s.basis[:, :k]`` bit for bit.
+
+    A spectrum holding its basis (a shape-free graph, or one passed to
+    ``Spectrum``) returns that slice; an eigenvalues-only spectrum raises
+    the ValidationError of ``require_basis``.  A lazy spectrum of a path,
+    grid or torus builds the columns on first use, in O(n k) time and
+    memory, and checks each new column as eigendecompose describes.  It
+    keeps the largest head built so far, so a larger k builds and checks
+    only the columns past it.  A head may hold at most
+    ``DEFAULT_DENSE_CAP**2`` values; a larger n k raises ValidationError
+    before anything is allocated.
+    """
+    if not 1 <= k <= s.n:
+        raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
+    if s._shaped is None:
+        return require_basis(s)[:, :k]
+    if s.n * k > DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
+            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
+        )
+    head = s._head
+    if head is None or head.shape[1] < k:
+        head = _grown_head(s, k)
+        # One assignment: a concurrent caller sees the old head or the new
+        # one, and at worst builds the same deterministic columns again.
+        object.__setattr__(s, "_head", head)
+    return head[:, :k]
 
 
 def eigendecompose(g: Graph) -> Spectrum:
-    """All n eigenpairs of the graph Laplacian, every column self-checked.
+    """The Laplacian eigenpairs of g, every eigenvector residual-checked.
 
     Paths, grids and tori (``g.shape`` set) use their closed form: products
     of per-axis path (DCT-II) or cycle eigenvectors, ordered by a stable sort
     of the Kronecker-sum eigenvalues, so ``lambdas`` equals
     ``eigenvalues(g).lambdas`` bit for bit and the basis inside a repeated
-    eigenvalue is that fixed product basis.  The per-axis factors must be
-    orthonormal to 1e-10; a Kronecker product of orthonormal factors is
-    orthonormal.  Any other graph gets a dense ``eigh``.
+    eigenvalue is that fixed product basis.  Such a spectrum computes its
+    eigenvalues here and no eigenvector: ``head_basis(s, k)`` builds the
+    first k columns on first use, in O(n k), and ``s.basis`` is the head of
+    all n.  The per-axis vectors a head uses must be orthonormal to 1e-10;
+    a Kronecker product of orthonormal factors is orthonormal.  The full
+    basis needs n within ``DEFAULT_DENSE_CAP``, checked at its first read; a
+    head needs n k within ``DEFAULT_DENSE_CAP**2``.  Any other graph gets a
+    dense ``eigh`` of all n columns here, and n above the dense cap raises
+    ValidationError before anything is allocated.
 
-    On both paths every column must pass the residual check
-    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8, with L applied by
-    ``apply_laplacian`` (no n x n Laplacian), and the null eigenvalue must
-    be in tolerance; NumericError otherwise.  The n x n basis is dense, so
-    n above the dense cap raises ValidationError before anything is allocated.
+    Every column must pass the residual check
+    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8 when it is built, with L
+    applied by ``apply_laplacian`` (no n x n Laplacian), and the null
+    eigenvalue must be in tolerance; NumericError otherwise.
     """
+    if g.shape is not None:
+        raw = _kronecker_sum(g)
+        order = np.argsort(raw, kind="stable")
+        s = _freeze(Spectrum(n=g.n, lambdas=_checked_lambdas(raw[order], g.n)))
+        order.setflags(write=False)
+        object.__setattr__(s, "_shaped", (g, order))
+        return s
     check_dense_cap(g.n)
-    if g.shape is None:
-        lams, vecs = np.linalg.eigh(laplacian(g))
-        lams = _checked_lambdas(lams, g.n)
-        basis = _fix_signs(vecs * np.sqrt(g.n))
-    else:
-        lams, basis = _shape_eigenpairs(g)
+    lams, vecs = np.linalg.eigh(laplacian(g))
+    lams = _checked_lambdas(lams, g.n)
+    basis = _fix_signs(vecs * np.sqrt(g.n))
+    _check_residual(g, lams, basis)
+    return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
+
+
+def _check_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> None:
     worst = _worst_residual(g, lams, basis)
     if worst > _RESIDUAL_TOL:
         raise NumericError(f"eigendecomposition residual too large: {worst:.3e}")
-    return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
 
 
 def _worst_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> float:
     """max_j ||L psi_j - lambda_j psi_j|| / max(1, lambda_j), L from apply_laplacian.
 
     Columns of the (column-major) basis are checked in chunks, which keeps
-    the operator's gathered arrays at n x chunk.
+    the operator's gathered arrays at n x chunk.  Each chunk is copied once
+    to the row-major layout that apply_laplacian gathers from.
     """
     worst = 0.0
     for j0 in range(0, basis.shape[1], _RESIDUAL_CHUNK):
-        psi = basis[:, j0 : j0 + _RESIDUAL_CHUNK]
+        psi = np.ascontiguousarray(basis[:, j0 : j0 + _RESIDUAL_CHUNK])
         lam = lams[j0 : j0 + _RESIDUAL_CHUNK]
         resid = apply_laplacian(g, psi)
         resid -= psi * lam
@@ -160,33 +244,33 @@ def _axis_eigenvalues(kind: str, side: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2
 
 
-def _path_vectors(n: int) -> np.ndarray:
-    """DCT-II path eigenvectors as rows, row j paired with path_eigenvalues(n)[j].
+def _path_vectors(n: int, js: np.ndarray) -> np.ndarray:
+    """DCT-II path eigenvectors psi_j for j in js, as rows.
 
-    For vertex i = 1..n (stored 0-based), psi_j(i) = c_j cos(pi j (2i - 1) /
-    (2n)) with c_0 = 1 and c_j = sqrt(2) for j >= 1, which makes
-    <psi_j, psi_j>_n = 1.  Every psi_j starts with a positive entry.
+    Row r is paired with path_eigenvalues(n)[js[r]].  For vertex i = 1..n
+    (stored 0-based), psi_j(i) = c_j cos(pi j (2i - 1) / (2n)) with c_0 = 1
+    and c_j = sqrt(2) for j >= 1, which makes <psi_j, psi_j>_n = 1.  Every
+    psi_j starts with a positive entry.
     """
     odd = 2.0 * np.arange(1, n + 1) - 1.0
-    rows = np.cos(np.pi * np.outer(np.arange(n), odd) / (2 * n))
-    rows[1:] *= np.sqrt(2.0)
+    rows = np.cos(np.pi * np.outer(js, odd) / (2 * n))
+    rows *= np.where(js >= 1, np.sqrt(2.0), 1.0)[:, None]
     return rows
 
 
-def _cycle_vectors(d: int) -> np.ndarray:
-    """Cycle eigenvectors as rows, row j paired with 4 sin^2(pi j / d).
+def _cycle_vectors(d: int, js: np.ndarray) -> np.ndarray:
+    """Cycle eigenvectors psi_j for j in js, as rows, paired with 4 sin^2(pi j / d).
 
     psi_0 is constant, psi_j(i) = sqrt(2) cos(2 pi j i / d) for j < d/2,
     sqrt(2) sin(2 pi (d - j) i / d) for j > d/2 and, for even d,
     psi_{d/2}(i) = (-1)^i.  The first non-zero entry of every psi_j is
     positive (sin(0) is exactly 0).
     """
-    j = np.arange(d)
-    angle = 2.0 * np.pi * np.outer(np.minimum(j, d - j), np.arange(d)) / d
-    rows = np.sqrt(2.0) * np.where((j < d / 2)[:, None], np.cos(angle), np.sin(angle))
-    rows[0] = 1.0
+    angle = 2.0 * np.pi * np.outer(np.minimum(js, d - js), np.arange(d)) / d
+    rows = np.sqrt(2.0) * np.where((js < d / 2)[:, None], np.cos(angle), np.sin(angle))
+    rows[js == 0] = 1.0
     if d % 2 == 0:
-        rows[d // 2] = (-1.0) ** np.arange(d)
+        rows[js == d // 2] = (-1.0) ** np.arange(d)
     return rows
 
 
@@ -205,28 +289,56 @@ def _kronecker_sum(g: Graph) -> np.ndarray:
     return lams
 
 
-def _shape_eigenpairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenvalues and product basis of a path, grid or torus."""
+def _grown_head(s: Spectrum, k: int) -> np.ndarray:
+    """The first k columns of a lazy shaped spectrum, from its cached head on.
+
+    Only the columns past the cached head are built and residual-checked.
+    """
+    g, order = s._shaped
+    old = s._head
+    k0 = 0 if old is None else old.shape[1]
+    new = _product_rows(g, order[:k], k0).T
+    _check_residual(g, s.lambdas[k0:k], new)
+    if old is None:
+        head = new
+    else:
+        head = np.empty((g.n, k), order="F")
+        head[:, :k0] = old
+        head[:, k0:] = new
+    head.setflags(write=False)
+    return head
+
+
+def _product_rows(g: Graph, order: np.ndarray, k0: int) -> np.ndarray:
+    """Product eigenvectors k0..len(order)-1 of a shaped graph, as rows.
+
+    psi_c is the outer product over axes of the per-axis vectors at the
+    row-major axis indices of order[c]; vertices are flattened row-major
+    too.  The per-axis vectors first used by these columns are checked
+    against every per-axis vector in use (a Gram block of at most
+    len(order) rows per axis), so the columns so far are orthonormal.
+    """
     kind, dims = g.shape
-    raw = _kronecker_sum(g)
-    order = np.argsort(raw, kind="stable")
-    lams = _checked_lambdas(raw[order], g.n)
-    factors = [_path_vectors(side) if kind == "grid" else _cycle_vectors(side) for side in dims]
-    for f in factors:
-        gram = f @ f.T / len(f)
-        gram.flat[:: len(f) + 1] -= 1.0
-        gram_err = float(np.abs(gram).max())
+    rows = None
+    for side, ks in zip(dims, np.unravel_index(order, dims)):
+        used, at = np.unique(ks, return_inverse=True)
+        vectors = _path_vectors(side, used) if kind == "grid" else _cycle_vectors(side, used)
+        fresh = np.flatnonzero(np.bincount(at[:k0], minlength=used.size) == 0)
+        # vectors @ vectors.T is one symmetric BLAS product, at half the cost
+        fresh_rows = vectors if fresh.size == used.size else vectors[fresh]
+        gram = fresh_rows @ vectors.T / side
+        gram[np.arange(fresh.size), fresh] -= 1.0
+        gram_err = float(np.abs(gram).max(initial=0.0))
         if gram_err > _ORTHONORMAL_TOL:
             raise NumericError(
-                f"{kind} axis basis of side {len(f)} is not orthonormal: {gram_err:.3e}"
+                f"{kind} axis basis of side {side} is not orthonormal: {gram_err:.3e}"
             )
-    # Vertices are flattened row-major, like the axis indices of raw, so
-    # psi_k is the outer product over axes of the factor rows idx[axis][k].
-    idx = np.unravel_index(order, dims)
-    rows = np.take(factors[0], idx[0], axis=0)
-    for f, ks in zip(factors[1:], idx[1:]):
-        rows = (rows[:, :, None] * np.take(f, ks, axis=0)[:, None, :]).reshape(g.n, -1)
-    return lams, rows.T
+        axis_rows = np.take(vectors, at[k0:], axis=0)
+        if rows is None:
+            rows = axis_rows
+        else:
+            rows = (rows[:, :, None] * axis_rows[:, None, :]).reshape(len(rows), -1)
+    return rows
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -260,13 +372,12 @@ def path_eigenvalues(n: int) -> np.ndarray:
 
 
 def path_spectrum_closed_form(n: int) -> Spectrum:
-    """Exact spectrum of the path graph on n vertices, without building the graph.
+    """Exact spectrum of the path graph on n vertices: ``eigendecompose(build_path(n))``.
 
     lambda_j = path_eigenvalues(n)[j] and psi_j is the DCT-II vector of
-    ``_path_vectors``; equal to ``eigendecompose(build_path(n))``.
+    ``_path_vectors``, built on first use like every shaped head.
     """
-    lams = path_eigenvalues(n)
-    return _freeze(Spectrum(n=n, lambdas=lams, basis=_path_vectors(n).T))
+    return eigendecompose(build_path(n))
 
 
 def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:

@@ -210,15 +210,37 @@ class TestDenoiseCommand:
         assert abs(risk - row[4]) < 1e-9 * row[4]
 
     def test_eigenvectors_above_dense_cap_rejected(self, tmp_path, capsys):
+        # a graph without shape has no closed form; its dense eigh needs n <= the cap
         n = 10000
         obs = tmp_path / "obs.csv"
         write_obs_csv(obs, np.zeros(n))
         code = run_cli(
-            "denoise", "--graph", f"path:{n}", "--obs", str(obs), "--beta", "1",
+            "denoise", "--graph", f"ws:{n},6,0.1,1", "--obs", str(obs), "--beta", "1",
             "--sigma", "1", "--out", str(tmp_path / "fhat.csv"),
         )
         assert code == 1
         assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+
+    def test_path_above_dense_cap_reads_the_dct_head(self, tmp_path):
+        n = 10000
+        i = np.arange(n)
+        y = np.cos(2 * np.pi * i / n) + np.random.default_rng(5).standard_normal(n)
+        obs = tmp_path / "obs.csv"
+        write_obs_csv(obs, y)
+        out = tmp_path / "fhat.csv"
+        code = run_cli(
+            "denoise", "--graph", f"path:{n}", "--obs", str(obs), "--beta", "1",
+            "--sigma", "1", "--out", str(out),
+        )
+        assert code == 0
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+        plan = gm.pinsker_plan(gm.ellipsoid_weights(gm.eigenvalues(gm.build_path(n)), ball), 1.0, n)
+        # the DCT-II head psi_j(i) = c_j cos(pi j (2i + 1) / (2n)), c_0 = 1, c_j = sqrt(2)
+        j = np.arange(plan.N)
+        head = np.cos(np.pi * np.outer(2 * i + 1, j) / (2 * n)) * np.where(j > 0, np.sqrt(2.0), 1.0)
+        want = head @ (plan.l[: plan.N] * (head.T @ y / n))
+        got = np.array([float(l.split(",")[1]) for l in out.read_text().strip().split("\n")[1:]])
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestClassifyCommand:
@@ -342,12 +364,23 @@ class TestFanoCommand:
         assert fields[0] == "10000" and fields[12] == "true"
 
     def test_clf_mode_above_dense_cap_rejected(self, tmp_path, capsys):
+        # a graph without shape still needs its dense eigh within the cap
         code = run_cli(
-            "fano", "--graph", "path:10000", "--beta", "1", "--mode", "clf",
+            "fano", "--graph", "ws:10000,6,0.1,1", "--beta", "1", "--mode", "clf",
             "--out", str(tmp_path / "cert.csv"),
         )
         assert code == 1
         assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+
+    def test_clf_mode_above_dense_cap_on_a_path(self, tmp_path, capsys):
+        out = tmp_path / "cert.csv"
+        code = run_cli(
+            "fano", "--graph", "path:20000", "--beta", "1", "--mode", "clf", "--out", str(out)
+        )
+        assert code == 0
+        assert "valid = true" in capsys.readouterr().out
+        fields = out.read_text().split("\n")[1].split(",")
+        assert fields[0] == "20000" and fields[12] == "true"
 
     def test_packing_limit_rejected_before_packing(self, tmp_path, capsys, monkeypatch):
         import time

@@ -97,6 +97,18 @@ def grid48_eig():
     return gm.eigendecompose(gm.build_grid([48, 48]))
 
 
+def assert_kl_budget_is_the_per_row_sum(s, ball, seed):
+    """The certificate's KL budget against bernoulli_kl on each row of all M x n values."""
+    link = gm.sigmoid_link()
+    cert = gm.fano_certificate(s, ball, link, seed=seed)
+    pack = gm.vg_packing(cert.N, cert.seed)
+    values = _bump_amplitude(cert.delta, ball, cert.N) * pack.thetas @ gm.head_basis(s, cert.N).T
+    base = link.psi(np.zeros(s.n))
+    kls = sum(gm.bernoulli_kl(link.psi(f), base) for f in values)
+    assert cert.kl_budget == kls / (pack.M + 1)
+    return cert
+
+
 def vertex_space_fields(s, ball, how, cert):
     """The certificate's fields recomputed from the hard_alternatives rows."""
     pack = gm.vg_packing(cert.N, cert.seed)
@@ -290,6 +302,13 @@ class TestCalibrateDelta:
         gm.calibrate_delta(s, spec, N)
         assert 40 <= len(calls) <= 60
 
+    @pytest.mark.parametrize("eig", ["path2048_eig", "grid48_eig", "ws512_eig"])
+    @pytest.mark.parametrize("N", [8, 37, 96])
+    def test_head_profile_is_the_old_row_sum(self, eig, N, request):
+        s = request.getfixturevalue(eig)
+        want = np.abs(s.basis[:, :N]).sum(axis=1)
+        assert np.array_equal(fano._head_profile(s, N), want)
+
 
 class TestBernoulliKl:
     def test_identical_inputs_give_zero(self):
@@ -441,33 +460,39 @@ class TestFanoCertificate:
     )
     def test_kl_budget_is_the_per_row_sum(self, eig, r, rows, request, monkeypatch):
         # the row-blocked kernel adds exactly what bernoulli_kl gives per row
-        # of the whole M x n value matrix, at the default block (14 rows of 64
-        # on grid 48^2) and at blocks of at most 3 or 5 rows
+        # of the whole M x n value matrix, at the default block (4 blocks of
+        # 16 of the 64 rows on grid 48^2) and at blocks of 3 to 5 or 5 to 9 rows
         s = request.getfixturevalue(eig)
         if rows is not None:
             monkeypatch.setattr(fano, "_KL_BLOCK_VALUES", rows * s.n)
-        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
-        link = gm.sigmoid_link()
-        cert = gm.fano_certificate(s, ball, link, seed=3)
-        pack = gm.vg_packing(cert.N, cert.seed)
-        values = _bump_amplitude(cert.delta, ball, cert.N) * pack.thetas @ s.basis[:, : cert.N].T
-        base = link.psi(np.zeros(s.n))
-        kls = sum(gm.bernoulli_kl(link.psi(f), base) for f in values)
-        assert cert.kl_budget == kls / (pack.M + 1)
+        assert_kl_budget_is_the_per_row_sum(s, gm.SobolevSpec(beta=1.0, Q=1.0, r=r), seed=3)
+
+    @pytest.mark.parametrize("n, M", [(16384, 9), (20001, 11)])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_kl_budget_is_the_per_row_sum_above_the_old_cap(self, n, M, seed):
+        # above n = 10922 a block holds at most two rows of _KL_BLOCK_VALUES
+        # values, and a ceiling split of an odd M leaves a one-row block,
+        # whose product can round differently from the M-row one
+        s = gm.eigendecompose(gm.build_path(n))
+        cert = assert_kl_budget_is_the_per_row_sum(s, BALL, seed)
+        assert cert.M == M and cert.valid
 
     def test_classification_memory_stays_below_the_value_matrix(self):
-        # grid 64^2: M x n values would be 256 x 4096 doubles = 8 MiB; the
-        # n x N head profile of the calibration is 2 MiB
+        # grid 64^2: M x n values would be 256 x 4096 doubles = 8 MiB; beside
+        # its resident n x N head (N = 64, 2 MiB, built first) the
+        # certificate holds at most 1.5 MiB more
         s = gm.eigendecompose(gm.build_grid([64, 64]))
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+        assert gm.head_basis(s, 64).nbytes == 2 * 2**20  # resident, not traced
+        gm.vg_packing(8, seed=0)  # its first call imports numpy.random
         tracemalloc.start()
         try:
             cert = gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cert.valid and cert.M == 256
-        assert peak < 4 * 2**20
+        assert cert.valid and cert.N == 64 and cert.M == 256
+        assert peak <= 1.5 * 2**20
 
     def test_non_orthonormal_basis_rejected(self, path2048_eig):
         bad = dataclasses.replace(path2048_eig, basis=path2048_eig.basis * (1.0 + 1e-8))

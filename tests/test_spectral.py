@@ -126,45 +126,54 @@ class TestClosedFormEigendecompose:
             assert gm.eigendecompose(g).basis.shape == (g.n, g.n)
 
     def test_cap_is_checked_before_allocation(self):
-        g = gm.build_path(10000)
-        assert g.n > gm.DEFAULT_DENSE_CAP
+        # a full basis above DEFAULT_DENSE_CAP, and a head above its square
+        # in values, fail at once, before any n x k array exists
+        s = gm.eigendecompose(gm.build_path(10000))
+        assert s.n > gm.DEFAULT_DENSE_CAP
+        too_many = gm.DEFAULT_DENSE_CAP**2 // s.n + 1
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap"):
-                gm.eigendecompose(g)
+                s.basis
+            with pytest.raises(ValidationError, match=r"n\*k = .* above the limit"):
+                gm.head_basis(s, too_many)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert s._head is None
 
     def test_wrong_shape_fails_the_residual_check(self):
         g = gm.build_grid([4, 4])
         for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
+            s = gm.eigendecompose(dataclasses.replace(g, shape=shape))
             with pytest.raises(NumericError, match="residual"):
-                gm.eigendecompose(dataclasses.replace(g, shape=shape))
+                gm.head_basis(s, 2)
+            with pytest.raises(NumericError, match="residual"):
+                s.basis
         with pytest.raises(NumericError, match="n=16"):
             gm.eigendecompose(dataclasses.replace(g, shape=("grid", (5, 5))))
 
     def test_wrong_axis_vectors_are_caught(self, monkeypatch):
         cycle = gm.spectral._cycle_vectors
 
-        def wrong_frequency(d):
-            rows = cycle(d)
+        def wrong_frequency(d, js):
+            rows = cycle(d, np.arange(d))
             rows[[1, 2]] = rows[[2, 1]]  # eigenvectors paired with the wrong eigenvalues
-            return rows
+            return rows[js]
 
-        def repeated_vector(d):
-            rows = cycle(d)
+        def repeated_vector(d, js):
+            rows = cycle(d, np.arange(d))
             rows[d - 1] = rows[1]  # an eigenvector, but a copy of another one
-            return rows
+            return rows[js]
 
         g = gm.build_torus([5, 6])
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", wrong_frequency)
         with pytest.raises(NumericError, match="residual"):
-            gm.eigendecompose(g)
+            gm.eigendecompose(g).basis
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", repeated_vector)
         with pytest.raises(NumericError, match="not orthonormal"):
-            gm.eigendecompose(g)
+            gm.eigendecompose(g).basis
 
     def test_solver_output_is_residual_checked(self, monkeypatch):
         g = gm.build_small_world(64, 4, 0.2, seed=1)
@@ -186,6 +195,86 @@ class TestClosedFormEigendecompose:
             want = np.max(np.linalg.norm(dense, axis=0) / np.maximum(1.0, lams))
             got = gm.spectral._worst_residual(g, lams, basis)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def reference_basis(g):
+    """All n product columns of a shaped graph at once, from the full per-axis factors."""
+    kind, dims = g.shape
+    axis = gm.spectral._path_vectors if kind == "grid" else gm.spectral._cycle_vectors
+    factors = [axis(side, np.arange(side)) for side in dims]
+    columns = []
+    for k in np.argsort(gm.spectral._kronecker_sum(g), kind="stable"):
+        col = np.ones(1)
+        for f, i in zip(factors, np.unravel_index(k, dims)):
+            col = np.kron(col, f[i])
+        columns.append(col)
+    return np.column_stack(columns)
+
+
+class TestHeadBasis:
+    @pytest.mark.parametrize("spec", SHAPED_SPECS)
+    def test_head_is_the_basis_prefix(self, spec):
+        g = gm.parse_graph_spec(spec)
+        full = reference_basis(g)
+        s = gm.eigendecompose(g)
+        ties = np.flatnonzero(np.diff(s.lambdas) < 1e-9)
+        split = int(ties[0]) + 1 if ties.size else 2  # cuts an eigenvalue cluster
+        N = gm.fano.packing_dimension(g.n, gm.SobolevSpec(beta=1.0, Q=1.0, r=len(g.shape[1])))
+        for k in (1, split, N, g.n):
+            head = gm.head_basis(gm.eigendecompose(g), k)
+            assert np.array_equal(head, full[:, :k])
+            assert head.flags.f_contiguous and not head.flags.writeable
+        # growth in two steps builds only the new columns, and keeps the old
+        small = gm.head_basis(s, split)
+        assert np.array_equal(gm.head_basis(s, N), full[:, :N])
+        assert np.array_equal(small, full[:, :split])
+        assert np.array_equal(s.basis, full)
+        assert s.basis.flags.f_contiguous and not s.basis.flags.writeable
+
+    def test_growth_checks_only_new_columns(self, monkeypatch):
+        s = gm.eigendecompose(gm.build_grid([16, 16]))
+        checked = []
+        residual = gm.spectral._worst_residual
+
+        def counting(g, lams, basis):
+            checked.append(basis.shape[1])
+            return residual(g, lams, basis)
+
+        monkeypatch.setattr(gm.spectral, "_worst_residual", counting)
+        gm.head_basis(s, 10)
+        gm.head_basis(s, 7)
+        gm.head_basis(s, 30)
+        s.basis
+        assert checked == [10, 20, 226]
+
+    def test_dense_spectra_are_sliced(self):
+        g = gm.build_small_world(64, 4, 0.2, seed=1)
+        s = gm.eigendecompose(g)
+        assert np.array_equal(gm.head_basis(s, 5), s.basis[:, :5])
+        synth = synthetic_spectrum(np.arange(6.0))
+        assert np.array_equal(gm.head_basis(synth, 3), synth.basis[:, :3])
+        for k in (0, 7):
+            with pytest.raises(ValidationError, match="1 <= k <= n=6"):
+                gm.head_basis(synth, k)
+
+    def test_large_grid_head_builds_no_dense_array(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Laplacian or eigh was used")
+
+        monkeypatch.setattr(gm.spectral, "laplacian", refuse)
+        monkeypatch.setattr(gm.graphs, "laplacian", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        s = gm.eigendecompose(gm.build_grid([128, 128]))  # n = 16384, n^2 doubles = 2 GiB
+        k = 64
+        tracemalloc.start()
+        try:
+            head = gm.head_basis(s, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head.shape == (s.n, k)
+        assert peak < 6 * s.n * k * 8
+        assert np.array_equal(gm.head_basis(s, k), head)
 
 
 class TestEigenvalues:
@@ -266,6 +355,7 @@ class TestEigenvalues:
             lambda: gm.gft_forward(s, y),
             lambda: gm.gft_inverse(s, y),
             lambda: gm.sup_norm_bound(s),
+            lambda: gm.head_basis(s, 4),
             lambda: gm.sample_ball(s, ball, 1.0, seed=0),
             lambda: gm.sobolev_form(s, ball, y),
             lambda: gm.estimate_regression(s, plan, y),
