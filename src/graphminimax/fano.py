@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
-from .sobolev import EllipsoidWeights, SobolevSpec
-from .spectral import Spectrum, gft_inverse, head_basis
+from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
+from .spectral import _ORTHONORMAL_TOL, Spectrum, gft_inverse, head_basis
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -38,7 +38,6 @@ _PACKING_TARGET_CAP = 4096
 _PACKING_BLOCK = 64
 # Vertex values held at once by the classification KL.
 _KL_BLOCK_VALUES = 32768
-_ORTHONORMAL_TOL = 1e-10
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
 
@@ -232,14 +231,9 @@ def _classification_kl(head: np.ndarray, thetas: np.ndarray, a: float, link: Lin
     return total
 
 
-def _head_form_sum(s: Spectrum, spec: SobolevSpec, N: int) -> float:
-    lam = s.lambdas[:N]
-    return float(np.sum(1.0 + s.n ** (2.0 * spec.beta / spec.r) * lam ** spec.beta))
-
-
 def _sobolev_delta_cap(s: Spectrum, spec: SobolevSpec, N: int) -> float:
     """Largest delta keeping every alternative inside the smoothness ball."""
-    total = _head_form_sum(s, spec, N)
+    total = float(np.sum(_spectral_weights_sq(s, spec)[:N]))
     return spec.Q * N ** ((2.0 * spec.beta + spec.r) / (2.0 * spec.r)) / math.sqrt(total)
 
 
@@ -378,7 +372,7 @@ def fano_certificate(
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)
     separation_min = a * math.sqrt(min(N, 4 * pack.min_hamming))
-    sobolev_max = a**2 * _head_form_sum(s, spec, N)
+    sobolev_max = a**2 * float(np.sum(_spectral_weights_sq(s, spec)[:N]))
 
     if mode == "classification":
         head = head_basis(s, N)

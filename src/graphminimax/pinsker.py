@@ -117,9 +117,15 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
 
 
 def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
-    """Minimax linear shrinkage plan for noise level sigma on n vertices."""
+    """Minimax linear shrinkage plan for noise level sigma on n vertices.
+
+    n sets the noise scale sigma / sqrt(n) and must be the number of
+    weights, one per eigenvalue; ValidationError otherwise.
+    """
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    if n != len(w.a):
+        raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
     epsilon = sigma / np.sqrt(n)
     N = cutoff_N(w, epsilon)
     x = solve_x(w, epsilon, N)

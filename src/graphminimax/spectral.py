@@ -31,25 +31,26 @@ _MOMENT_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and a <.,.>_n-orthonormal eigenbasis of a Laplacian.
+    """Eigenvalues and <.,.>_n-orthonormal eigenvectors of a Laplacian.
 
-    ``lambdas`` is non-decreasing with lambdas[0] == 0.  ``basis[:, j]`` is
-    the eigenvector psi_j; the first component of each psi_j whose magnitude
-    exceeds 1e-12 is positive.  The basis is column-major, so a head
-    ``basis[:, :k]`` is one contiguous block.  Inside a repeated eigenvalue
-    a path, grid or torus gets the fixed product basis of eigendecompose
+    ``lambdas`` is non-decreasing with lambdas[0] == 0.  Eigenvector psi_j
+    is column j of the basis; the first component of each psi_j whose
+    magnitude exceeds 1e-12 is positive.  Inside a repeated eigenvalue a
+    path, grid or torus gets the fixed product basis of eigendecompose
     (per-axis vectors, in the row-major order of their axis indices), the
     same on every platform; any other graph gets whatever orthonormal basis
     of the eigenspace the solver returns.  Results that must not depend on
     that choice should compare eigenvalue multisets or eigenspace projectors.
 
-    Consumers that read k columns take them from ``head_basis(s, k)``, which
-    equals ``basis[:, :k]`` bit for bit.  A spectrum of a path, grid or torus
-    from eigendecompose holds no eigenvector until one is asked for: the
-    head builds and checks only the columns it returns, in O(n k) memory,
-    and ``basis`` is the head of all n columns, built on its first read
-    (n within ``DEFAULT_DENSE_CAP``).  Every other spectrum holds its basis
-    as given.
+    A spectrum holds the first w eigenvectors for some 1 <= w <= n, or none.
+    They are the columns of one column-major, read-only array: eigh's basis,
+    a basis passed here as an (n, w) array, or, for a path, grid or torus
+    from eigendecompose, the largest head built so far (none at first).
+    Every consumer reads k columns through ``head_basis(s, k)``; a lazy
+    spectrum builds and checks the columns past its head there, and any
+    other spectrum raises ValidationError naming k and w when k > w.
+    ``basis`` is ``head_basis(s, n)``, all n columns (n within
+    ``DEFAULT_DENSE_CAP``).
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -60,19 +61,35 @@ class Spectrum:
     n: int
     lambdas: np.ndarray
     basis: InitVar[np.ndarray | None] = None
-    _dense: np.ndarray | None = field(init=False, repr=False)
-    # (graph, stable order of its Kronecker-sum eigenvalues) of a lazy
-    # shaped spectrum, and the largest head built from it so far.
-    _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
+    # The eigenvectors held (see above), and for a lazy spectrum of a path,
+    # grid or torus its (graph, stable order of its Kronecker-sum eigenvalues).
     _head: np.ndarray | None = field(init=False, default=None, repr=False)
+    _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, basis):
-        object.__setattr__(self, "_dense", basis)
+        # read-only views: the caller's arrays keep their own flags
+        lambdas = np.asarray(self.lambdas).view()
+        if lambdas.shape != (self.n,):
+            raise ValidationError(
+                f"a spectrum on n={self.n} vertices needs {self.n} eigenvalues, "
+                f"got shape {lambdas.shape}"
+            )
+        lambdas.setflags(write=False)
+        object.__setattr__(self, "lambdas", lambdas)
+        if basis is not None:
+            basis = np.asfortranarray(basis).view()
+            if basis.ndim != 2 or basis.shape[0] != self.n or not 1 <= basis.shape[1] <= self.n:
+                raise ValidationError(
+                    f"a basis on n={self.n} vertices has shape (n, w) with 1 <= w <= n, "
+                    f"got {basis.shape}"
+                )
+            basis.setflags(write=False)
+        object.__setattr__(self, "_head", basis)
 
 
 def _spectrum_basis(s: Spectrum) -> np.ndarray | None:
-    if s._shaped is None:
-        return s._dense
+    if s._head is None and s._shaped is None:
+        return None
     check_dense_cap(s.n)
     return head_basis(s, s.n)
 
@@ -81,7 +98,7 @@ def _spectrum_basis(s: Spectrum) -> np.ndarray | None:
 # after the decorator ran, the property is not taken for the field default.
 Spectrum.basis = property(
     _spectrum_basis,
-    doc="The n x n eigenbasis (a lazy spectrum builds it on first read), or None.",
+    doc="The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum.",
 )
 
 
@@ -115,69 +132,77 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return np.multiply(basis, signs, order="F")
 
 
-def _freeze(s: Spectrum) -> Spectrum:
-    s.lambdas.setflags(write=False)
-    if s._dense is not None:
-        s._dense.setflags(write=False)
-    return s
+def _checked_lambdas(g: Graph, lams: np.ndarray) -> np.ndarray:
+    """Solver eigenvalues of g's Laplacian, checked, with the null one clamped to 0.
 
-
-def _checked_lambdas(lams: np.ndarray, n: int) -> np.ndarray:
-    """Clamp solver eigenvalues at 0 after checking the null eigenvalue."""
+    Every eigenvalue a spectrum holds passes here.  Whatever the solver, the
+    eigenvalues must reproduce the exact moments sum(lambda) = trace(L) =
+    sum_i d_i and sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to
+    1e-10 relative, lambda_0 must be 0 within 1e-9 and lambda_1 positive
+    (g connected); NumericError otherwise.
+    """
+    d = g.degrees.astype(float)
+    for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
+        got = float(np.sum(lams**k))
+        if abs(got - want) > _MOMENT_RTOL * want:
+            raise NumericError(
+                f"eigenvalue moment {k} is {got:.15g}, expected {want:.15g} from the degrees"
+            )
     if lams[0] < -1e-9:
         raise NumericError(f"negative eigenvalue {lams[0]:.3e} from eigensolver")
     lams = np.maximum(lams, 0.0)
     if lams[0] > 1e-9:
         raise NumericError(f"null eigenvalue missing: lambda_0 = {lams[0]:.3e}")
     lams[0] = 0.0
-    if n > 1 and lams[1] <= 0.0:
+    if g.n > 1 and lams[1] <= 0.0:
         raise NumericError("second eigenvalue is not positive; graph should be connected")
     return lams
 
 
-def require_basis(s: Spectrum) -> np.ndarray:
-    """The eigenbasis of s; ValidationError for an eigenvalues-only spectrum."""
-    basis = s.basis
-    if basis is None:
-        raise ValidationError(
-            "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
-        )
-    return basis
-
-
 def head_basis(s: Spectrum, k: int) -> np.ndarray:
-    """The first k eigenvectors, read-only, equal to ``s.basis[:, :k]`` bit for bit.
+    """The first k eigenvectors of s as an n x k column-major, read-only array.
 
-    A spectrum holding its basis (a shape-free graph, or one passed to
-    ``Spectrum``) returns that slice; an eigenvalues-only spectrum raises
-    the ValidationError of ``require_basis``.  A lazy spectrum of a path,
-    grid or torus builds the columns on first use, in O(n k) time and
-    memory, and checks each new column as eigendecompose describes.  It
-    keeps the largest head built so far, so a larger k builds and checks
-    only the columns past it.  A head may hold at most
-    ``DEFAULT_DENSE_CAP**2`` values; a larger n k raises ValidationError
-    before anything is allocated.
+    This is the one reader of a spectrum's eigenvectors: ``s.basis``, the
+    GFT, ``sup_norm_bound``, the estimators and the certificates all take
+    their columns here.  A spectrum that holds at least k columns returns
+    a slice of them.  A lazy spectrum of a path, grid or torus builds the
+    columns past its head on first use, in O(n k) time and memory, checks
+    each new column as eigendecompose describes and keeps the larger head;
+    ``head_basis(s, k)`` is ``s.basis[:, :k]`` bit for bit.  Its head may
+    hold at most ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises
+    ValidationError before anything is allocated.  Any other spectrum
+    holding w < k columns raises ValidationError naming k and w, and an
+    eigenvalues-only spectrum one saying so.
     """
     if not 1 <= k <= s.n:
         raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
+    head = s._head
+    width = 0 if head is None else head.shape[1]
+    if k <= width:
+        return head[:, :k]
     if s._shaped is None:
-        return require_basis(s)[:, :k]
+        if head is None:
+            raise ValidationError(
+                "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
+            )
+        raise ValidationError(
+            f"a head of k={k} columns needs more than the w={width} eigenvectors "
+            f"this spectrum holds"
+        )
     if s.n * k > DEFAULT_DENSE_CAP**2:
         raise ValidationError(
             f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
             f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
         )
-    head = s._head
-    if head is None or head.shape[1] < k:
-        head = _grown_head(s, k)
-        # One assignment: a concurrent caller sees the old head or the new
-        # one, and at worst builds the same deterministic columns again.
-        object.__setattr__(s, "_head", head)
-    return head[:, :k]
+    head = _grown_head(s, k)
+    # One assignment: a concurrent caller sees the old head or the new one,
+    # and at worst builds the same deterministic columns again.
+    object.__setattr__(s, "_head", head)
+    return head
 
 
 def eigendecompose(g: Graph) -> Spectrum:
-    """The Laplacian eigenpairs of g, every eigenvector residual-checked.
+    """The Laplacian eigenpairs of g, every eigenvalue and eigenvector checked.
 
     Paths, grids and tori (``g.shape`` set) use their closed form: products
     of per-axis path (DCT-II) or cycle eigenvectors, ordered by a stable sort
@@ -191,26 +216,26 @@ def eigendecompose(g: Graph) -> Spectrum:
     basis needs n within ``DEFAULT_DENSE_CAP``, checked at its first read; a
     head needs n k within ``DEFAULT_DENSE_CAP**2``.  Any other graph gets a
     dense ``eigh`` of all n columns here, and n above the dense cap raises
-    ValidationError before anything is allocated.
+    ValidationError (from ``laplacian``) before anything is allocated.
 
-    Every column must pass the residual check
-    ||L psi - lambda psi|| / max(1, lambda) <= 1e-8 when it is built, with L
-    applied by ``apply_laplacian`` (no n x n Laplacian), and the null
-    eigenvalue must be in tolerance; NumericError otherwise.
+    The eigenvalues, all n of them, pass the moment, null-eigenvalue and
+    connectivity checks of ``eigenvalues``.  Every column must pass the
+    residual check ||L psi - lambda psi|| / max(1, lambda) <= 1e-8 when it
+    is built, with L applied by ``apply_laplacian`` (no n x n Laplacian).
+    A failed check raises NumericError.
     """
     if g.shape is not None:
         raw = _kronecker_sum(g)
         order = np.argsort(raw, kind="stable")
-        s = _freeze(Spectrum(n=g.n, lambdas=_checked_lambdas(raw[order], g.n)))
+        s = Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw[order]))
         order.setflags(write=False)
         object.__setattr__(s, "_shaped", (g, order))
         return s
-    check_dense_cap(g.n)
     lams, vecs = np.linalg.eigh(laplacian(g))
-    lams = _checked_lambdas(lams, g.n)
+    lams = _checked_lambdas(g, lams)
     basis = _fix_signs(vecs * np.sqrt(g.n))
     _check_residual(g, lams, basis)
-    return _freeze(Spectrum(n=g.n, lambdas=lams, basis=basis))
+    return Spectrum(n=g.n, lambdas=lams, basis=basis)
 
 
 def _check_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> None:
@@ -345,21 +370,14 @@ def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
     Grids, paths and tori (``g.shape`` set) use their closed form; any other
-    graph gets a dense ``eigvalsh``.  Both run the same null-eigenvalue and
-    connectivity checks as eigendecompose.  Without eigenvectors there is no
-    residual to check, so the eigenvalues must instead reproduce the exact
-    moments sum(lambda) = trace(L) = sum_i d_i and
-    sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10 relative.
+    graph gets a dense ``eigvalsh``.  Without eigenvectors there is no
+    residual to check; the eigenvalues pass the same checks as those of
+    eigendecompose: the exact moments sum(lambda) = trace(L) = sum_i d_i
+    and sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10
+    relative, the null eigenvalue and connectivity.
     """
     raw = np.linalg.eigvalsh(laplacian(g)) if g.shape is None else np.sort(_kronecker_sum(g))
-    d = g.degrees.astype(float)
-    for k, want in ((1, d.sum()), (2, np.sum(d**2) + d.sum())):
-        got = float(np.sum(raw**k))
-        if abs(got - want) > _MOMENT_RTOL * want:
-            raise NumericError(
-                f"eigenvalue moment {k} is {got:.15g}, expected {want:.15g} from the degrees"
-            )
-    return _freeze(Spectrum(n=g.n, lambdas=_checked_lambdas(raw, g.n), basis=None))
+    return Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw))
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
@@ -431,12 +449,12 @@ def geometry_r(g: Graph, s: Spectrum) -> float:
 
 def sup_norm_bound(s: Spectrum) -> float:
     """Exact maximum absolute entry over the whole eigenbasis."""
-    return float(np.abs(require_basis(s)).max())
+    return float(np.abs(head_basis(s, s.n)).max())
 
 
 def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
     """Coefficients <f, psi_j>_n of a signal in the eigenbasis."""
-    basis = require_basis(s)
+    basis = head_basis(s, s.n)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n,):
         raise ValidationError(f"signal length {f.shape} does not match n={s.n}")
@@ -445,7 +463,7 @@ def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
 
 def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
     """Signal sum_j coeffs_j psi_j; inverts gft_forward."""
-    basis = require_basis(s)
+    basis = head_basis(s, s.n)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (s.n,):
         raise ValidationError(f"coefficient length {coeffs.shape} does not match n={s.n}")

@@ -129,6 +129,14 @@ class TestPinskerPlan:
         with pytest.raises(ValidationError):
             gm.pinsker_plan(w, 0.0, 32)
 
+    def test_n_must_match_the_weights(self):
+        # weights of path 64 planned as if n were 4096 would give N = 14 and
+        # eps = 1/64 instead of N = 4 and eps = 1/8
+        _, w, plan = path_plan(64)
+        assert (plan.N, plan.epsilon) == (4, 0.125)
+        with pytest.raises(ValidationError, match="n=4096 .* 64 ellipsoid weights"):
+            gm.pinsker_plan(w, 1.0, 4096)
+
 
 class TestEstimateRegression:
     def test_near_identity_plan_recovers_data(self):

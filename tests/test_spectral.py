@@ -144,15 +144,28 @@ class TestClosedFormEigendecompose:
         assert s._head is None
 
     def test_wrong_shape_fails_the_residual_check(self):
-        g = gm.build_grid([4, 4])
-        for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
-            s = gm.eigendecompose(dataclasses.replace(g, shape=shape))
-            with pytest.raises(NumericError, match="residual"):
-                gm.head_basis(s, 2)
-            with pytest.raises(NumericError, match="residual"):
-                s.basis
-        with pytest.raises(NumericError, match="n=16"):
-            gm.eigendecompose(dataclasses.replace(g, shape=("grid", (5, 5))))
+        # a 4-regular graph on 24 vertices has the moments of any other:
+        # only the eigenvectors show that a 3x8 torus is not a 4x6 one
+        g = gm.build_torus([3, 8])
+        s = gm.eigendecompose(dataclasses.replace(g, shape=("torus", (4, 6))))
+        with pytest.raises(NumericError, match="residual"):
+            gm.head_basis(s, 2)
+        with pytest.raises(NumericError, match="residual"):
+            s.basis
+
+    def test_wrong_eigenvalues_fail_the_moment_check(self, monkeypatch):
+        kronecker_sum = gm.spectral._kronecker_sum
+        monkeypatch.setattr(
+            gm.spectral, "_kronecker_sum", lambda g: kronecker_sum(g) * (1.0 + 1e-8)
+        )
+        with pytest.raises(NumericError, match="moment 1"):
+            gm.eigendecompose(gm.build_grid([5, 7]))
+        monkeypatch.undo()
+        g = gm.build_small_world(64, 4, 0.2, seed=1)
+        lams, vecs = np.linalg.eigh(gm.laplacian(g))
+        monkeypatch.setattr(np.linalg, "eigh", lambda L: (lams * (1.0 + 1e-8), vecs))
+        with pytest.raises(NumericError, match="moment 1"):
+            gm.eigendecompose(g)
 
     def test_wrong_axis_vectors_are_caught(self, monkeypatch):
         cycle = gm.spectral._cycle_vectors
@@ -257,6 +270,41 @@ class TestHeadBasis:
             with pytest.raises(ValidationError, match="1 <= k <= n=6"):
                 gm.head_basis(synth, k)
 
+    def test_partial_basis_serves_only_its_columns(self):
+        rng = np.random.default_rng(0)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        s = Spectrum(n=6, lambdas=np.arange(6.0), basis=basis * np.sqrt(6))
+        for k in (1, 3):
+            assert np.array_equal(gm.head_basis(s, k), basis[:, :k] * np.sqrt(6))
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+        plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), 1e-6, s.n)
+        assert plan.N == 6
+        y = np.ones(6)
+        for k, consume in (
+            (4, lambda: gm.head_basis(s, 4)),
+            (6, lambda: gm.gft_forward(s, y)),
+            (6, lambda: gm.gft_inverse(s, y)),
+            (6, lambda: gm.sup_norm_bound(s)),
+            (6, lambda: s.basis),
+            (6, lambda: gm.estimate_regression(s, plan, y)),
+            (5, lambda: gm.projection_estimate(s, y, 5)),
+        ):
+            with pytest.raises(ValidationError, match=rf"k={k} .* w=3 "):
+                consume()
+
+    def test_constructor_rejects_bad_shapes(self):
+        lams = np.arange(6.0)
+        for kwargs in (
+            dict(n=6, lambdas=lams[:5]),
+            dict(n=6, lambdas=lams.reshape(2, 3)),
+            dict(n=6, lambdas=lams, basis=np.eye(4)),
+            dict(n=6, lambdas=lams, basis=np.ones(6)),
+            dict(n=6, lambdas=lams, basis=np.ones((6, 0))),
+            dict(n=6, lambdas=lams, basis=np.ones((6, 7))),
+        ):
+            with pytest.raises(ValidationError, match="n=6"):
+                Spectrum(**kwargs)
+
     def test_large_grid_head_builds_no_dense_array(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a dense Laplacian or eigh was used")
@@ -322,13 +370,14 @@ class TestEigenvalues:
         with pytest.raises(NumericError, match="moment 1"):
             gm.eigenvalues(g)
 
-    def test_moment_check_rejects_wrong_shape(self):
+    @pytest.mark.parametrize("solve", [gm.eigenvalues, gm.eigendecompose])
+    def test_moment_check_rejects_wrong_shape(self, solve):
         g = gm.build_grid([4, 4])
         for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
             with pytest.raises(NumericError, match="moment"):
-                gm.eigenvalues(dataclasses.replace(g, shape=shape))
+                solve(dataclasses.replace(g, shape=shape))
         with pytest.raises(NumericError, match="n=16"):
-            gm.eigenvalues(dataclasses.replace(g, shape=("grid", (5, 5))))
+            solve(dataclasses.replace(g, shape=("grid", (5, 5))))
 
     def test_geometry_r_known_for_shaped_graphs_fitted_otherwise(self):
         for g, r in ((gm.build_path(64), 1.0), (gm.build_grid([4, 4, 4]), 3.0),
