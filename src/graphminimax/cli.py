@@ -16,10 +16,12 @@ All floating-point output uses 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
+from ._text import csv_text, format_rows
 from .errors import NumericError, ValidationError
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
 from .graphs import parse_graph_spec
@@ -42,10 +44,6 @@ from .sobolev import SobolevSpec, ellipsoid_weights
 from .spectral import eigendecompose, eigenvalues, fit_geometry, geometry_r, spectrum_csv_text
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse normally exits with code 2 on bad flags; route through the
     # package's validation-error path (exit 1) instead.
@@ -58,9 +56,15 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _print_values(**values) -> None:
+    """One ``key = value`` line per keyword, values in the CSV text format."""
+    for item in values.items():
+        print(*format_rows([item], sep=" = "))
+
+
 def _read_observation_csv(path: str, n: int) -> np.ndarray:
     """Read an ``i,y`` CSV covering all vertices 0..n-1 exactly once."""
-    values = np.full(n, np.nan)
+    values = [None] * n
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",")[0] != "i":
@@ -78,21 +82,27 @@ def _read_observation_csv(path: str, n: int) -> np.ndarray:
                 raise ValidationError(f"{path}:{lineno}: could not parse {line!r}") from None
             if not 0 <= i < n:
                 raise ValidationError(f"{path}:{lineno}: vertex {i} out of range for n={n}")
-            if not np.isfinite(y):
+            if not math.isfinite(y):
                 raise ValidationError(f"{path}:{lineno}: observation {tokens[1]!r} is not finite")
-            if not np.isnan(values[i]):
+            if values[i] is not None:
                 raise ValidationError(f"{path}:{lineno}: duplicate vertex {i}")
             values[i] = y
-    missing = np.flatnonzero(np.isnan(values))
-    if len(missing):
-        raise ValidationError(f"{path}: missing observation for vertex {missing[0]}")
-    return values
+    if None in values:
+        raise ValidationError(f"{path}: missing observation for vertex {values.index(None)}")
+    return np.array(values)
 
 
 def _signal_csv_text(values: np.ndarray, column: str) -> str:
-    lines = [f"i,{column}"]
-    lines.extend(f"{i},{_fmt(v)}" for i, v in enumerate(values))
-    return "\n".join(lines) + "\n"
+    """A vertex signal as CSV with header ``i,<column>``."""
+    return csv_text(f"i,{column}", zip(range(len(values)), values.tolist()))
+
+
+def _model(args, solve):
+    """solve(--graph) and the ball of --beta, --Q and --r (geometry_r without --r)."""
+    g = parse_graph_spec(args.graph)
+    s = solve(g)
+    r = args.r if args.r is not None else geometry_r(g, s)
+    return s, SobolevSpec(beta=args.beta, Q=args.Q, r=r)
 
 
 # ---------------------------------------------------------------- commands
@@ -102,8 +112,7 @@ def _cmd_spectrum(args) -> int:
     g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
     _write_text(args.out, spectrum_csv_text(s))
-    print(f"n = {s.n}")
-    print(f"lambda_1 = {_fmt(s.lambdas[1])}")
+    _print_values(n=s.n, lambda_1=s.lambdas[1])
     return 0
 
 
@@ -111,47 +120,35 @@ def _cmd_fit_r(args) -> int:
     g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
     fit = fit_geometry(s, i0=args.i0, kappa=args.kappa)
-    print(f"r_hat = {_fmt(fit.r_hat)}")
-    print(f"slope = {_fmt(fit.slope)}")
-    print(f"c1_hat = {_fmt(fit.c1_hat)}")
-    print(f"c2_hat = {_fmt(fit.c2_hat)}")
-    print(f"rss = {_fmt(fit.rss)}")
+    _print_values(
+        r_hat=fit.r_hat, slope=fit.slope, c1_hat=fit.c1_hat, c2_hat=fit.c2_hat, rss=fit.rss
+    )
     if args.graph.startswith("ws:"):
         print("note: compare with r = 1.4, the value reported for a small-world graph")
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    g = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s, ball = _model(args, eigendecompose)
     y = _read_observation_csv(args.obs, s.n)
-    r = args.r if args.r is not None else geometry_r(g, s)
-    ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     if args.estimator == "pinsker":
         plan = pinsker_plan(ellipsoid_weights(s, ball), args.sigma, s.n)
         fhat = estimate_regression(s, plan, y)
-        print(f"N = {plan.N}")
-        print(f"x = {_fmt(plan.x)}")
-        print(f"S = {_fmt(plan.S)}")
+        _print_values(N=plan.N, x=plan.x, S=plan.S)
     else:
-        m = projection_cutoff(s.n, args.beta, r)
+        m = projection_cutoff(s.n, args.beta, ball.r)
         fhat = projection_estimate(s, y, m)
-        print(f"m = {m}")
+        _print_values(m=m)
     _write_text(args.out, _signal_csv_text(fhat, "f_hat"))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    g = parse_graph_spec(args.graph)
-    s = eigendecompose(g)
+    s, ball = _model(args, eigendecompose)
     y = _read_observation_csv(args.obs, s.n)
-    r = args.r if args.r is not None else geometry_r(g, s)
-    ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
     plan = pinsker_plan(ellipsoid_weights(s, ball), args.sigma, s.n)
     rho_hat = estimate_classification(s, plan, y, mode=args.mode)
-    print(f"N = {plan.N}")
-    print(f"x = {_fmt(plan.x)}")
-    print(f"S = {_fmt(plan.S)}")
+    _print_values(N=plan.N, x=plan.x, S=plan.S)
     _write_text(args.out, _signal_csv_text(rho_hat, "rho_hat"))
     return 0
 
@@ -177,34 +174,23 @@ def _cmd_simulate(args) -> int:
     _write_text(f"{args.out_prefix}_aggregate.csv", aggregate_csv_text(report))
     if report.note:
         print(f"note: {report.note}")
-    print(f"slope = {_fmt(report.slope)}")
-    print(f"stderr = {_fmt(report.slope_stderr)}")
-    print(f"theory_slope = {_fmt(report.theory_slope)}")
+    _print_values(slope=report.slope, stderr=report.slope_stderr, theory_slope=report.theory_slope)
     return 0
 
 
 def _cmd_fano(args) -> int:
-    g = parse_graph_spec(args.graph)
-    s = eigenvalues(g) if args.mode == "reg" else eigendecompose(g)
-    r = args.r if args.r is not None else geometry_r(g, s)
-    ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
+    s, ball = _model(args, eigenvalues if args.mode == "reg" else eigendecompose)
     sigma_or_link = sigmoid_link() if args.mode == "clf" else args.sigma
     cert = fano_certificate(s, ball, sigma_or_link, args.seed)
     _write_text(args.out, certificate_csv_text(cert))
-    print(f"valid = {'true' if cert.valid else 'false'}")
-    print(f"M = {cert.M}")
-    print(f"alpha = {_fmt(cert.alpha)}")
-    print(f"fano_bound = {_fmt(cert.fano_bound)}")
+    _print_values(valid=cert.valid, M=cert.M, alpha=cert.alpha, fano_bound=cert.fano_bound)
     return 0
 
 
 def _cmd_prior_demo(args) -> int:
     if args.draws < 1:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
-    g = parse_graph_spec(args.graph)
-    s = eigenvalues(g)
-    r = args.r if args.r is not None else geometry_r(g, s)
-    ball = SobolevSpec(beta=args.beta, Q=args.Q, r=r)
+    s, ball = _model(args, eigenvalues)
     w = ellipsoid_weights(s, ball)
     plan = pinsker_plan(w, args.sigma, s.n)
     seeds = np.random.SeedSequence(args.seed).generate_state(args.draws, np.uint64)
@@ -213,10 +199,19 @@ def _cmd_prior_demo(args) -> int:
         coeffs = worst_case_prior_sample(plan, w, args.delta, int(seed))
         risks[i] = linear_risk(plan.l, coeffs, plan.epsilon)
     bayes = float(risks.mean())
-    print(f"S = {_fmt(plan.S)}")
-    print(f"lower_band = {_fmt((1.0 - args.delta) * plan.S)}")
-    print(f"bayes_risk = {_fmt(bayes)}")
+    _print_values(S=plan.S, lower_band=(1.0 - args.delta) * plan.S, bayes_risk=bayes)
     return 0
+
+
+def _add_model_flags(p: argparse.ArgumentParser, sigma: float | None, obs: bool = False) -> None:
+    """--graph, --obs if asked, --beta, --Q, --sigma (required if sigma is None) and --r."""
+    p.add_argument("--graph", required=True)
+    if obs:
+        p.add_argument("--obs", required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--Q", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, required=sigma is None, default=sigma)
+    p.add_argument("--r", type=float, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -235,23 +230,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit_r)
 
     p = sub.add_parser("denoise", help="shrinkage-denoise a noisy vertex signal")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--r", type=float, default=None)
+    _add_model_flags(p, sigma=None, obs=True)
     p.add_argument("--estimator", choices=("pinsker", "projection"), default="pinsker")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("classify", help="estimate per-vertex label probabilities")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=None)
+    _add_model_flags(p, sigma=0.5, obs=True)
     p.add_argument("--mode", choices=("direct", "link"), default="direct")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_classify)
@@ -274,22 +259,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fano", help="build a lower-bound certificate")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=None)
+    _add_model_flags(p, sigma=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("reg", "clf"), default="clf")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fano)
 
     p = sub.add_parser("prior-demo", help="Bayes risk under the worst-case prior")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=None)
+    _add_model_flags(p, sigma=1.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

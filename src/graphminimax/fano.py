@@ -21,10 +21,11 @@ vectors.  Only the Bernoulli KL is measured on vertex values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._text import csv_text
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
@@ -76,6 +77,9 @@ class FanoCertificate:
     valid: bool
     seed: int
     mode: str
+
+
+_CERTIFICATE_COLUMNS = tuple(f.name for f in fields(FanoCertificate) if f.name != "mode")
 
 
 def _vg_target(N: int) -> int:
@@ -426,27 +430,6 @@ def worst_case_prior_sample(
 
 
 def certificate_csv_text(cert: FanoCertificate) -> str:
-    """Certificate as a one-row CSV."""
-    header = (
-        "n,beta,r,Q,N,M,delta,separation_min,sobolev_max,"
-        "kl_budget,alpha,fano_bound,valid,seed"
-    )
-    row = ",".join(
-        [
-            str(cert.n),
-            f"{cert.beta:.12g}",
-            f"{cert.r:.12g}",
-            f"{cert.Q:.12g}",
-            str(cert.N),
-            str(cert.M),
-            f"{cert.delta:.12g}",
-            f"{cert.separation_min:.12g}",
-            f"{cert.sobolev_max:.12g}",
-            f"{cert.kl_budget:.12g}",
-            f"{cert.alpha:.12g}",
-            f"{cert.fano_bound:.12g}",
-            "true" if cert.valid else "false",
-            str(cert.seed),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    """Certificate as a one-row CSV: every field but mode, in field order."""
+    row = [getattr(cert, name) for name in _CERTIFICATE_COLUMNS]
+    return csv_text(",".join(_CERTIFICATE_COLUMNS), [row])

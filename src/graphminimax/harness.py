@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import csv_text
 from .errors import NumericError, ValidationError
 from .graphs import Graph, parse_graph_spec
 from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
@@ -277,21 +278,17 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
 
 
 def results_csv_text(report: RateReport) -> str:
-    """Per-replicate rows, ascending n then rep."""
-    lines = [RESULTS_HEADER]
-    for n, r_used, rep, seed, risk in report.rows:
-        lines.append(
-            f"{report.family},{n},{report.beta:.12g},{report.Q:.12g},"
-            f"{report.sigma:.12g},{r_used:.12g},{report.estimator},{rep},{seed},{risk:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    """Per-replicate rows, ascending n then rep, under RESULTS_HEADER."""
+    family, beta, Q, sigma = report.family, report.beta, report.Q, report.sigma
+    rows = [
+        (family, n, beta, Q, sigma, r_used, report.estimator, rep, seed, risk)
+        for n, r_used, rep, seed, risk in report.rows
+    ]
+    return csv_text(RESULTS_HEADER, rows)
 
 
 def aggregate_csv_text(report: RateReport) -> str:
-    """Single aggregate row with the fitted and theoretical slopes."""
-    line = (
-        f"{report.family},{report.estimator},{report.beta:.12g},"
-        f"{report.r_used_final:.12g},{report.slope:.12g},{report.slope_stderr:.12g},"
-        f"{report.theory_slope:.12g}"
-    )
-    return AGGREGATE_HEADER + "\n" + line + "\n"
+    """Single aggregate row with the fitted and theoretical slopes, under AGGREGATE_HEADER."""
+    r = report
+    row = (r.family, r.estimator, r.beta, r.r_used_final, r.slope, r.slope_stderr, r.theory_slope)
+    return csv_text(AGGREGATE_HEADER, [row])

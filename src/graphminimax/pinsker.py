@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .sobolev import EllipsoidWeights
-from .spectral import Spectrum, head_basis
+from .spectral import Spectrum, _column_count, head_basis
 
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
@@ -188,8 +188,9 @@ def projection_cutoff(n: int, beta: float, r: float) -> int:
 def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
     """Spectral truncation: keep the first m coefficients, zero the rest.
 
-    Reads only the first m eigenvectors.
+    Reads only the first m eigenvectors.  m must be an integer (not a bool).
     """
+    m = _column_count(m, "projection cutoff")
     if not 1 <= m <= s.n:
         raise ValidationError(f"projection cutoff must be in [1, {s.n}], got {m}")
     return _shrink_head(s, y, np.ones(m))

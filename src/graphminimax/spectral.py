@@ -8,10 +8,12 @@ bounded signal stay O(1) as the graph grows.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._text import csv_text
 from .errors import NumericError, ValidationError
 from .graphs import (
     DEFAULT_DENSE_CAP,
@@ -29,7 +31,7 @@ _ORTHONORMAL_TOL = 1e-10
 _MOMENT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """Eigenvalues and <.,.>_n-orthonormal eigenvectors of a Laplacian.
 
@@ -56,50 +58,47 @@ class Spectrum:
     Such a spectrum serves everything that reads only n and the eigenvalues
     (ellipsoid weights, shrinkage plans, geometry fits); every consumer of
     the eigenvectors raises ValidationError on it.
+
+    ``dataclasses.replace(s, ...)`` builds ``Spectrum(n, lambdas, basis)``
+    from the fields it is given and s's n and lambdas.  Without ``basis=``
+    the copy holds eigenvalues only, at once and whatever s holds (no
+    eigenvector is read or built); pass ``basis=s.basis`` to keep them.
     """
 
     n: int
     lambdas: np.ndarray
-    basis: InitVar[np.ndarray | None] = None
     # The eigenvectors held (see above), and for a lazy spectrum of a path,
     # grid or torus its (graph, stable order of its Kronecker-sum eigenvalues).
     _head: np.ndarray | None = field(init=False, default=None, repr=False)
     _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, basis):
+    def __init__(self, n: int, lambdas: np.ndarray, basis: np.ndarray | None = None):
         # read-only views: the caller's arrays keep their own flags
-        lambdas = np.asarray(self.lambdas).view()
-        if lambdas.shape != (self.n,):
+        lambdas = np.asarray(lambdas).view()
+        if lambdas.shape != (n,):
             raise ValidationError(
-                f"a spectrum on n={self.n} vertices needs {self.n} eigenvalues, "
-                f"got shape {lambdas.shape}"
+                f"a spectrum on n={n} vertices needs {n} eigenvalues, got shape {lambdas.shape}"
             )
         lambdas.setflags(write=False)
-        object.__setattr__(self, "lambdas", lambdas)
         if basis is not None:
             basis = np.asfortranarray(basis).view()
-            if basis.ndim != 2 or basis.shape[0] != self.n or not 1 <= basis.shape[1] <= self.n:
+            if basis.ndim != 2 or basis.shape[0] != n or not 1 <= basis.shape[1] <= n:
                 raise ValidationError(
-                    f"a basis on n={self.n} vertices has shape (n, w) with 1 <= w <= n, "
+                    f"a basis on n={n} vertices has shape (n, w) with 1 <= w <= n, "
                     f"got {basis.shape}"
                 )
             basis.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "_head", basis)
 
-
-def _spectrum_basis(s: Spectrum) -> np.ndarray | None:
-    if s._head is None and s._shaped is None:
-        return None
-    check_dense_cap(s.n)
-    return head_basis(s, s.n)
-
-
-# ``basis`` is both an init argument and a computed attribute.  Assigned
-# after the decorator ran, the property is not taken for the field default.
-Spectrum.basis = property(
-    _spectrum_basis,
-    doc="The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum.",
-)
+    @property
+    def basis(self) -> np.ndarray | None:
+        """The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum."""
+        if self._head is None and self._shaped is None:
+            return None
+        check_dense_cap(self.n)
+        return head_basis(self, self.n)
 
 
 @dataclass(frozen=True)
@@ -159,6 +158,16 @@ def _checked_lambdas(g: Graph, lams: np.ndarray) -> np.ndarray:
     return lams
 
 
+def _column_count(k, what: str) -> int:
+    """k as an int, for a number of eigenvectors; bools and non-integers raise."""
+    if not isinstance(k, (bool, np.bool_)):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {k!r}")
+
+
 def head_basis(s: Spectrum, k: int) -> np.ndarray:
     """The first k eigenvectors of s as an n x k column-major, read-only array.
 
@@ -172,8 +181,10 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     hold at most ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises
     ValidationError before anything is allocated.  Any other spectrum
     holding w < k columns raises ValidationError naming k and w, and an
-    eigenvalues-only spectrum one saying so.
+    eigenvalues-only spectrum one saying so.  k must be an integer (not a
+    bool); anything else raises ValidationError naming it.
     """
+    k = _column_count(k, "a head's column count k")
     if not 1 <= k <= s.n:
         raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
     head = s._head
@@ -471,7 +482,5 @@ def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
 
 
 def spectrum_csv_text(s: Spectrum) -> str:
-    """Eigenvalues as CSV with header ``j,lambda``."""
-    lines = ["j,lambda"]
-    lines.extend(f"{j},{lam:.12g}" for j, lam in enumerate(s.lambdas))
-    return "\n".join(lines) + "\n"
+    """Eigenvalues as CSV with header ``j,lambda``, in the package's text format."""
+    return csv_text("j,lambda", zip(range(s.n), s.lambdas.tolist()))

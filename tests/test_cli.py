@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graphminimax as gm
-from graphminimax.cli import main
+from graphminimax.cli import _build_parser, main
 from graphminimax.harness import _rep_seeds
 
 
@@ -87,6 +87,23 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
+
+    @pytest.mark.parametrize(
+        "command, extra, sigma",
+        [
+            ("denoise", ["--obs", "o.csv", "--out", "x", "--sigma", "0.3"], 0.3),
+            ("classify", ["--obs", "o.csv", "--out", "x"], 0.5),
+            ("fano", ["--out", "x"], 1.0),
+            ("prior-demo", [], 1.0),
+        ],
+    )
+    def test_model_flags(self, command, extra, sigma):
+        args = _build_parser().parse_args([command, "--graph", "g", "--beta", "2", *extra])
+        assert (args.graph, args.beta, args.Q, args.sigma, args.r) == ("g", 2.0, 1.0, sigma, None)
+
+    def test_denoise_needs_sigma(self, capsys):
+        assert run_cli("denoise", "--graph", "g", "--obs", "o", "--beta", "1", "--out", "x") == 1
+        assert "required: --sigma" in capsys.readouterr().err
 
 
 class TestFitRCommand:

@@ -266,6 +266,15 @@ class TestProjection:
             with pytest.raises(ValidationError):
                 gm.projection_estimate(s, np.zeros(16), m)
 
+    def test_cutoff_must_be_an_integer(self):
+        s = gm.path_spectrum_closed_form(16)
+        y = np.sin(np.arange(16.0))
+        two = gm.projection_estimate(s, y, 2)
+        assert np.array_equal(gm.projection_estimate(s, y, np.int64(2)), two)
+        for m in (2.5, 2.0, True):
+            with pytest.raises(ValidationError, match=f"cutoff must be an integer, got {m}"):
+                gm.projection_estimate(s, y, m)
+
     def test_cutoff_formula_and_clipping(self):
         assert gm.projection_cutoff(64, 1.0, 1.0) == 4  # 64^(1/3)
         assert gm.projection_cutoff(1024, 1.0, 2.0) == 32  # 1024^(1/2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -291,6 +292,29 @@ class TestHeadBasis:
         ):
             with pytest.raises(ValidationError, match=rf"k={k} .* w=3 "):
                 consume()
+
+    def test_column_count_must_be_an_integer(self):
+        s = gm.eigendecompose(gm.build_path(8))
+        assert np.array_equal(gm.head_basis(s, np.int64(3)), gm.head_basis(s, 3))
+        for k in (3.0, True, np.bool_(True), "3", None):
+            with pytest.raises(ValidationError, match=re.escape(f"must be an integer, got {k!r}")):
+                gm.head_basis(s, k)
+
+    def test_replace_without_basis_keeps_eigenvalues_only(self):
+        # replace() reads the fields, not the basis property: on a lazy path
+        # above the dense cap it neither builds a column nor raises
+        s = gm.eigendecompose(gm.build_path(10000))
+        tracemalloc.start()
+        try:
+            copy = dataclasses.replace(s, lambdas=s.lambdas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert copy.n == s.n and np.array_equal(copy.lambdas, s.lambdas)
+        assert copy.basis is None and s._head is None
+        with pytest.raises(ValidationError, match="eigenvalues only"):
+            gm.head_basis(copy, 1)
 
     def test_constructor_rejects_bad_shapes(self):
         lams = np.arange(6.0)
