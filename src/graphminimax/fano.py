@@ -16,7 +16,12 @@ with amplitude a = delta N^(-(2 beta + r)/(2r)).  Because the psi_j are
     Gaussian KL(P_theta, P_0) = n a^2 N / (2 sigma^2)
 
 where the Hamming distance d_h counts DISAGREEING coordinates of two +/-1
-vectors.  Only the Bernoulli KL is measured on vertex values.
+vectors.  Only the Bernoulli KL is measured on vertex values.  Those values,
+and the calibration's profile sum_{j<N} |psi_j|, come from the first N
+eigenvectors' per-axis factors (``spectral._axis_factors``): on a grid or
+torus one d_a x u_a factor per axis, applied one axis at a time, so no
+n x N head is built there; on a path or a shape-free graph the factor is
+that head.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from ._text import csv_text
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import _ORTHONORMAL_TOL, Spectrum, gft_inverse, head_basis
+from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors, _AxisFactors, gft_inverse
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -42,9 +47,12 @@ _KL_BLOCK_VALUES = 32768
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackingSet:
-    """Well-separated +/-1 vectors: pairwise disagreement >= ceil(N/8)."""
+    """Well-separated +/-1 vectors: pairwise disagreement >= ceil(N/8).
+
+    Packings compare and hash by identity.
+    """
 
     N: int
     M: int
@@ -210,25 +218,28 @@ def kl_link_bound_check(
     return kl, bound, kl <= bound + 1e-12
 
 
-def _classification_kl(head: np.ndarray, thetas: np.ndarray, a: float, link: LinkFunction) -> float:
+def _classification_kl(
+    factors: _AxisFactors, thetas: np.ndarray, a: float, link: LinkFunction
+) -> float:
     """Sum over the alternatives of KL(Bernoulli(psi(f_theta)), Bernoulli(psi(0))).
 
-    The vertex values a theta @ head.T are formed a block of rows at a time,
-    and the per-row divergences are added in row order.  No M x n array is
-    built.  The M rows are split into max(1, M // r) even blocks with
+    The vertex values a theta of the first N eigenvectors are synthesized
+    from their per-axis factors a block of rows at a time, and the per-row
+    divergences are added in row order.  No M x n array is built.  The M
+    rows are split into max(1, M // r) even blocks with
     r = max(2, _KL_BLOCK_VALUES // n).  A block then holds at most 2r - 1
     rows, under 2 _KL_BLOCK_VALUES values while r > 2, and at least
     min(M, r) >= 2 rows at any n: numpy sends a one-row product to a
     matrix-vector BLAS call, which can round differently from the product
     of all M rows.
     """
-    n = head.shape[0]
+    n = factors.n
     base = link.psi(np.zeros(n))
     require_probabilities(base, _PROBABILITY_MESSAGE)
     blocks = max(1, len(thetas) // max(2, _KL_BLOCK_VALUES // n))
     total = 0.0
     for rows in np.array_split(thetas, blocks):
-        rho = link.psi(a * rows @ head.T)
+        rho = link.psi(factors.synthesize(a * rows))
         require_probabilities(rho, _PROBABILITY_MESSAGE)
         for kl in _bernoulli_kl_rows(rho, base):
             total += float(kl)
@@ -268,13 +279,19 @@ def _classification_alpha_bound(
 def _head_profile(s: Spectrum, N: int) -> np.ndarray:
     """profile(i) = sum_{j<N} |psi_j(i)|, column by column.
 
-    The columns are added in the order np.abs(head).sum(axis=1) adds those
-    of the column-major head, so the result is the same bit for bit, but
-    without its n x N temporary.
+    Each column's |psi_j| is the outer product of its per-axis |vectors|
+    (``_axis_factors``), formed in the order the product columns are, so
+    it equals |psi_j| bit for bit.  The columns are added in the order
+    np.abs(head).sum(axis=1) adds those of the column-major head, so the
+    result is the same bit for bit, with O(n) memory beside the factors.
     """
+    factors = _axis_factors(s, N)
     profile = np.zeros(s.n)
-    for psi in head_basis(s, N).T:
-        profile += np.abs(psi)
+    for cols in zip(*factors.at):
+        term = np.abs(factors.vectors[0][:, cols[0]])
+        for v, c in zip(factors.vectors[1:], cols[1:]):
+            term = np.multiply.outer(term, np.abs(v[:, c])).ravel()
+        profile += term
     return profile
 
 
@@ -353,12 +370,16 @@ def fano_certificate(
     separation_min, sobolev_max and the Gaussian KL are the closed forms of
     the module docstring, so a regression certificate reads eigenvalues
     only.  The Bernoulli KL is measured on the vertex values of the
-    alternatives, a block of rows at a time (_classification_kl), so a
-    classification certificate needs O(block + M N) memory beside the
-    n x N head it reads (``head_basis``), never M x n.  The first N
-    eigenvectors the alternatives are built from must be orthonormal to
-    1e-10 (else NumericError), which keeps the closed forms self-checking.
-    The recorded seed reproduces the packing.
+    alternatives, synthesized a block of rows at a time from the first N
+    eigenvectors' per-axis factors (_classification_kl), so a
+    classification certificate needs O(block + M N) memory beside those
+    factors, never M x n: on a grid or torus the factors hold
+    sum_a d_a u_a values and no n x N head is built; on a path or a
+    shape-free graph the factor is the n x N head.  The calibration's
+    profile adds one column at a time in O(n) memory.  Every factor must
+    be orthonormal to 1e-10 (else NumericError), so the first N
+    eigenvectors the alternatives are built from are, which keeps the
+    closed forms self-checking.  The recorded seed reproduces the packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:
@@ -379,11 +400,13 @@ def fano_certificate(
     sobolev_max = a**2 * float(np.sum(_spectral_weights_sq(s, spec)[:N]))
 
     if mode == "classification":
-        head = head_basis(s, N)
-        gram_err = float(np.abs(head.T @ head / s.n - np.eye(N)).max())
+        factors = _axis_factors(s, N)
+        gram_err = max(
+            float(np.abs(v.T @ v / len(v) - np.eye(v.shape[1])).max()) for v in factors.vectors
+        )
         if gram_err > _ORTHONORMAL_TOL:
             raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")
-        kl_total = _classification_kl(head, pack.thetas, a, link)
+        kl_total = _classification_kl(factors, pack.thetas, a, link)
     else:
         kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)
     kl_budget = kl_total / (pack.M + 1)

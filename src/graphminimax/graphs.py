@@ -29,7 +29,7 @@ DEFAULT_DENSE_CAP = 8192
 _WS_RETRY_BUDGET = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected connected graph.
 
@@ -41,6 +41,7 @@ class Graph:
     ``("grid", dims)`` for a grid (a path is the 1-axis grid),
     ``("torus", dims)`` for a torus and None for every other graph; spectral
     code reads it to use the closed-form spectrum and the known r = len(dims).
+    Graphs compare and hash by identity.
     """
 
     n: int
@@ -117,6 +118,14 @@ def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
         head[axis] += 1
         pairs.append([np.ravel_multi_index(c, dims, mode="wrap") for c in (tail, head)])
     return np.concatenate(pairs, axis=1).T
+
+
+def is_lattice(g: Graph) -> bool:
+    """Whether g's edges are exactly the lattice edges of ``g.shape``."""
+    kind, dims = g.shape
+    u, v = _lattice_edges(list(dims), wrap=kind == "torus").T
+    want = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
+    return np.array_equal(want, g.edges[:, 0] * g.n + g.edges[:, 1])
 
 
 def build_path(n: int) -> Graph:

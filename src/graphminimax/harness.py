@@ -22,7 +22,10 @@ exactly sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per
 vertices.
 (Per-replicate CSV values changed once when this replaced the vertex-space
 simulation.)  Classification replicates need per-vertex labels and stay in
-vertex space on a full eigendecomposition.
+vertex space.  On paths, grids and tori the truth's inverse GFT applies one
+full factor per axis (d_a x d_a; on a path the n x n basis) and the
+estimators the factors of their first N eigenvectors; other graphs use a
+full eigendecomposition.
 
 Reproducibility contract: every replicate derives its RNG streams from
 (master seed, n, rep) only, so identical specs produce bit-identical CSVs.

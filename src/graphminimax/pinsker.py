@@ -25,20 +25,21 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .sobolev import EllipsoidWeights
-from .spectral import Spectrum, _column_count, head_basis
+from .spectral import Spectrum, _axis_factors, _column_count
 
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
 _CLIP_ETA = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkagePlan:
     """Frozen shrinkage schedule for one (spectrum, ball, noise) triple.
 
     N is the cutoff (weights vanish from index N on), x the root of the
     ellipsoid equation, l the weight sequence (1 - x a_j)_+, S the linear
     minimax risk eps^2 * sum(l), and epsilon the noise scale sigma/sqrt(n).
+    Plans compare and hash by identity.
     """
 
     N: int
@@ -139,13 +140,15 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
 def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
     """sum_{j<k} l_j <y, psi_j>_n psi_j with k = len(l_head).
 
-    Only the head columns basis[:, :k] are read, so the cost is O(n k).
+    Only the first k eigenvectors are applied, through their per-axis
+    factors (``_axis_factors``): O(n k) on a path or an explicit head, one
+    matrix product per axis on a grid or torus, and no n x k array there.
     """
-    head = head_basis(s, len(l_head))
+    factors = _axis_factors(s, len(l_head))
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
         raise ValidationError(f"signal length {y.shape} does not match n={s.n}")
-    return head @ (l_head * (head.T @ y / s.n))
+    return factors.synthesize(l_head * (factors.analyze(y) / s.n))
 
 
 def estimate_regression(s: Spectrum, plan: ShrinkagePlan, y: np.ndarray) -> np.ndarray:

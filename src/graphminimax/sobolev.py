@@ -36,13 +36,13 @@ class SobolevSpec:
             raise ValidationError(f"r must be >= 1, got {self.r!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipsoidWeights:
     """Non-decreasing weights a_j with a_0 = 1 and squared radius R.
 
     Membership in the smoothness ball is equivalent to
     sum_j a_j^2 c_j^2 <= R for the eigenbasis coefficients c of a signal.
-    R is the squared radius Q^2.
+    R is the squared radius Q^2.  Weights compare and hash by identity.
     """
 
     a: np.ndarray

@@ -8,6 +8,7 @@ bounded signal stay O(1) as the graph grows.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .graphs import (
     apply_laplacian,
     build_path,
     check_dense_cap,
+    is_lattice,
     laplacian,
 )
 
@@ -31,7 +33,7 @@ _ORTHONORMAL_TOL = 1e-10
 _MOMENT_RTOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
     """Eigenvalues and <.,.>_n-orthonormal eigenvectors of a Laplacian.
 
@@ -44,15 +46,22 @@ class Spectrum:
     of the eigenspace the solver returns.  Results that must not depend on
     that choice should compare eigenvalue multisets or eigenspace projectors.
 
-    A spectrum holds the first w eigenvectors for some 1 <= w <= n, or none.
-    They are the columns of one column-major, read-only array: eigh's basis,
-    a basis passed here as an (n, w) array, or, for a path, grid or torus
-    from eigendecompose, the largest head built so far (none at first).
-    Every consumer reads k columns through ``head_basis(s, k)``; a lazy
-    spectrum builds and checks the columns past its head there, and any
-    other spectrum raises ValidationError naming k and w when k > w.
-    ``basis`` is ``head_basis(s, n)``, all n columns (n within
-    ``DEFAULT_DENSE_CAP``).
+    A spectrum from eigendecompose of a path, grid or torus holds no
+    eigenvector at first.  Its eigenvectors are Kronecker products of
+    per-axis path or cycle vectors, and it keeps one factor per axis: the
+    checked axis vectors that its first k columns use (d_a x u_a values on
+    an axis of d_a vertices), grown on first use.  The estimators, the
+    certificates, the GFT and ``sup_norm_bound`` apply these factors one
+    axis at a time and hold no n x k array; on a path the single factor
+    is the head itself (n x k).  Every other spectrum holds the first w
+    eigenvectors for some 1 <= w <= n, or none: eigh's basis, or a basis
+    passed here as an (n, w) array, as one column-major, read-only array.
+
+    ``head_basis(s, k)`` returns the first k columns as an n x k array.  A
+    grid or torus expands them from its factors and keeps the largest head
+    so built (O(n k) memory); any other spectrum raises ValidationError
+    naming k and w when k > w.  ``basis`` is ``head_basis(s, n)``, all n
+    columns (n within ``DEFAULT_DENSE_CAP``).
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -63,14 +72,17 @@ class Spectrum:
     from the fields it is given and s's n and lambdas.  Without ``basis=``
     the copy holds eigenvalues only, at once and whatever s holds (no
     eigenvector is read or built); pass ``basis=s.basis`` to keep them.
+    Spectra compare and hash by identity.
     """
 
     n: int
     lambdas: np.ndarray
-    # The eigenvectors held (see above), and for a lazy spectrum of a path,
-    # grid or torus its (graph, stable order of its Kronecker-sum eigenvalues).
+    # The n x w eigenvectors held (see above); for a lazy spectrum of a path,
+    # grid or torus its (graph, stable order of its Kronecker-sum
+    # eigenvalues) and the per-axis factors grown so far.
     _head: np.ndarray | None = field(init=False, default=None, repr=False)
     _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
+    _factors: _AxisFactors | None = field(init=False, default=None, repr=False)
 
     def __init__(self, n: int, lambdas: np.ndarray, basis: np.ndarray | None = None):
         # read-only views: the caller's arrays keep their own flags
@@ -168,25 +180,42 @@ def _column_count(k, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {k!r}")
 
 
-def head_basis(s: Spectrum, k: int) -> np.ndarray:
-    """The first k eigenvectors of s as an n x k column-major, read-only array.
-
-    This is the one reader of a spectrum's eigenvectors: ``s.basis``, the
-    GFT, ``sup_norm_bound``, the estimators and the certificates all take
-    their columns here.  A spectrum that holds at least k columns returns
-    a slice of them.  A lazy spectrum of a path, grid or torus builds the
-    columns past its head on first use, in O(n k) time and memory, checks
-    each new column as eigendecompose describes and keeps the larger head;
-    ``head_basis(s, k)`` is ``s.basis[:, :k]`` bit for bit.  Its head may
-    hold at most ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises
-    ValidationError before anything is allocated.  Any other spectrum
-    holding w < k columns raises ValidationError naming k and w, and an
-    eigenvalues-only spectrum one saying so.  k must be an integer (not a
-    bool); anything else raises ValidationError naming it.
-    """
+def _head_width(s: Spectrum, k) -> int:
+    """k as a column count of s's head: an integer (not a bool) in [1, n]."""
     k = _column_count(k, "a head's column count k")
     if not 1 <= k <= s.n:
         raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
+    return k
+
+
+def _check_head_values(s: Spectrum, k: int) -> None:
+    """ValidationError, before anything is allocated, if n k exceeds DEFAULT_DENSE_CAP**2."""
+    if s.n * k > DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
+            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
+        )
+
+
+def head_basis(s: Spectrum, k: int) -> np.ndarray:
+    """The first k eigenvectors of s as an n x k column-major, read-only array.
+
+    This is the reader for callers that need the columns themselves, such
+    as ``s.basis`` and explicit comparisons; the estimators, certificates,
+    GFT and ``sup_norm_bound`` apply ``_axis_factors`` instead.  A spectrum
+    that holds at least k columns returns a slice of them.  A lazy spectrum
+    of a path, grid or torus grows its per-axis factors to k columns: a
+    path (or a one-axis torus) returns its single factor, and a grid or
+    torus expands the columns past its held head from the factors, checks
+    each new column's residual as eigendecompose describes and keeps the
+    larger head; ``head_basis(s, k)`` is ``s.basis[:, :k]`` bit for bit.
+    The head may hold at most ``DEFAULT_DENSE_CAP**2`` values: a larger
+    n k raises ValidationError before anything is allocated.  Any other
+    spectrum holding w < k columns raises ValidationError naming k and w,
+    and an eigenvalues-only spectrum one saying so.  k must be an integer
+    (not a bool); anything else raises ValidationError naming it.
+    """
+    k = _head_width(s, k)
     head = s._head
     width = 0 if head is None else head.shape[1]
     if k <= width:
@@ -200,16 +229,108 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
             f"a head of k={k} columns needs more than the w={width} eigenvectors "
             f"this spectrum holds"
         )
-    if s.n * k > DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
-            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
-        )
-    head = _grown_head(s, k)
+    _check_head_values(s, k)
+    factors = _axis_factors(s, k)
+    if len(factors.vectors) == 1:
+        return factors.vectors[0]
+    head = _grown_head(s, factors)
     # One assignment: a concurrent caller sees the old head or the new one,
     # and at worst builds the same deterministic columns again.
     object.__setattr__(s, "_head", head)
     return head
+
+
+@dataclass(frozen=True, eq=False)
+class _AxisFactors:
+    """The first k eigenvectors of a spectrum, one factor per tensor axis.
+
+    Column c of the head is the Kronecker product over the axes a of
+    ``vectors[a][:, at[a][c]]``, with vertices flattened row-major.  Each
+    factor is a column-major, read-only d_a x u_a array of <.,.>_{d_a}-
+    orthonormal axis vectors, in the order the columns first use them, so
+    the first k' <= k columns use the first columns of every factor.  A
+    single axis (a path, or any spectrum's explicit head) has its head as
+    its factor and at = (arange(k),).
+
+    ``analyze`` and ``synthesize`` apply the k columns with one 2-D matrix
+    product per axis on a reshaped view; on a single axis they are the
+    head's own products, ``head.T @ y`` and ``head @ c``.
+    """
+
+    vectors: tuple[np.ndarray, ...]
+    at: tuple[np.ndarray, ...]
+    # The row-major index of each column's axis indices in the u_1 x ... x u_r core.
+    flat: np.ndarray = field(init=False, repr=False)
+    # Prefix views by column count, kept because callers ask for the same
+    # few k on every call and a view costs as much as a small transform.
+    _prefixes: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        sizes = tuple(v.shape[1] for v in self.vectors)
+        object.__setattr__(self, "flat", np.ravel_multi_index(self.at, sizes))
+
+    @property
+    def n(self) -> int:
+        return math.prod(v.shape[0] for v in self.vectors)
+
+    @property
+    def k(self) -> int:
+        return len(self.flat)
+
+    def prefix(self, k: int) -> _AxisFactors:
+        """The factors of the first k <= self.k columns."""
+        if k == self.k:
+            return self
+        view = self._prefixes.get(k)
+        if view is None:
+            at = tuple(i[:k] for i in self.at)
+            vectors = tuple(v[:, : int(i.max()) + 1] for v, i in zip(self.vectors, at))
+            view = self._prefixes[k] = _AxisFactors(vectors, at)
+        return view
+
+    def analyze(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
+        if len(self.vectors) == 1:
+            return self.vectors[0].T @ y
+        # each product contracts the leading vertex axis and appends its
+        # column axis at the back, so the next vertex axis leads
+        for v in self.vectors:
+            y = y.reshape(v.shape[0], -1).T @ v
+        return y.ravel()[self.flat]
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c[..., j] psi_j: (k,) -> (n,), or a block of rows (B, k) -> (B, n)."""
+        if len(self.vectors) == 1:
+            head = self.vectors[0]
+            return head @ c if c.ndim == 1 else c @ head.T
+        rows = c.reshape(-1, self.k)
+        core = np.zeros((math.prod(v.shape[1] for v in self.vectors), len(rows)))
+        core[self.flat] = rows.T
+        # the core's axes, then the rows; each product expands the leading
+        # axis and cycles it to the back, so the rows end up in front
+        x = core
+        for v in self.vectors:
+            x = x.reshape(v.shape[1], -1).T @ v.T
+        return x.reshape(c.shape[:-1] + (self.n,))
+
+
+def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
+    """The first k eigenvectors of s as per-axis factors (see _AxisFactors).
+
+    A lazy spectrum of a path, grid or torus grows its factors to k columns
+    on first use (see _grown_factors) and keeps them; any other spectrum
+    gives its head, ``head_basis(s, k)``, as a single factor.
+    """
+    if s._shaped is None:
+        head = head_basis(s, k)
+        return _AxisFactors((head,), (np.arange(head.shape[1]),))
+    k = _head_width(s, k)
+    factors = s._factors
+    if factors is None or factors.k < k:
+        factors = _grown_factors(s, k)
+        # one assignment, as for the head
+        object.__setattr__(s, "_factors", factors)
+    return factors.prefix(k)
 
 
 def eigendecompose(g: Graph) -> Spectrum:
@@ -220,20 +341,24 @@ def eigendecompose(g: Graph) -> Spectrum:
     of the Kronecker-sum eigenvalues, so ``lambdas`` equals
     ``eigenvalues(g).lambdas`` bit for bit and the basis inside a repeated
     eigenvalue is that fixed product basis.  Such a spectrum computes its
-    eigenvalues here and no eigenvector: ``head_basis(s, k)`` builds the
-    first k columns on first use, in O(n k), and ``s.basis`` is the head of
-    all n.  The per-axis vectors a head uses must be orthonormal to 1e-10;
-    a Kronecker product of orthonormal factors is orthonormal.  The full
-    basis needs n within ``DEFAULT_DENSE_CAP``, checked at its first read; a
-    head needs n k within ``DEFAULT_DENSE_CAP**2``.  Any other graph gets a
-    dense ``eigh`` of all n columns here, and n above the dense cap raises
-    ValidationError (from ``laplacian``) before anything is allocated.
+    eigenvalues here and no eigenvector.  Its readers (the estimators, the
+    certificates, the GFT and ``sup_norm_bound``) grow one checked factor
+    per axis on first use (``_axis_factors``, sum_a d_a u_a values; on a
+    path the n x k head) and apply it one axis at a time; only
+    ``head_basis`` and ``s.basis`` expand n x k columns.  A path's factor,
+    like any head, needs n k within ``DEFAULT_DENSE_CAP**2``, and the full
+    basis n within ``DEFAULT_DENSE_CAP``, checked at their first read.  Any
+    other graph gets a dense ``eigh`` of all n columns here, and n above
+    the dense cap raises ValidationError (from ``laplacian``) before
+    anything is allocated.
 
     The eigenvalues, all n of them, pass the moment, null-eigenvalue and
-    connectivity checks of ``eigenvalues``.  Every column must pass the
-    residual check ||L psi - lambda psi|| / max(1, lambda) <= 1e-8 when it
-    is built, with L applied by ``apply_laplacian`` (no n x n Laplacian).
-    A failed check raises NumericError.
+    connectivity checks of ``eigenvalues``.  Every column that is formed
+    must pass the residual check ||L psi - lambda psi|| / max(1, lambda)
+    <= 1e-8 when it is built, with L applied by ``apply_laplacian`` (no
+    n x n Laplacian); the per-axis factors pass checks that bound that
+    residual for every product column (``_grown_factors``).  A failed
+    check raises NumericError.
     """
     if g.shape is not None:
         raw = _kronecker_sum(g)
@@ -325,51 +450,123 @@ def _kronecker_sum(g: Graph) -> np.ndarray:
     return lams
 
 
-def _grown_head(s: Spectrum, k: int) -> np.ndarray:
-    """The first k columns of a lazy shaped spectrum, from its cached head on.
+def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
+    """The per-axis factors of the first k columns of a lazy shaped spectrum.
 
-    Only the columns past the cached head are built and residual-checked.
+    Only the axis vectors first used past the held factors are built and
+    checked (``_check_axis_vectors``), and the first growth checks that
+    g's edges are the lattice edges of g.shape.  L is then the Kronecker
+    sum of the axis Laplacians, so L psi - lambda psi is the sum over the
+    axes of the axis residual times the other axes' vectors, and the
+    checks bound every product column's residual by eigendecompose's 1e-8.
+    The factors may hold at most ``DEFAULT_DENSE_CAP**2`` values; a single
+    axis is refused with the head's message, since its factor is the head.
     """
     g, order = s._shaped
+    kind, dims = g.shape
+    if len(dims) == 1:
+        _check_head_values(s, k)
+    old = s._factors
+    axis_index = np.unravel_index(order[:k], dims)
+    # every axis's indices in order of first use, and each column's position there
+    used = []
+    for side, ks in zip(dims, axis_index):
+        js, first = np.unique(ks, return_index=True)
+        js = js[np.argsort(first)]
+        position = np.empty(side, dtype=np.int64)
+        position[js] = np.arange(len(js))
+        used.append((js, position[ks]))
+    values = sum(side * len(js) for side, (js, _) in zip(dims, used))
+    if values > DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"the per-axis factors of a head of k={k} columns on n={s.n} vertices hold "
+            f"{values} values, above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
+        )
+    if old is None and not is_lattice(g):
+        raise NumericError(
+            f"eigenvector residuals are unbounded: the graph's edges are not the lattice "
+            f"edges of {kind} {'x'.join(map(str, dims))}"
+        )
+    vectors = []
+    for a, (side, (js, _)) in enumerate(zip(dims, used)):
+        held = None if old is None else old.vectors[a]
+        u0 = 0 if held is None else held.shape[1]
+        if u0 == len(js):
+            vectors.append(held)
+            continue
+        factor = (_path_vectors if kind == "grid" else _cycle_vectors)(side, js[u0:]).T
+        if held is not None:
+            fresh, factor = factor, np.empty((side, len(js)), order="F")
+            factor[:, :u0] = held
+            factor[:, u0:] = fresh
+        _check_axis_vectors(kind, factor, u0, js[u0:], len(dims), s.n)
+        factor.setflags(write=False)
+        vectors.append(factor)
+    return _AxisFactors(tuple(vectors), tuple(at for _, at in used))
+
+
+def _check_axis_vectors(
+    kind: str, vectors: np.ndarray, u0: int, js: np.ndarray, axes: int, n: int
+) -> None:
+    """NumericError unless columns u0.. of an axis factor are orthonormal eigenvectors.
+
+    Columns u0.. (axis indices js) are checked against every column in a
+    Gram block to 1e-10, and their residual against the axis's path or
+    cycle Laplacian, ||L_a v - lambda_a v|| sqrt(n / side) / max(1, lambda_a)
+    on an axis of side vertices, must stay within 1e-8 / axes.
+    """
+    side = len(vectors)
+    fresh = vectors[:, u0:]
+    gram = fresh.T @ vectors / side
+    gram[np.arange(len(js)), u0 + np.arange(len(js))] -= 1.0
+    gram_err = float(np.abs(gram).max(initial=0.0))
+    if gram_err > _ORTHONORMAL_TOL:
+        raise NumericError(f"{kind} axis basis of side {side} is not orthonormal: {gram_err:.3e}")
+    lams = _axis_eigenvalues(kind, side)[js]
+    if kind == "grid":
+        lap = np.zeros_like(fresh)
+        step = np.diff(fresh, axis=0)
+        lap[:-1] -= step
+        lap[1:] += step
+    else:
+        lap = 2.0 * fresh - np.roll(fresh, 1, axis=0) - np.roll(fresh, -1, axis=0)
+    lap -= fresh * lams
+    rel = np.linalg.norm(lap, axis=0) * math.sqrt(n / side) / np.maximum(1.0, lams)
+    worst = float(rel.max(initial=0.0))
+    if worst > _RESIDUAL_TOL / axes:
+        raise NumericError(f"{kind} axis of side {side}: eigenvector residual too large: {worst:.3e}")
+
+
+def _grown_head(s: Spectrum, factors: _AxisFactors) -> np.ndarray:
+    """The first factors.k columns of a lazy grid or torus, from its held head on.
+
+    Only the columns past the held head are expanded from the factors and
+    residual-checked.
+    """
+    g = s._shaped[0]
     old = s._head
     k0 = 0 if old is None else old.shape[1]
-    new = _product_rows(g, order[:k], k0).T
-    _check_residual(g, s.lambdas[k0:k], new)
+    new = _product_rows(factors, k0).T
+    _check_residual(g, s.lambdas[k0 : factors.k], new)
     if old is None:
         head = new
     else:
-        head = np.empty((g.n, k), order="F")
+        head = np.empty((g.n, factors.k), order="F")
         head[:, :k0] = old
         head[:, k0:] = new
     head.setflags(write=False)
     return head
 
 
-def _product_rows(g: Graph, order: np.ndarray, k0: int) -> np.ndarray:
-    """Product eigenvectors k0..len(order)-1 of a shaped graph, as rows.
+def _product_rows(factors: _AxisFactors, k0: int) -> np.ndarray:
+    """Product eigenvectors k0..k-1 as rows, expanded from the per-axis factors.
 
-    psi_c is the outer product over axes of the per-axis vectors at the
-    row-major axis indices of order[c]; vertices are flattened row-major
-    too.  The per-axis vectors first used by these columns are checked
-    against every per-axis vector in use (a Gram block of at most
-    len(order) rows per axis), so the columns so far are orthonormal.
+    psi_c is the outer product over axes of the factor columns at[a][c],
+    flattened row-major like the vertices.
     """
-    kind, dims = g.shape
     rows = None
-    for side, ks in zip(dims, np.unravel_index(order, dims)):
-        used, at = np.unique(ks, return_inverse=True)
-        vectors = _path_vectors(side, used) if kind == "grid" else _cycle_vectors(side, used)
-        fresh = np.flatnonzero(np.bincount(at[:k0], minlength=used.size) == 0)
-        # vectors @ vectors.T is one symmetric BLAS product, at half the cost
-        fresh_rows = vectors if fresh.size == used.size else vectors[fresh]
-        gram = fresh_rows @ vectors.T / side
-        gram[np.arange(fresh.size), fresh] -= 1.0
-        gram_err = float(np.abs(gram).max(initial=0.0))
-        if gram_err > _ORTHONORMAL_TOL:
-            raise NumericError(
-                f"{kind} axis basis of side {side} is not orthonormal: {gram_err:.3e}"
-            )
-        axis_rows = np.take(vectors, at[k0:], axis=0)
+    for v, at in zip(factors.vectors, factors.at):
+        axis_rows = np.take(v.T, at[k0:], axis=0)
         if rows is None:
             rows = axis_rows
         else:
@@ -459,26 +656,38 @@ def geometry_r(g: Graph, s: Spectrum) -> float:
 
 
 def sup_norm_bound(s: Spectrum) -> float:
-    """Exact maximum absolute entry over the whole eigenbasis."""
-    return float(np.abs(head_basis(s, s.n)).max())
+    """Exact maximum absolute entry over the whole eigenbasis.
+
+    On a product basis it is the product over the axes of each full axis
+    factor's largest |entry|, which rounds exactly as the largest product
+    entry does; no n x n basis is formed.
+    """
+    bound = 1.0
+    for v in _axis_factors(s, s.n).vectors:
+        bound *= float(np.abs(v).max())
+    return bound
 
 
 def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
-    """Coefficients <f, psi_j>_n of a signal in the eigenbasis."""
-    basis = head_basis(s, s.n)
+    """Coefficients <f, psi_j>_n of a signal in the eigenbasis.
+
+    A path, grid or torus applies its full per-axis factors (d_a x d_a);
+    on a path that is the n x n basis.
+    """
+    factors = _axis_factors(s, s.n)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n,):
         raise ValidationError(f"signal length {f.shape} does not match n={s.n}")
-    return basis.T @ f / s.n
+    return factors.analyze(f) / s.n
 
 
 def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
-    """Signal sum_j coeffs_j psi_j; inverts gft_forward."""
-    basis = head_basis(s, s.n)
+    """Signal sum_j coeffs_j psi_j; inverts gft_forward, through the same factors."""
+    factors = _axis_factors(s, s.n)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (s.n,):
         raise ValidationError(f"coefficient length {coeffs.shape} does not match n={s.n}")
-    return basis @ coeffs
+    return factors.synthesize(coeffs)
 
 
 def spectrum_csv_text(s: Spectrum) -> str:

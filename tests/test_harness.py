@@ -216,6 +216,26 @@ class TestClassificationRunner:
             )
 
 
+@pytest.mark.parametrize("family, dims", [("grid:2", (16, 16)), ("torus:2", (16, 16))])
+def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monkeypatch):
+    # the GFT applies the full per-axis factors, so sample_ball, sobolev_form,
+    # hard_alternatives and the classification simulate expand no product column
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x k product head was formed")
+
+    monkeypatch.setattr(gm.spectral, "_product_rows", refuse)
+    g = gm.build_grid(list(dims)) if family == "grid:2" else gm.build_torus(list(dims))
+    s = gm.eigendecompose(g)
+    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+    f = gm.sample_ball(s, ball, 0.9, seed=4)
+    assert gm.sobolev_form(s, ball, f) == pytest.approx(0.9, rel=1e-10)
+    alts = gm.hard_alternatives(s, ball, 0.1, gm.vg_packing(8, seed=0))
+    assert alts.shape[1] == g.n and s._head is None
+    spec = small_spec(family=family, n_values=(64, 256), estimator="classification-link",
+                      sigma=0.5, reps=2)
+    assert len(gm.run_classification_experiment(spec).rows) == 4
+
+
 class TestCsvFormat:
     def test_headers(self):
         report = gm.run_regression_experiment(small_spec())

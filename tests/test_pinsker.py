@@ -380,8 +380,10 @@ class TestEstimateClassification:
 
 
 def test_estimators_read_only_their_head_columns():
-    # every column an estimator may not read is NaN, so reading one shows
+    # every column an estimator may not read is NaN, so reading one shows;
+    # the lazy grid applies per-axis factors, equal to the head to 1e-12
     s = gm.eigendecompose(gm.build_grid([12, 12]))
+    explicit = dataclasses.replace(s, basis=s.basis)
     plan = gm.pinsker_plan(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, 2.0)), 0.5, s.n)
     m = 20
     rng = np.random.default_rng(4)
@@ -395,7 +397,49 @@ def test_estimators_read_only_their_head_columns():
         assert k < s.n
         basis = s.basis.copy(order="F")
         basis[:, k:] = np.nan
-        assert np.array_equal(estimate(dataclasses.replace(s, basis=basis)), estimate(s))
+        want = estimate(explicit)
+        assert np.array_equal(estimate(dataclasses.replace(s, basis=basis)), want)
+        assert np.max(np.abs(estimate(s) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_estimators_and_certificates_form_no_head():
+    # on grid 48^2 they apply per-axis factors: no n x k head is built
+    s = gm.eigendecompose(gm.build_grid([48, 48]))
+    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+    plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), 0.5, s.n)
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(s.n)
+    labels = (rng.random(s.n) < 0.5).astype(float)
+    for read in (
+        lambda: gm.estimate_regression(s, plan, y),
+        lambda: gm.projection_estimate(s, y, 48),
+        lambda: gm.estimate_classification(s, plan, labels, mode="direct"),
+        lambda: gm.estimate_classification(s, plan, labels, mode="link"),
+        lambda: gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=3),
+        lambda: gm.fano_certificate(s, ball, 1.0, seed=3),
+    ):
+        read()
+        assert s._head is None
+    assert max(v.shape[1] for v in s._factors.vectors) < 48
+
+
+def test_regression_on_a_grid_beyond_the_head_limit():
+    # grid 1024^2 at sigma = 0.5 keeps N = 1438 columns: n N values are
+    # above the head's limit, but the per-axis factors hold 2 x 1024 x 43
+    s = gm.eigendecompose(gm.build_grid([1024, 1024]))
+    plan = gm.pinsker_plan(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, 2.0)), 0.5, s.n)
+    assert plan.N == 1438 and s.n * plan.N > gm.DEFAULT_DENSE_CAP**2
+    with pytest.raises(ValidationError, match="above the limit"):
+        gm.head_basis(s, plan.N)
+    # psi_1, the product of the first cosine along the rows and the
+    # constant along the columns, is shrunk by l_1 alone
+    i = np.arange(1024)
+    row = np.sqrt(2.0) * np.cos(np.pi * (2 * i + 1) / 2048)
+    y = np.repeat(row, 1024)
+    fhat = gm.estimate_regression(s, plan, y)
+    assert plan.l[1] == plan.l[2] > 0.0
+    assert np.max(np.abs(fhat - plan.l[1] * y)) < 1e-10
+    assert [v.shape for v in s._factors.vectors] == [(1024, 43), (1024, 43)]
 
 
 def rotate_within_eigenspaces(s, rng):

@@ -85,6 +85,15 @@ def assert_matches_eigh_oracle(s, g):
         assert np.max(np.abs(p_s - p_o)) < 1e-8
 
 
+def regression_estimate(g):
+    """A Pinsker estimate on a fresh spectrum of g, with N >= 3 columns (sigma = 0.1)."""
+    s = gm.eigendecompose(g)
+    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=float(len(g.shape[1])))
+    plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), 0.1, s.n)
+    assert plan.N >= 3
+    return gm.estimate_regression(s, plan, np.ones(s.n))
+
+
 SHAPED_SPECS = [
     "path:40", "grid:5x7", "grid:3x4x5", "grid:16x16",
     "torus:3x3", "torus:4", "torus:5x6", "torus:3x4x5", "torus:16x16",
@@ -153,6 +162,9 @@ class TestClosedFormEigendecompose:
             gm.head_basis(s, 2)
         with pytest.raises(NumericError, match="residual"):
             s.basis
+        with pytest.raises(NumericError, match="not the lattice edges of torus 4x6"):
+            regression_estimate(dataclasses.replace(g, shape=("torus", (4, 6))))
+        regression_estimate(g)
 
     def test_wrong_eigenvalues_fail_the_moment_check(self, monkeypatch):
         kronecker_sum = gm.spectral._kronecker_sum
@@ -185,9 +197,13 @@ class TestClosedFormEigendecompose:
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", wrong_frequency)
         with pytest.raises(NumericError, match="residual"):
             gm.eigendecompose(g).basis
+        with pytest.raises(NumericError, match=r"torus axis of side \d: eigenvector residual"):
+            regression_estimate(g)
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", repeated_vector)
         with pytest.raises(NumericError, match="not orthonormal"):
             gm.eigendecompose(g).basis
+        with pytest.raises(NumericError, match=r"torus axis basis of side \d is not orthonormal"):
+            regression_estimate(g)
 
     def test_solver_output_is_residual_checked(self, monkeypatch):
         g = gm.build_small_world(64, 4, 0.2, seed=1)
@@ -347,6 +363,113 @@ class TestHeadBasis:
         assert head.shape == (s.n, k)
         assert peak < 6 * s.n * k * 8
         assert np.array_equal(gm.head_basis(s, k), head)
+
+
+def cluster_split(s):
+    """A column count that cuts an eigenvalue cluster (2 when there is none)."""
+    ties = np.flatnonzero(np.diff(s.lambdas) < 1e-9)
+    return int(ties[0]) + 1 if ties.size else 2
+
+
+def refuse_product_columns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x k product head was formed")
+
+    monkeypatch.setattr(gm.spectral, "_product_rows", refuse)
+
+
+class TestAxisFactors:
+    @pytest.mark.parametrize("spec", SHAPED_SPECS)
+    def test_transforms_match_the_explicit_head(self, spec):
+        # each k on a spectrum grown to exactly k columns, and as a prefix of
+        # one grown to all n
+        g = gm.parse_graph_spec(spec)
+        full = reference_basis(g)
+        grown = gm.eigendecompose(g)
+        gm.spectral._axis_factors(grown, g.n)
+        N = gm.fano.packing_dimension(g.n, gm.SobolevSpec(beta=1.0, Q=1.0, r=len(g.shape[1])))
+        rng = np.random.default_rng(0)
+        for k in (1, cluster_split(grown), N, g.n):
+            head = full[:, :k]
+            y, c, rows = (rng.standard_normal(shape) for shape in (g.n, k, (3, k)))
+            for s in (gm.eigendecompose(g), grown):
+                factors = gm.spectral._axis_factors(s, k)
+                for got, want in (
+                    (factors.analyze(y), head.T @ y),
+                    (factors.synthesize(c), head @ c),
+                    (factors.synthesize(rows), rows @ head.T),
+                ):
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                assert s._head is None
+
+    @pytest.mark.parametrize("spec", SHAPED_SPECS)
+    def test_gft_and_sup_norm_form_no_head(self, spec, monkeypatch):
+        g = gm.parse_graph_spec(spec)
+        full = reference_basis(g)
+        s = gm.eigendecompose(g)
+        if len(g.shape[1]) > 1:
+            refuse_product_columns(monkeypatch)
+        f = np.random.default_rng(1).standard_normal(g.n)
+        want = full.T @ f / g.n
+        coeffs = gm.gft_forward(s, f)
+        assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(gm.gft_inverse(s, coeffs) - f)) <= 1e-12 * np.max(np.abs(f))
+        # the product of the per-axis maxima rounds as the largest product entry
+        assert gm.sup_norm_bound(s) == np.abs(full).max()
+        assert s._head is None
+        assert sum(v.size for v in s._factors.vectors) == sum(d * d for d in g.shape[1])
+
+    def test_path_factor_is_its_head(self):
+        s = gm.eigendecompose(gm.build_path(64))
+        factors = gm.spectral._axis_factors(s, 10)
+        assert factors.vectors[0] is gm.head_basis(s, 10)
+        assert np.array_equal(factors.at[0], np.arange(10))
+        assert s._head is None
+
+    def test_growth_builds_and_checks_only_new_axis_vectors(self, monkeypatch):
+        s = gm.eigendecompose(gm.build_grid([16, 16]))
+        checked, lattices = [], []
+        check = gm.spectral._check_axis_vectors
+        is_lattice = gm.spectral.is_lattice
+
+        def counting(kind, vectors, u0, js, axes, n):
+            checked.append((u0, vectors.shape[1]))
+            return check(kind, vectors, u0, js, axes, n)
+
+        monkeypatch.setattr(gm.spectral, "_check_axis_vectors", counting)
+        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: lattices.append(g) or is_lattice(g))
+        first = gm.spectral._axis_factors(s, 10)
+        assert gm.spectral._axis_factors(s, 7).vectors[0].base is first.vectors[0].base
+        gm.spectral._axis_factors(s, 30)
+        # the first 10 columns use axis vectors 0..2 on the first axis and
+        # 0..3 on the second (column 9 is (0, 3)); the first 30 use 0..5 on both
+        assert checked == [(0, 3), (0, 4), (3, 6), (4, 6)]
+        assert len(lattices) == 1
+        assert s._head is None
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    def spectrum():
+        return gm.eigenvalues(gm.build_path(8))
+
+    def plan():
+        return gm.pinsker_plan(gm.ellipsoid_weights(spectrum(), BALL_1D), 1.0, 8)
+
+    for make in (
+        lambda: gm.build_path(8),
+        spectrum,
+        lambda: gm.eigendecompose(gm.build_grid([3, 3])),
+        lambda: gm.ellipsoid_weights(spectrum(), BALL_1D),
+        plan,
+        lambda: gm.vg_packing(8, seed=0),
+    ):
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+BALL_1D = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
 
 
 class TestEigenvalues:
