@@ -42,7 +42,7 @@ _PACKING_ATTEMPT_FACTOR = 1000
 _PACKING_TARGET_CAP = 4096
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
-# Vertex values held at once by the classification KL.
+# Vertex values held at once by the classification KL and the profile.
 _KL_BLOCK_VALUES = 32768
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
@@ -279,19 +279,18 @@ def _classification_alpha_bound(
 def _head_profile(s: Spectrum, N: int) -> np.ndarray:
     """profile(i) = sum_{j<N} |psi_j(i)|, column by column.
 
-    Each column's |psi_j| is the outer product of its per-axis |vectors|
-    (``_axis_factors``), formed in the order the product columns are, so
-    it equals |psi_j| bit for bit.  The columns are added in the order
-    np.abs(head).sum(axis=1) adds those of the column-major head, so the
-    result is the same bit for bit, with O(n) memory beside the factors.
+    The columns are expanded from their per-axis factors a block of at most
+    max(1, _KL_BLOCK_VALUES // n) at a time, exactly as the head's columns
+    are, and added one by one in the order np.abs(head).sum(axis=1) adds
+    those of the column-major head.  So the result is the same bit for bit,
+    in O(block) memory beside the factors.
     """
     factors = _axis_factors(s, N)
     profile = np.zeros(s.n)
-    for cols in zip(*factors.at):
-        term = np.abs(factors.vectors[0][:, cols[0]])
-        for v, c in zip(factors.vectors[1:], cols[1:]):
-            term = np.multiply.outer(term, np.abs(v[:, c])).ravel()
-        profile += term
+    step = max(1, _KL_BLOCK_VALUES // s.n)
+    for j0 in range(0, N, step):
+        for term in np.abs(factors.rows(j0, min(N, j0 + step))):
+            profile += term
     return profile
 
 
@@ -376,10 +375,11 @@ def fano_certificate(
     factors, never M x n: on a grid or torus the factors hold
     sum_a d_a u_a values and no n x N head is built; on a path or a
     shape-free graph the factor is the n x N head.  The calibration's
-    profile adds one column at a time in O(n) memory.  Every factor must
-    be orthonormal to 1e-10 (else NumericError), so the first N
-    eigenvectors the alternatives are built from are, which keeps the
-    closed forms self-checking.  The recorded seed reproduces the packing.
+    profile expands its columns in blocks of O(_KL_BLOCK_VALUES) values.
+    Every factor must be orthonormal to 1e-10 (else NumericError), so the
+    first N eigenvectors the alternatives are built from are, which keeps
+    the closed forms self-checking.  The recorded seed reproduces the
+    packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:

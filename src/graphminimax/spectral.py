@@ -288,6 +288,22 @@ class _AxisFactors:
             view = self._prefixes[k] = _AxisFactors(vectors, at)
         return view
 
+    def rows(self, k0: int, k1: int) -> np.ndarray:
+        """Columns k0..k1-1 of the head, expanded from the factors, as rows.
+
+        psi_c is the outer product over axes of the factor columns at[a][c],
+        flattened row-major like the vertices; the products are formed in
+        axis order, so every entry rounds the same in every expansion.
+        """
+        rows = None
+        for v, at in zip(self.vectors, self.at):
+            axis_rows = np.take(v.T, at[k0:k1], axis=0)
+            if rows is None:
+                rows = axis_rows
+            else:
+                rows = (rows[:, :, None] * axis_rows[:, None, :]).reshape(len(rows), -1)
+        return rows
+
     def analyze(self, y: np.ndarray) -> np.ndarray:
         """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
         if len(self.vectors) == 1:
@@ -546,7 +562,7 @@ def _grown_head(s: Spectrum, factors: _AxisFactors) -> np.ndarray:
     g = s._shaped[0]
     old = s._head
     k0 = 0 if old is None else old.shape[1]
-    new = _product_rows(factors, k0).T
+    new = factors.rows(k0, factors.k).T
     _check_residual(g, s.lambdas[k0 : factors.k], new)
     if old is None:
         head = new
@@ -556,22 +572,6 @@ def _grown_head(s: Spectrum, factors: _AxisFactors) -> np.ndarray:
         head[:, k0:] = new
     head.setflags(write=False)
     return head
-
-
-def _product_rows(factors: _AxisFactors, k0: int) -> np.ndarray:
-    """Product eigenvectors k0..k-1 as rows, expanded from the per-axis factors.
-
-    psi_c is the outer product over axes of the factor columns at[a][c],
-    flattened row-major like the vertices.
-    """
-    rows = None
-    for v, at in zip(factors.vectors, factors.at):
-        axis_rows = np.take(v.T, at[k0:], axis=0)
-        if rows is None:
-            rows = axis_rows
-        else:
-            rows = (rows[:, :, None] * axis_rows[:, None, :]).reshape(len(rows), -1)
-    return rows
 
 
 def eigenvalues(g: Graph) -> Spectrum:

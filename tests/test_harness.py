@@ -223,7 +223,7 @@ def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monke
     def refuse(*args, **kwargs):
         raise AssertionError("an n x k product head was formed")
 
-    monkeypatch.setattr(gm.spectral, "_product_rows", refuse)
+    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
     g = gm.build_grid(list(dims)) if family == "grid:2" else gm.build_torus(list(dims))
     s = gm.eigendecompose(g)
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)

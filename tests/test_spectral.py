@@ -375,7 +375,7 @@ def refuse_product_columns(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an n x k product head was formed")
 
-    monkeypatch.setattr(gm.spectral, "_product_rows", refuse)
+    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
 
 
 class TestAxisFactors:
