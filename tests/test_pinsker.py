@@ -431,14 +431,13 @@ def test_regression_on_a_grid_beyond_the_head_limit():
     assert plan.N == 1438 and s.n * plan.N > gm.DEFAULT_DENSE_CAP**2
     with pytest.raises(ValidationError, match="above the limit"):
         gm.head_basis(s, plan.N)
-    # psi_1, the product of the first cosine along the rows and the
-    # constant along the columns, is shrunk by l_1 alone
+    # psi_2 (axis indices (1, 0)) is the first cosine along the first axis
+    # and constant along the second; the estimate shrinks it by l_2 alone
     i = np.arange(1024)
-    row = np.sqrt(2.0) * np.cos(np.pi * (2 * i + 1) / 2048)
-    y = np.repeat(row, 1024)
+    y = np.repeat(np.sqrt(2.0) * np.cos(np.pi * (2 * i + 1) / 2048), 1024)
     fhat = gm.estimate_regression(s, plan, y)
-    assert plan.l[1] == plan.l[2] > 0.0
-    assert np.max(np.abs(fhat - plan.l[1] * y)) < 1e-10
+    assert 0.0 < plan.l[2] < 1.0
+    assert np.max(np.abs(fhat - plan.l[2] * y)) < 1e-10
     assert [v.shape for v in s._factors.vectors] == [(1024, 43), (1024, 43)]
 
 

@@ -371,13 +371,6 @@ def cluster_split(s):
     return int(ties[0]) + 1 if ties.size else 2
 
 
-def refuse_product_columns(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an n x k product head was formed")
-
-    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
-
-
 class TestAxisFactors:
     @pytest.mark.parametrize("spec", SHAPED_SPECS)
     def test_transforms_match_the_explicit_head(self, spec):
@@ -408,8 +401,12 @@ class TestAxisFactors:
         g = gm.parse_graph_spec(spec)
         full = reference_basis(g)
         s = gm.eigendecompose(g)
-        if len(g.shape[1]) > 1:
-            refuse_product_columns(monkeypatch)
+        if len(g.shape[1]) > 1:  # a single axis's factor is its head
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("an n x k product head was formed")
+
+            monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
         f = np.random.default_rng(1).standard_normal(g.n)
         want = full.T @ f / g.n
         coeffs = gm.gft_forward(s, f)
@@ -450,26 +447,25 @@ class TestAxisFactors:
 
 
 def test_array_dataclasses_compare_and_hash_by_identity():
+    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+
     def spectrum():
         return gm.eigenvalues(gm.build_path(8))
 
     def plan():
-        return gm.pinsker_plan(gm.ellipsoid_weights(spectrum(), BALL_1D), 1.0, 8)
+        return gm.pinsker_plan(gm.ellipsoid_weights(spectrum(), ball), 1.0, 8)
 
     for make in (
         lambda: gm.build_path(8),
         spectrum,
         lambda: gm.eigendecompose(gm.build_grid([3, 3])),
-        lambda: gm.ellipsoid_weights(spectrum(), BALL_1D),
+        lambda: gm.ellipsoid_weights(spectrum(), ball),
         plan,
         lambda: gm.vg_packing(8, seed=0),
     ):
         a, b = make(), make()
         assert a == a and not a == b and a != b
         assert hash(a) == hash(a) and len({a, b, a}) == 2
-
-
-BALL_1D = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
 
 
 class TestEigenvalues:
