@@ -16,8 +16,15 @@ with amplitude a = delta N^(-(2 beta + r)/(2r)).  Because the psi_j are
     Gaussian KL(P_theta, P_0) = n a^2 N / (2 sigma^2)
 
 where the Hamming distance d_h counts DISAGREEING coordinates of two +/-1
-vectors.  Only the Bernoulli KL is measured on vertex values.  Those values,
-and the calibration's profile sum_{j<N} |psi_j|, come from the first N
+vectors.  The Bernoulli KL has the closed-form bound
+
+    Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N,    c = link.kl_constant,
+
+since phi(t) = KL(Bern(psi(t)) || Bern(psi(0))) has phi(0) = 0 and
+phi'(t) = psi'(t) (logit psi(t) - logit psi(0)), so |phi'(t)| <= c |t| and
+phi(t) <= c t^2 / 2 at every vertex; Parseval sums the squares.  Only the
+calibration of delta measures the Bernoulli KL, at the worst-case vertex
+amplitudes a sum_{j<N} |psi_j|.  That profile comes from the first N
 eigenvectors' per-axis factors (``spectral._axis_factors``): on a grid or
 torus one d_a x u_a factor per axis, applied one axis at a time, so no
 n x N head is built there; on a path or a shape-free graph the factor is
@@ -34,7 +41,7 @@ from ._text import csv_text
 from .errors import NumericError, ValidationError
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors, _AxisFactors, gft_inverse
+from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors, gft_inverse
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -42,7 +49,7 @@ _PACKING_ATTEMPT_FACTOR = 1000
 _PACKING_TARGET_CAP = 4096
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
-# Vertex values held at once by the classification KL and the profile.
+# Vertex values the calibration's profile expands at once.
 _KL_BLOCK_VALUES = 32768
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
@@ -169,14 +176,21 @@ def hard_alternatives(
     return np.vstack([gft_inverse(s, c) for c in coeffs])
 
 
-def _bernoulli_kl_rows(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
-    """Bernoulli KL summed along the last axis; rho2 broadcasts against rho1.
+def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """KL divergence between products of Bernoulli distributions.
 
-    The one home of the formula.  Each row is summed by np.sum over a
-    contiguous last axis, so a row of a 2-D block gets exactly the sum of
-    the same row passed alone.  The two terms are formed in place, so at
-    most three arrays of rho1's shape exist beside it.
+    Computes sum_i [ rho1 log(rho1/rho2) + (1 - rho1) log((1-rho1)/(1-rho2)) ],
+    which is non-negative and zero iff the probability vectors coincide.
+    The two terms are formed in place, so at most three arrays of rho1's
+    size exist beside the inputs.
     """
+    rho1 = np.atleast_1d(np.asarray(rho1, dtype=float))
+    rho2 = np.atleast_1d(np.asarray(rho2, dtype=float))
+    if rho1.shape != rho2.shape:
+        raise ValidationError("probability vectors have different lengths")
+    for rho in (rho1, rho2):
+        require_probabilities(rho, _PROBABILITY_MESSAGE)
+    rho1, rho2 = rho1.ravel(), rho2.ravel()
     terms = rho1 / rho2
     np.log(terms, out=terms)
     terms *= rho1
@@ -185,22 +199,7 @@ def _bernoulli_kl_rows(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     np.log(ratio, out=ratio)
     ratio *= rest
     terms += ratio
-    return np.sum(terms, axis=-1)
-
-
-def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """KL divergence between products of Bernoulli distributions.
-
-    Computes sum_i [ rho1 log(rho1/rho2) + (1 - rho1) log((1-rho1)/(1-rho2)) ],
-    which is non-negative and zero iff the probability vectors coincide.
-    """
-    rho1 = np.atleast_1d(np.asarray(rho1, dtype=float))
-    rho2 = np.atleast_1d(np.asarray(rho2, dtype=float))
-    if rho1.shape != rho2.shape:
-        raise ValidationError("probability vectors have different lengths")
-    for rho in (rho1, rho2):
-        require_probabilities(rho, _PROBABILITY_MESSAGE)
-    return float(_bernoulli_kl_rows(rho1.ravel(), rho2.ravel()))
+    return float(np.sum(terms))
 
 
 def kl_link_bound_check(
@@ -216,34 +215,6 @@ def kl_link_bound_check(
     kl = bernoulli_kl(link.psi(v1), link.psi(v2))
     bound = link.kl_constant * float(np.sum((v1 - v2) ** 2))
     return kl, bound, kl <= bound + 1e-12
-
-
-def _classification_kl(
-    factors: _AxisFactors, thetas: np.ndarray, a: float, link: LinkFunction
-) -> float:
-    """Sum over the alternatives of KL(Bernoulli(psi(f_theta)), Bernoulli(psi(0))).
-
-    The vertex values a theta of the first N eigenvectors are synthesized
-    from their per-axis factors a block of rows at a time, and the per-row
-    divergences are added in row order.  No M x n array is built.  The M
-    rows are split into max(1, M // r) even blocks with
-    r = max(2, _KL_BLOCK_VALUES // n).  A block then holds at most 2r - 1
-    rows, under 2 _KL_BLOCK_VALUES values while r > 2, and at least
-    min(M, r) >= 2 rows at any n: numpy sends a one-row product to a
-    matrix-vector BLAS call, which can round differently from the product
-    of all M rows.
-    """
-    n = factors.n
-    base = link.psi(np.zeros(n))
-    require_probabilities(base, _PROBABILITY_MESSAGE)
-    blocks = max(1, len(thetas) // max(2, _KL_BLOCK_VALUES // n))
-    total = 0.0
-    for rows in np.array_split(thetas, blocks):
-        rho = link.psi(factors.synthesize(a * rows))
-        require_probabilities(rho, _PROBABILITY_MESSAGE)
-        for kl in _bernoulli_kl_rows(rho, base):
-            total += float(kl)
-    return total
 
 
 def _sobolev_delta_cap(s: Spectrum, spec: SobolevSpec, N: int) -> float:
@@ -268,12 +239,19 @@ def _classification_alpha_bound(
     Per vertex |f_theta(i)| is at most the worst-case sign alignment
     a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
-    base is the base measure's link.psi(0) at every vertex.
+    base is the base measure's link.psi(0) at every vertex.  Link values
+    that round to 0 or 1 give inf, above any target; NaN values still raise
+    in bernoulli_kl.
     """
-    amps = _bump_amplitude(delta, spec, N) * profile
-    worst_kl = bernoulli_kl(link.psi(amps), base)
-    m = _vg_target(N)
-    return (m / (m + 1.0)) * worst_kl / math.log(m)
+    rho = link.psi(_bump_amplitude(delta, spec, N) * profile)
+    if not np.all((rho > 0.0) & (rho < 1.0)) and np.all((rho >= 0.0) & (rho <= 1.0)):
+        return math.inf
+    return _alpha(bernoulli_kl(rho, base), _vg_target(N))
+
+
+def _alpha(kl: float, m: int) -> float:
+    """alpha of a per-alternative KL for a packing target m: (m / (m + 1)) kl / log m."""
+    return (m / (m + 1.0)) * kl / math.log(m)
 
 
 def _head_profile(s: Spectrum, N: int) -> np.ndarray:
@@ -300,34 +278,54 @@ def calibrate_delta(
     """Largest bump amplitude passing both certificate conditions.
 
     Condition (a): the common Sobolev form of the alternatives stays within
-    Q^2; its solution delta_a is closed-form.  Condition (b): the
-    classification KL budget (the given link, sigmoid if None; worst pair
-    bound) gives alpha <= 1/2; enforced by bisection below delta_a when
-    needed.  The bisection keeps bound(lo) <= 1/2 < bound(hi), so once the
-    midpoint rounds to lo or hi neither end can move again: it stops there,
-    after about 55 steps, with the delta that 100 steps would return.
+    Q^2; its solution delta_a is closed-form.  Condition (b): the worst-case
+    vertex KL (the given link, sigmoid if None; _classification_alpha_bound)
+    gives alpha <= 1/2; enforced below delta_a when needed.  The search
+    keeps bound(lo) <= 1/2 < bound(hi) and stops, like a bisection, once
+    the midpoint rounds to lo or hi, so it returns the delta that 100
+    bisection steps return whenever the bound grows with delta.  As
+    phi(t) ~ c t^2 / 2, the bound grows like delta^2: each probe is the
+    root delta sqrt(1/2 / bound(delta)) of the quadratic model through the
+    last probe, or the midpoint where that root is not inside (lo, hi).
+    That takes about 9 bound evaluations, a bisection about 55.  A probe
+    whose link values round to 0 or 1 counts as above the target.
+
+    At the returned delta the measured worst-case KL must stay within its
+    quadratic bound (c / 2) a^2 sum_i profile(i)^2, else NumericError: the
+    link's sup_dpsi and sup_ratio are not suprema (see LinkFunction).
     """
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
     link = sigmoid_link() if link is None else link
     profile = _head_profile(s, N)
     base = link.psi(np.zeros(s.n))
-
-    def within_target(delta: float) -> bool:
-        return _classification_alpha_bound(profile, base, spec, N, delta, link) <= _ALPHA_TARGET
-
-    delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-    if within_target(delta_a):
-        return delta_a
-    lo, hi = 0.0, delta_a
-    for _ in range(100):
+    delta = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
+    lo, hi, bound_lo = 0.0, delta, 0.0
+    while True:
+        bound = _classification_alpha_bound(profile, base, spec, N, delta, link)
+        if bound <= _ALPHA_TARGET:
+            lo, bound_lo = delta, bound
+        else:
+            hi = delta
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if within_target(mid):
-            lo = mid
+        root = delta * math.sqrt(_ALPHA_TARGET / bound) if bound > 0.0 else hi
+        if lo < root < hi:
+            delta = root
+        elif (root <= lo) == (delta == lo):
+            # the root rounds onto or past the last probe, whose bound is 1/2
+            # to rounding: the threshold is next to it
+            delta = math.nextafter(delta, hi if delta == lo else lo)
         else:
-            hi = mid
+            delta = mid
+    a = _bump_amplitude(lo, spec, N)
+    quadratic = _alpha(0.5 * link.kl_constant * a**2 * float(profile @ profile), _vg_target(N))
+    if not bound_lo <= quadratic * (1.0 + 1e-12):
+        raise NumericError(
+            f"link {link.name!r}: worst-case KL (alpha {bound_lo:.6g}) exceeds its quadratic "
+            f"bound (alpha {quadratic:.6g}); sup_dpsi * sup_ratio is not a KL constant"
+        )
     return lo
 
 
@@ -366,19 +364,16 @@ def fano_certificate(
 
     Pass a LinkFunction for the classification (Bernoulli) certificate or a
     positive noise level sigma for the regression (Gaussian) analogue.
-    separation_min, sobolev_max and the Gaussian KL are the closed forms of
-    the module docstring, so a regression certificate reads eigenvalues
-    only.  The Bernoulli KL is measured on the vertex values of the
-    alternatives, synthesized a block of rows at a time from the first N
-    eigenvectors' per-axis factors (_classification_kl), so a
-    classification certificate needs O(block + M N) memory beside those
-    factors, never M x n: on a grid or torus the factors hold
-    sum_a d_a u_a values and no n x N head is built; on a path or a
-    shape-free graph the factor is the n x N head.  The calibration's
-    profile expands its columns in blocks of O(_KL_BLOCK_VALUES) values.
-    Every factor must be orthonormal to 1e-10 (else NumericError), so the
-    first N eigenvectors the alternatives are built from are, which keeps
-    the closed forms self-checking.  The recorded seed reproduces the
+    Every field but delta is a closed form of the module docstring: the
+    Gaussian KL exactly, the Bernoulli KL through its bound
+    (c / 2) n a^2 N, which is at least the measured vertex sum.  So a
+    regression certificate reads eigenvalues only, and a classification
+    certificate reads eigenvectors only for calibrate_delta's profile and
+    for one Gram check of the first N eigenvectors' per-axis factors: every
+    factor must be orthonormal to 1e-10 (else NumericError), as the
+    Parseval step of the closed forms needs.  A classification certificate
+    therefore depends on the basis inside a repeated eigenvalue only
+    through the profile that sets delta.  The recorded seed reproduces the
     packing.
     """
     N = packing_dimension(s.n, spec)
@@ -406,7 +401,7 @@ def fano_certificate(
         )
         if gram_err > _ORTHONORMAL_TOL:
             raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")
-        kl_total = _classification_kl(factors, pack.thetas, a, link)
+        kl_total = pack.M * 0.5 * link.kl_constant * s.n * a**2 * N
     else:
         kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)
     kl_budget = kl_total / (pack.M + 1)

@@ -13,9 +13,10 @@ from graphminimax.cli import _signal_csv_text, main
 CERT_HEADER = (
     "n,beta,r,Q,N,M,delta,separation_min,sobolev_max,kl_budget,alpha,fano_bound,valid,seed\n"
 )
+# kl_budget, alpha and fano_bound come from the closed-form Bernoulli KL bound
 CLF_CERT = (
     CERT_HEADER + "512,1,1,1,8,2,0.276435072279,0.0345543840349,0.207398722129,"
-    "0.0509219711507,0.0734648752514,0.51149762547,true,3\n"
+    "0.0509442327908,0.0734969920091,0.511465508712,true,3\n"
 )
 REG_CERT = (
     CERT_HEADER + "512,1,1,1,8,2,0.36050672129,0.0450633401612,0.352733350108,"
@@ -88,7 +89,7 @@ def test_report_lines(tmp_path, capsys):
     argv = ["fano", "--graph", "path:512", "--beta", "1", "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out == (
-        "valid = true\nM = 2\nalpha = 0.0734648752514\nfano_bound = 0.51149762547\n"
+        "valid = true\nM = 2\nalpha = 0.0734969920091\nfano_bound = 0.511465508712\n"
     )
     assert out.read_text() == CLF_CERT
 
