@@ -16,19 +16,14 @@ with amplitude a = delta N^(-(2 beta + r)/(2r)).  Because the psi_j are
     Gaussian KL(P_theta, P_0) = n a^2 N / (2 sigma^2)
 
 where the Hamming distance d_h counts DISAGREEING coordinates of two +/-1
-vectors.  The Bernoulli KL has the closed-form bound
+vectors.  With c = link.kl_constant, phi(t) = KL(Bern(psi(t)) || Bern(psi(0)))
+<= c t^2 / 2 at every vertex, so Parseval gives the closed-form bound
 
-    Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N,    c = link.kl_constant,
+    Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N.
 
-since phi(t) = KL(Bern(psi(t)) || Bern(psi(0))) has phi(0) = 0 and
-phi'(t) = psi'(t) (logit psi(t) - logit psi(0)), so |phi'(t)| <= c |t| and
-phi(t) <= c t^2 / 2 at every vertex; Parseval sums the squares.  Only the
-calibration of delta measures the Bernoulli KL, at the worst-case vertex
-amplitudes a sum_{j<N} |psi_j|.  That profile comes from the first N
-eigenvectors' per-axis factors (``spectral._axis_factors``): on a grid or
-torus one d_a x u_a factor per axis, applied one axis at a time, so no
-n x N head is built there; on a path or a shape-free graph the factor is
-that head.
+Only the calibration of delta measures the Bernoulli KL, at the worst-case
+vertex amplitudes a sum_{j<N} |psi_j| of the first N eigenvectors' per-axis
+factors (``spectral._axis_factors``).
 """
 from __future__ import annotations
 
@@ -240,8 +235,7 @@ def _classification_alpha_bound(
     a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
     base is the base measure's link.psi(0) at every vertex.  Link values
-    that round to 0 or 1 give inf, above any target; NaN values still raise
-    in bernoulli_kl.
+    that round to 0 or 1 give inf; NaN still raises in bernoulli_kl.
     """
     rho = link.psi(_bump_amplitude(delta, spec, N) * profile)
     if not np.all((rho > 0.0) & (rho < 1.0)) and np.all((rho >= 0.0) & (rho <= 1.0)):
@@ -250,7 +244,7 @@ def _classification_alpha_bound(
 
 
 def _alpha(kl: float, m: int) -> float:
-    """alpha of a per-alternative KL for a packing target m: (m / (m + 1)) kl / log m."""
+    """alpha of a per-alternative KL at packing target m."""
     return (m / (m + 1.0)) * kl / math.log(m)
 
 
@@ -279,20 +273,16 @@ def calibrate_delta(
 
     Condition (a): the common Sobolev form of the alternatives stays within
     Q^2; its solution delta_a is closed-form.  Condition (b): the worst-case
-    vertex KL (the given link, sigmoid if None; _classification_alpha_bound)
-    gives alpha <= 1/2; enforced below delta_a when needed.  The search
-    keeps bound(lo) <= 1/2 < bound(hi) and stops, like a bisection, once
-    the midpoint rounds to lo or hi, so it returns the delta that 100
-    bisection steps return whenever the bound grows with delta.  As
-    phi(t) ~ c t^2 / 2, the bound grows like delta^2: each probe is the
-    root delta sqrt(1/2 / bound(delta)) of the quadratic model through the
-    last probe, or the midpoint where that root is not inside (lo, hi).
-    That takes about 9 bound evaluations, a bisection about 55.  A probe
-    whose link values round to 0 or 1 counts as above the target.
-
-    At the returned delta the measured worst-case KL must stay within its
-    quadratic bound (c / 2) a^2 sum_i profile(i)^2, else NumericError: the
-    link's sup_dpsi and sup_ratio are not suprema (see LinkFunction).
+    vertex KL (the given link, sigmoid if None) gives alpha <= 1/2; enforced
+    below delta_a when needed.  The search keeps bound(lo) <= 1/2 <
+    bound(hi) and stops, like a bisection, once the midpoint rounds to lo or
+    hi, so it returns a 100-step bisection's delta while the bound grows with
+    delta.  It probes at the root delta sqrt(1/2 / bound(delta)) of the
+    quadratic model through the last probe (phi(t) ~ c t^2 / 2), else at
+    the midpoint: about 10 bound evaluations, not 55.  A probe whose link
+    values round to 0 or 1 counts as above the target.  At the returned
+    delta the measured KL must stay within (c / 2) a^2 sum profile^2, else
+    NumericError (see LinkFunction).
     """
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
@@ -364,17 +354,13 @@ def fano_certificate(
 
     Pass a LinkFunction for the classification (Bernoulli) certificate or a
     positive noise level sigma for the regression (Gaussian) analogue.
-    Every field but delta is a closed form of the module docstring: the
-    Gaussian KL exactly, the Bernoulli KL through its bound
-    (c / 2) n a^2 N, which is at least the measured vertex sum.  So a
-    regression certificate reads eigenvalues only, and a classification
-    certificate reads eigenvectors only for calibrate_delta's profile and
-    for one Gram check of the first N eigenvectors' per-axis factors: every
-    factor must be orthonormal to 1e-10 (else NumericError), as the
-    Parseval step of the closed forms needs.  A classification certificate
-    therefore depends on the basis inside a repeated eigenvalue only
-    through the profile that sets delta.  The recorded seed reproduces the
-    packing.
+    Every field but delta is a closed form of the module docstring, the
+    Bernoulli KL through its bound.  So a regression certificate reads
+    eigenvalues only, and a classification certificate reads eigenvectors
+    only for delta's profile, the one way it depends on the basis inside a
+    repeated eigenvalue, and for a Gram check: the first N eigenvectors'
+    per-axis factors must be orthonormal to 1e-10 (else NumericError), as
+    Parseval needs.  The recorded seed reproduces the packing.
     """
     N = packing_dimension(s.n, spec)
     if N < 8:

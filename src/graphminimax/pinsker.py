@@ -206,9 +206,8 @@ class LinkFunction:
     sup_dpsi bounds |Psi'| and sup_ratio bounds |Psi' / (Psi (1 - Psi))|;
     their product is the constant c in the divergence bound
     K(P_Psi(v1), P_Psi(v2)) <= n c ||v1 - v2||_n^2.  Both must be true
-    suprema: a classification certificate takes its KL from c alone, and
-    fano.calibrate_delta raises NumericError when the measured worst-case
-    KL exceeds the bound c t^2 / 2 per vertex of amplitude t.
+    suprema: certificates take their Bernoulli KL from c alone, and
+    calibrate_delta raises NumericError where it sees otherwise.
     """
 
     name: str

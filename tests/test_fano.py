@@ -97,7 +97,8 @@ def bisection_cases():
         for beta in pair:
             for Q in (0.3, 2.0):
                 for link in (sigmoid, steep):
-                    cases.append(pytest.param(eig, r, beta, Q, link, id=f"{eig}-{beta}-{Q}-{link.name}"))
+                    case_id = f"{eig}-{beta}-{Q}-{link.name}"
+                    cases.append(pytest.param(eig, r, beta, Q, link, id=case_id))
     return cases
 
 
@@ -431,11 +432,12 @@ def test_divergence_grows_at_most_quadratically(t):
         assert phi <= 0.5 * link.kl_constant * t * t + 1e-15
 
 
-@pytest.mark.parametrize("graph", ["path:512", "grid:24x24", "ws:512,6,0.1,3"])
-def test_closed_form_bounds_every_alternatives_vertex_sum(graph):
-    g = gm.parse_graph_spec(graph)
-    s = gm.eigendecompose(g)
-    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0 if g.shape is None or len(g.shape) == 1 else 2.0)
+@pytest.mark.parametrize(
+    "graph, r", [("path:512", 1.0), ("grid:24x24", 2.0), ("ws:512,6,0.1,3", 1.0)]
+)
+def test_closed_form_bounds_every_alternatives_vertex_sum(graph, r):
+    s = gm.eigendecompose(gm.parse_graph_spec(graph))
+    ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
     link = gm.sigmoid_link()
     cert = gm.fano_certificate(s, ball, link, seed=3)
     alts = gm.hard_alternatives(s, ball, cert.delta, gm.vg_packing(cert.N, cert.seed))
