@@ -22,8 +22,8 @@ from .errors import NumericError, ValidationError
 #: Largest vertex count for which a dense n x n array may be materialized:
 #: the Laplacian of ``laplacian``, the eigenbasis ``eigendecompose`` solves
 #: for a graph without shape, or a full ``Spectrum.basis`` of a path, grid or
-#: torus.  A head of k eigenvectors (``head_basis``) may hold n k values up
-#: to the square of this cap.
+#: torus.  A head of k eigenvectors (``head_basis``, and a path's single
+#: eigenvector factor) may hold n k values up to the square of this cap.
 DEFAULT_DENSE_CAP = 8192
 
 _WS_RETRY_BUDGET = 64
@@ -299,21 +299,17 @@ def laplacian(g: Graph) -> np.ndarray:
 def apply_laplacian(g: Graph, X: np.ndarray) -> np.ndarray:
     """L @ X from the edge array, without the n x n Laplacian.
 
-    ``X`` has shape (n,) or (n, k).  Column i of the neighbour table lists
-    the neighbours of vertex i, padded with i itself up to the largest
-    degree D, so (L x)(i) = D x(i) - sum_k x(table[k, i]).  That costs
-    O(D n) memory and O(D n k) time, not O(m k): a star has D = n - 1.
-    Neighbour values are gathered as whole rows of a C-ordered copy of X,
-    and the result is C-ordered.
+    ``X`` has shape (n,) or (n, k).  Each column is (L x)(i) = d_i x(i) -
+    sum_{j ~ i} x(j), the neighbour sum one ``np.bincount`` over both
+    directions of every edge: O(m k) time and O(n + m) memory per column,
+    whatever the degrees.  The result is column-major.
     """
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     if X.shape[0] != g.n:
         raise ValidationError(f"X has {X.shape[0]} rows, expected n={g.n}")
     src, dst = _half_edges(g.edges)
-    width = int(g.degrees.max())
-    table = np.repeat(np.arange(g.n)[None, :], width, axis=0)
-    table[np.arange(src.size) - np.searchsorted(src, src), src] = dst
-    out = X * width
-    for nb in table:
-        out -= X[nb]
-    return out
+    cols = X.reshape(g.n, -1)
+    out = np.empty(cols.shape, order="F")
+    for j, x in enumerate(cols.T):
+        out[:, j] = g.degrees * x - np.bincount(src, weights=x[dst], minlength=g.n)
+    return out.reshape(X.shape)

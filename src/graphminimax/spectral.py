@@ -46,22 +46,25 @@ class Spectrum:
     of the eigenspace the solver returns.  Results that must not depend on
     that choice should compare eigenvalue multisets or eigenspace projectors.
 
-    A spectrum from eigendecompose of a path, grid or torus holds no
-    eigenvector at first.  Its eigenvectors are Kronecker products of
+    A spectrum keeps its eigenvectors in one store, per-axis factors (see
+    ``_AxisFactors``).  One from eigendecompose of a path, grid or torus
+    holds none at first.  Its eigenvectors are Kronecker products of
     per-axis path or cycle vectors, and it keeps one factor per axis: the
     checked axis vectors that its first k columns use (d_a x u_a values on
-    an axis of d_a vertices), grown on first use.  The estimators, the
-    certificates, the GFT and ``sup_norm_bound`` apply these factors one
-    axis at a time and hold no n x k array; on a path the single factor
-    is the head itself (n x k).  Every other spectrum holds the first w
-    eigenvectors for some 1 <= w <= n, or none: eigh's basis, or a basis
-    passed here as an (n, w) array, as one column-major, read-only array.
+    an axis of d_a vertices), grown on first use.  Every other spectrum
+    holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
+    basis, or a basis passed here as an (n, w) array, kept as one
+    column-major, read-only factor.  The estimators, the certificates, the
+    GFT and ``sup_norm_bound`` apply the factors one axis at a time and
+    hold no n x k array; on a path or an explicit basis the single factor
+    is the head itself (n x k).
 
-    ``head_basis(s, k)`` returns the first k columns as an n x k array.  A
-    grid or torus expands them from its factors and keeps the largest head
-    so built (O(n k) memory); any other spectrum raises ValidationError
-    naming k and w when k > w.  ``basis`` is ``head_basis(s, n)``, all n
-    columns (n within ``DEFAULT_DENSE_CAP``).
+    ``head_basis(s, k)`` returns the first k columns as an n x k array: a
+    view of a single factor, or on a grid or torus a new array expanded
+    from the factors on every call (O(n k) memory, not kept).  A spectrum
+    that cannot grow raises ValidationError naming k and w when k > w.
+    ``basis`` is ``head_basis(s, n)``, all n columns (n within
+    ``DEFAULT_DENSE_CAP``).
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -77,10 +80,8 @@ class Spectrum:
 
     n: int
     lambdas: np.ndarray
-    # The n x w eigenvectors held (see above); for a lazy spectrum of a path,
-    # grid or torus its (graph, stable order of its Kronecker-sum
-    # eigenvalues) and the per-axis factors grown so far.
-    _head: np.ndarray | None = field(init=False, default=None, repr=False)
+    # For a lazy spectrum of a path, grid or torus, its graph and the stable
+    # order of its Kronecker-sum eigenvalues; then the one eigenvector store.
     _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
     _factors: _AxisFactors | None = field(init=False, default=None, repr=False)
 
@@ -100,14 +101,15 @@ class Spectrum:
                     f"got {basis.shape}"
                 )
             basis.setflags(write=False)
+            factors = _AxisFactors((basis,), (np.arange(basis.shape[1]),))
+            object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "_head", basis)
 
     @property
     def basis(self) -> np.ndarray | None:
         """The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum."""
-        if self._head is None and self._shaped is None:
+        if self._factors is None and self._shaped is None:
             return None
         check_dense_cap(self.n)
         return head_basis(self, self.n)
@@ -202,41 +204,25 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
 
     This is the reader for callers that need the columns themselves, such
     as ``s.basis`` and explicit comparisons; the estimators, certificates,
-    GFT and ``sup_norm_bound`` apply ``_axis_factors`` instead.  A spectrum
-    that holds at least k columns returns a slice of them.  A lazy spectrum
-    of a path, grid or torus grows its per-axis factors to k columns: a
-    path (or a one-axis torus) returns its single factor, and a grid or
-    torus expands the columns past its held head from the factors, checks
-    each new column's residual as eigendecompose describes and keeps the
-    larger head; ``head_basis(s, k)`` is ``s.basis[:, :k]`` bit for bit.
-    The head may hold at most ``DEFAULT_DENSE_CAP**2`` values: a larger
-    n k raises ValidationError before anything is allocated.  Any other
-    spectrum holding w < k columns raises ValidationError naming k and w,
-    and an eigenvalues-only spectrum one saying so.  k must be an integer
-    (not a bool); anything else raises ValidationError naming it.
+    GFT and ``sup_norm_bound`` apply ``_axis_factors`` instead.  On a path
+    or an explicit basis it returns a view of the single factor.  On a grid
+    or torus it expands the k columns from the per-axis factors on every
+    call, keeps none of them, and checks every column's residual as
+    eigendecompose describes; ``head_basis(s, k)`` is ``s.basis[:, :k]``
+    bit for bit.  A path, grid or torus head may hold at most
+    ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises ValidationError
+    before anything is allocated.  Every other case raises as
+    ``_axis_factors`` does.
     """
     k = _head_width(s, k)
-    head = s._head
-    width = 0 if head is None else head.shape[1]
-    if k <= width:
-        return head[:, :k]
-    if s._shaped is None:
-        if head is None:
-            raise ValidationError(
-                "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
-            )
-        raise ValidationError(
-            f"a head of k={k} columns needs more than the w={width} eigenvectors "
-            f"this spectrum holds"
-        )
-    _check_head_values(s, k)
+    if s._shaped is not None:
+        _check_head_values(s, k)
     factors = _axis_factors(s, k)
     if len(factors.vectors) == 1:
         return factors.vectors[0]
-    head = _grown_head(s, factors)
-    # One assignment: a concurrent caller sees the old head or the new one,
-    # and at worst builds the same deterministic columns again.
-    object.__setattr__(s, "_head", head)
+    head = factors.rows(0, k).T
+    _check_residual(s._shaped[0], s.lambdas[:k], head)
+    head.setflags(write=False)
     return head
 
 
@@ -249,8 +235,8 @@ class _AxisFactors:
     factor is a column-major, read-only d_a x u_a array of <.,.>_{d_a}-
     orthonormal axis vectors, in the order the columns first use them, so
     the first k' <= k columns use the first columns of every factor.  A
-    single axis (a path, or any spectrum's explicit head) has its head as
-    its factor and at = (arange(k),).
+    single axis (a path, or any spectrum's explicit basis) has its head as
+    its factor, at = (arange(k),) and at[0] itself as ``flat``.
 
     ``analyze`` and ``synthesize`` apply the k columns with one 2-D matrix
     product per axis on a reshaped view; on a single axis they are the
@@ -267,7 +253,8 @@ class _AxisFactors:
 
     def __post_init__(self):
         sizes = tuple(v.shape[1] for v in self.vectors)
-        object.__setattr__(self, "flat", np.ravel_multi_index(self.at, sizes))
+        flat = self.at[0] if len(sizes) == 1 else np.ravel_multi_index(self.at, sizes)
+        object.__setattr__(self, "flat", flat)
 
     @property
     def n(self) -> int:
@@ -333,18 +320,28 @@ class _AxisFactors:
 def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
     """The first k eigenvectors of s as per-axis factors (see _AxisFactors).
 
-    A lazy spectrum of a path, grid or torus grows its factors to k columns
-    on first use (see _grown_factors) and keeps them; any other spectrum
-    gives its head, ``head_basis(s, k)``, as a single factor.
+    This is the one reader of the eigenvectors a spectrum holds.  A lazy
+    spectrum of a path, grid or torus grows its factors to k columns on
+    first use (see _grown_factors) and keeps them.  Any other spectrum
+    holding w < k columns raises ValidationError naming k and w, and an
+    eigenvalues-only spectrum one saying so.  k must be an integer (not a
+    bool) in [1, n]; anything else raises ValidationError naming it.
     """
-    if s._shaped is None:
-        head = head_basis(s, k)
-        return _AxisFactors((head,), (np.arange(head.shape[1]),))
     k = _head_width(s, k)
     factors = s._factors
     if factors is None or factors.k < k:
+        if s._shaped is None:
+            if factors is None:
+                raise ValidationError(
+                    "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
+                )
+            raise ValidationError(
+                f"a head of k={k} columns needs more than the w={factors.k} eigenvectors "
+                f"this spectrum holds"
+            )
         factors = _grown_factors(s, k)
-        # one assignment, as for the head
+        # One assignment: a concurrent caller sees the old factors or the new
+        # ones, and at worst builds the same deterministic vectors again.
         object.__setattr__(s, "_factors", factors)
     return factors.prefix(k)
 
@@ -357,24 +354,24 @@ def eigendecompose(g: Graph) -> Spectrum:
     of the Kronecker-sum eigenvalues, so ``lambdas`` equals
     ``eigenvalues(g).lambdas`` bit for bit and the basis inside a repeated
     eigenvalue is that fixed product basis.  Such a spectrum computes its
-    eigenvalues here and no eigenvector.  Its readers (the estimators, the
-    certificates, the GFT and ``sup_norm_bound``) grow one checked factor
-    per axis on first use (``_axis_factors``, sum_a d_a u_a values; on a
-    path the n x k head) and apply it one axis at a time; only
-    ``head_basis`` and ``s.basis`` expand n x k columns.  A path's factor,
-    like any head, needs n k within ``DEFAULT_DENSE_CAP**2``, and the full
-    basis n within ``DEFAULT_DENSE_CAP``, checked at their first read.  Any
-    other graph gets a dense ``eigh`` of all n columns here, and n above
-    the dense cap raises ValidationError (from ``laplacian``) before
-    anything is allocated.
+    eigenvalues here and no eigenvector.  Every reader grows one checked
+    factor per axis on first use (``_axis_factors``, sum_a d_a u_a values;
+    on a path the n x k head); the estimators, the certificates, the GFT
+    and ``sup_norm_bound`` apply it one axis at a time, and only
+    ``head_basis`` and ``s.basis`` expand n x k columns, on every call.  A
+    path's factor, like any head, needs n k within ``DEFAULT_DENSE_CAP**2``,
+    and the full basis n within ``DEFAULT_DENSE_CAP``, checked at their
+    first read.  Any other graph gets a dense ``eigh`` of all n columns
+    here, kept as a single factor, and n above the dense cap raises
+    ValidationError (from ``laplacian``) before anything is allocated.
 
     The eigenvalues, all n of them, pass the moment, null-eigenvalue and
     connectivity checks of ``eigenvalues``.  Every column that is formed
     must pass the residual check ||L psi - lambda psi|| / max(1, lambda)
-    <= 1e-8 when it is built, with L applied by ``apply_laplacian`` (no
-    n x n Laplacian); the per-axis factors pass checks that bound that
-    residual for every product column (``_grown_factors``).  A failed
-    check raises NumericError.
+    <= 1e-8 when it is built, with L applied by ``apply_laplacian`` (O(m)
+    per column, no n x n Laplacian); the per-axis factors pass checks that
+    bound that residual for every product column (``_grown_factors``).  A
+    failed check raises NumericError.
     """
     if g.shape is not None:
         raw = _kronecker_sum(g)
@@ -399,13 +396,12 @@ def _check_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> None:
 def _worst_residual(g: Graph, lams: np.ndarray, basis: np.ndarray) -> float:
     """max_j ||L psi_j - lambda_j psi_j|| / max(1, lambda_j), L from apply_laplacian.
 
-    Columns of the (column-major) basis are checked in chunks, which keeps
-    the operator's gathered arrays at n x chunk.  Each chunk is copied once
-    to the row-major layout that apply_laplacian gathers from.
+    Columns of the basis are checked in chunks, which keeps the residual
+    arrays at n x chunk.
     """
     worst = 0.0
     for j0 in range(0, basis.shape[1], _RESIDUAL_CHUNK):
-        psi = np.ascontiguousarray(basis[:, j0 : j0 + _RESIDUAL_CHUNK])
+        psi = basis[:, j0 : j0 + _RESIDUAL_CHUNK]
         lam = lams[j0 : j0 + _RESIDUAL_CHUNK]
         resid = apply_laplacian(g, psi)
         resid -= psi * lam
@@ -551,27 +547,6 @@ def _check_axis_vectors(
     worst = float(rel.max(initial=0.0))
     if worst > _RESIDUAL_TOL / axes:
         raise NumericError(f"{kind} axis of side {side}: eigenvector residual too large: {worst:.3e}")
-
-
-def _grown_head(s: Spectrum, factors: _AxisFactors) -> np.ndarray:
-    """The first factors.k columns of a lazy grid or torus, from its held head on.
-
-    Only the columns past the held head are expanded from the factors and
-    residual-checked.
-    """
-    g = s._shaped[0]
-    old = s._head
-    k0 = 0 if old is None else old.shape[1]
-    new = factors.rows(k0, factors.k).T
-    _check_residual(g, s.lambdas[k0 : factors.k], new)
-    if old is None:
-        head = new
-    else:
-        head = np.empty((g.n, factors.k), order="F")
-        head[:, :k0] = old
-        head[:, k0:] = new
-    head.setflags(write=False)
-    return head
 
 
 def eigenvalues(g: Graph) -> Spectrum:

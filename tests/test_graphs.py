@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,23 @@ class TestApplyLaplacian:
             L = gm.laplacian(g)
             for X in (rng.standard_normal(g.n), rng.standard_normal((g.n, 3))):
                 assert np.max(np.abs(gm.apply_laplacian(g, X) - L @ X)) <= 1e-12
+
+    def test_star_costs_its_edges_not_its_degree(self):
+        # the cost follows the m = n - 1 edges, not n times the hub's degree
+        # (an n x D int64 table is 128 MiB here), and a leaf's row is one
+        # exact subtraction
+        g = gm.load_edge_list(star_edge_list(4096))
+        X = np.random.default_rng(5).standard_normal((g.n, 4))
+        tracemalloc.start()
+        try:
+            got = gm.apply_laplacian(g, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert np.array_equal(got[1:], X[1:] - X[0])
+        hub = (g.n - 1) * X[0] - X[1:].sum(axis=0)
+        assert np.max(np.abs(got[0] - hub)) <= 1e-12 * np.abs(X).sum()
 
     def test_rejects_a_wrong_row_count(self):
         with pytest.raises(ValidationError, match="expected n=5"):

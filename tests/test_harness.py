@@ -230,7 +230,8 @@ def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monke
     f = gm.sample_ball(s, ball, 0.9, seed=4)
     assert gm.sobolev_form(s, ball, f) == pytest.approx(0.9, rel=1e-10)
     alts = gm.hard_alternatives(s, ball, 0.1, gm.vg_packing(8, seed=0))
-    assert alts.shape[1] == g.n and s._head is None
+    assert alts.shape[1] == g.n
+    assert sum(v.size for v in s._factors.vectors) == sum(d * d for d in dims)
     spec = small_spec(family=family, n_values=(64, 256), estimator="classification-link",
                       sigma=0.5, reps=2)
     assert len(gm.run_classification_experiment(spec).rows) == 4

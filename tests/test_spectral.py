@@ -151,7 +151,7 @@ class TestClosedFormEigendecompose:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert s._head is None
+        assert s._factors is None
 
     def test_wrong_shape_fails_the_residual_check(self):
         # a 4-regular graph on 24 vertices has the moments of any other:
@@ -196,10 +196,14 @@ class TestClosedFormEigendecompose:
         g = gm.build_torus([5, 6])
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", wrong_frequency)
         with pytest.raises(NumericError, match="residual"):
+            gm.head_basis(gm.eigendecompose(g), 8)
+        with pytest.raises(NumericError, match="residual"):
             gm.eigendecompose(g).basis
         with pytest.raises(NumericError, match=r"torus axis of side \d: eigenvector residual"):
             regression_estimate(g)
         monkeypatch.setattr(gm.spectral, "_cycle_vectors", repeated_vector)
+        with pytest.raises(NumericError, match="not orthonormal"):
+            gm.head_basis(gm.eigendecompose(g), g.n)
         with pytest.raises(NumericError, match="not orthonormal"):
             gm.eigendecompose(g).basis
         with pytest.raises(NumericError, match=r"torus axis basis of side \d is not orthonormal"):
@@ -214,8 +218,8 @@ class TestClosedFormEigendecompose:
             gm.eigendecompose(g)
 
     def test_edge_residual_matches_dense_product(self):
-        # uneven degrees (a hub and a tail) exercise the padded neighbour
-        # table, and n = 280 more than one column chunk
+        # uneven degrees (a hub and a tail), and n = 280 more than one
+        # column chunk
         lines = [f"0 {v}" for v in range(1, 9)] + [f"{v} {v + 1}" for v in range(8, 20)]
         rng = np.random.default_rng(3)
         for g in (gm.load_edge_list(lines), gm.build_grid([3, 5]), gm.build_torus([4, 70])):
@@ -254,14 +258,15 @@ class TestHeadBasis:
             head = gm.head_basis(gm.eigendecompose(g), k)
             assert np.array_equal(head, full[:, :k])
             assert head.flags.f_contiguous and not head.flags.writeable
-        # growth in two steps builds only the new columns, and keeps the old
+        # every expansion on one spectrum, at growing and shrinking k
         small = gm.head_basis(s, split)
         assert np.array_equal(gm.head_basis(s, N), full[:, :N])
         assert np.array_equal(small, full[:, :split])
         assert np.array_equal(s.basis, full)
         assert s.basis.flags.f_contiguous and not s.basis.flags.writeable
 
-    def test_growth_checks_only_new_columns(self, monkeypatch):
+    def test_every_expansion_checks_its_columns(self, monkeypatch):
+        # no head is kept, so every call expands and checks all k columns
         s = gm.eigendecompose(gm.build_grid([16, 16]))
         checked = []
         residual = gm.spectral._worst_residual
@@ -275,12 +280,14 @@ class TestHeadBasis:
         gm.head_basis(s, 7)
         gm.head_basis(s, 30)
         s.basis
-        assert checked == [10, 20, 226]
+        assert checked == [10, 7, 30, 256]
 
     def test_dense_spectra_are_sliced(self):
         g = gm.build_small_world(64, 4, 0.2, seed=1)
         s = gm.eigendecompose(g)
         assert np.array_equal(gm.head_basis(s, 5), s.basis[:, :5])
+        # eigh's basis is the spectrum's single factor; its prefixes keep no index copy
+        assert np.shares_memory(gm.spectral._axis_factors(s, 5).flat, s._factors.at[0])
         synth = synthetic_spectrum(np.arange(6.0))
         assert np.array_equal(gm.head_basis(synth, 3), synth.basis[:, :3])
         for k in (0, 7):
@@ -328,7 +335,7 @@ class TestHeadBasis:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert copy.n == s.n and np.array_equal(copy.lambdas, s.lambdas)
-        assert copy.basis is None and s._head is None
+        assert copy.basis is None and s._factors is None
         with pytest.raises(ValidationError, match="eigenvalues only"):
             gm.head_basis(copy, 1)
 
@@ -365,6 +372,15 @@ class TestHeadBasis:
         assert np.array_equal(gm.head_basis(s, k), head)
 
 
+def refuse_product_rows(monkeypatch):
+    """Fail the test if any n x k product column is expanded from the factors."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x k product head was formed")
+
+    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
+
+
 def cluster_split(s):
     """A column count that cuts an eigenvalue cluster (2 when there is none)."""
     ties = np.flatnonzero(np.diff(s.lambdas) < 1e-9)
@@ -373,9 +389,10 @@ def cluster_split(s):
 
 class TestAxisFactors:
     @pytest.mark.parametrize("spec", SHAPED_SPECS)
-    def test_transforms_match_the_explicit_head(self, spec):
+    def test_transforms_match_the_explicit_head(self, spec, monkeypatch):
         # each k on a spectrum grown to exactly k columns, and as a prefix of
-        # one grown to all n
+        # one grown to all n; no n x k product head is formed
+        refuse_product_rows(monkeypatch)
         g = gm.parse_graph_spec(spec)
         full = reference_basis(g)
         grown = gm.eigendecompose(g)
@@ -394,19 +411,13 @@ class TestAxisFactors:
                 ):
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-                assert s._head is None
 
     @pytest.mark.parametrize("spec", SHAPED_SPECS)
     def test_gft_and_sup_norm_form_no_head(self, spec, monkeypatch):
         g = gm.parse_graph_spec(spec)
         full = reference_basis(g)
         s = gm.eigendecompose(g)
-        if len(g.shape[1]) > 1:  # a single axis's factor is its head
-
-            def refuse(*args, **kwargs):
-                raise AssertionError("an n x k product head was formed")
-
-            monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
+        refuse_product_rows(monkeypatch)
         f = np.random.default_rng(1).standard_normal(g.n)
         want = full.T @ f / g.n
         coeffs = gm.gft_forward(s, f)
@@ -414,7 +425,6 @@ class TestAxisFactors:
         assert np.max(np.abs(gm.gft_inverse(s, coeffs) - f)) <= 1e-12 * np.max(np.abs(f))
         # the product of the per-axis maxima rounds as the largest product entry
         assert gm.sup_norm_bound(s) == np.abs(full).max()
-        assert s._head is None
         assert sum(v.size for v in s._factors.vectors) == sum(d * d for d in g.shape[1])
 
     def test_path_factor_is_its_head(self):
@@ -422,7 +432,8 @@ class TestAxisFactors:
         factors = gm.spectral._axis_factors(s, 10)
         assert factors.vectors[0] is gm.head_basis(s, 10)
         assert np.array_equal(factors.at[0], np.arange(10))
-        assert s._head is None
+        assert factors.flat is factors.at[0]
+        assert [v.shape for v in s._factors.vectors] == [(64, 10)]
 
     def test_growth_builds_and_checks_only_new_axis_vectors(self, monkeypatch):
         s = gm.eigendecompose(gm.build_grid([16, 16]))
@@ -443,7 +454,7 @@ class TestAxisFactors:
         # 0..3 on the second (column 9 is (0, 3)); the first 30 use 0..5 on both
         assert checked == [(0, 3), (0, 4), (3, 6), (4, 6)]
         assert len(lattices) == 1
-        assert s._head is None
+        assert [v.shape for v in s._factors.vectors] == [(16, 6), (16, 6)]
 
 
 def test_array_dataclasses_compare_and_hash_by_identity():
