@@ -44,8 +44,10 @@ _PACKING_ATTEMPT_FACTOR = 1000
 _PACKING_TARGET_CAP = 4096
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
-# Vertex values the calibration's profile expands at once.
-_KL_BLOCK_VALUES = 32768
+# Vertex values the calibration's profile expands at once.  Its blocks
+# (8192 doubles, 64 KiB) stay below glibc's 128 KiB mmap threshold, so they
+# come from the heap instead of fresh pages on each call of a new process.
+_KL_BLOCK_VALUES = 8192
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
 
@@ -115,8 +117,11 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     stream as one draw per candidate.  Each block takes one product with the
     accepted rows and one with itself, in float64 through BLAS; the dot
     products of +/-1 vectors are integers of size <= N, so they are exact.
-    The accept scan then runs in candidate order over those distances, so
-    the result equals the one-candidate-at-a-time greedy loop.
+    When every distance of the block's first t = min(64, target - M)
+    candidates, to the accepted rows and among themselves, is at least
+    ceil(N/8), all t are taken at once; otherwise an accept scan runs in
+    candidate order over those distances.  Either way the result equals
+    the one-candidate-at-a-time greedy loop.
     """
     if N < 8:
         raise ValidationError(f"packing needs N >= 8, got {N}")
@@ -132,6 +137,14 @@ def vg_packing(N: int, seed: int) -> PackingSet:
         cand = rng.integers(0, 2, size=(B, N), dtype=np.int64) * 2.0 - 1.0
         closest = ((N - cand @ thetas[:M].T) / 2.0).min(axis=1, initial=N)
         inner = (N - cand @ cand.T) / 2.0
+        t = min(B, target - M)
+        np.fill_diagonal(inner, N)  # a candidate's distance to itself bars nothing
+        nearest = min(closest[:t].min(), inner[:t, :t].min())
+        if nearest >= d_min:
+            thetas[M : M + t] = cand[:t]
+            M += t
+            min_h = min(min_h, int(nearest))
+            continue
         taken = []
         for i in range(B):
             if closest[i] < d_min:
@@ -254,8 +267,9 @@ def _head_profile(s: Spectrum, N: int) -> np.ndarray:
     The columns are expanded from their per-axis factors a block of at most
     max(1, _KL_BLOCK_VALUES // n) at a time, exactly as the head's columns
     are, and added one by one in the order np.abs(head).sum(axis=1) adds
-    those of the column-major head.  So the result is the same bit for bit,
-    in O(block) memory beside the factors.
+    those of the column-major head.  So the result is the same bit for bit
+    at any block size, in O(block) memory beside the factors; the block is
+    small enough to be served from the heap (see _KL_BLOCK_VALUES).
     """
     factors = _axis_factors(s, N)
     profile = np.zeros(s.n)

@@ -30,6 +30,7 @@ from .spectral import Spectrum, _axis_factors, _column_count
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
 _CLIP_ETA = 1e-3
+_LOGIT_MESSAGE = "inverse link needs probabilities strictly inside (0, 1)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,10 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     and verifies it two ways: the defining equation must hold to 1e-8
     relative, and an independent bisection of the monotone left side on
     (0, 1/a_0) must agree to 1e-10.  A failure of either check signals an
-    inconsistent N and raises NumericError.
+    inconsistent N and raises NumericError.  Once its bracket [lo, hi] is
+    found, the bisection sums (*) only over the weights with a_j lo < 1,
+    picked by a mask: every other term is exactly 0 at every x >= lo, in
+    whatever order a is given.
     """
     a = w.a
     head = a[:N]
@@ -101,9 +105,10 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
         lo /= 2.0
         if lo < 1e-300:
             raise NumericError("bisection bracket collapsed")
+    active = a[a * lo < 1.0]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _equation_lhs(a, epsilon, mid) > w.R:
+        if _equation_lhs(active, epsilon, mid) > w.R:
             lo = mid
         else:
             hi = mid
@@ -141,14 +146,15 @@ def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
     """sum_{j<k} l_j <y, psi_j>_n psi_j with k = len(l_head).
 
     Only the first k eigenvectors are applied, through their per-axis
-    factors (``_axis_factors``): O(n k) on a path or an explicit head, one
-    matrix product per axis on a grid or torus, and no n x k array there.
+    factors (``_AxisFactors.shrink``): O(n k) on a path or an explicit
+    head, one matrix product per axis each way on a grid or torus, and no
+    n x k array there.  The result is a new array.
     """
     factors = _axis_factors(s, len(l_head))
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
         raise ValidationError(f"signal length {y.shape} does not match n={s.n}")
-    return factors.synthesize(l_head * (factors.analyze(y) / s.n))
+    return factors.shrink(y, l_head, s.n)
 
 
 def estimate_regression(s: Spectrum, plan: ShrinkagePlan, y: np.ndarray) -> np.ndarray:
@@ -231,15 +237,17 @@ def _sigmoid(t):
 def require_probabilities(p: np.ndarray, message: str) -> None:
     """Raise ValidationError(message) unless every entry lies strictly inside (0, 1).
 
-    Written as one positive test so that NaN entries fail it too.
+    Written as positive tests on the smallest and the largest entry, which
+    are NaN when any entry is, so that NaN entries fail them too; no array
+    of p's size is formed.
     """
-    if not np.all((p > 0.0) & (p < 1.0)):
+    if p.size and not (p.min() > 0.0 and p.max() < 1.0):
         raise ValidationError(message)
 
 
 def _sigmoid_inv(p):
     p = np.asarray(p, dtype=float)
-    require_probabilities(p, "inverse link needs probabilities strictly inside (0, 1)")
+    require_probabilities(p, _LOGIT_MESSAGE)
     return np.log(p / (1.0 - p))
 
 
@@ -278,18 +286,32 @@ def estimate_classification(
     probability) and clips into [eta, 1 - eta] with eta = 1e-3.
     mode="link" additionally maps the clipped direct estimate through the
     inverse sigmoid, shrinks again on the latent scale, and maps back.
+
+    Every step after a shrink runs in place on the new array the shrink
+    returned: the clips, the sigmoid link's psi_inv log(rho / (1 - rho))
+    after its check that rho lies inside (0, 1), and its psi
+    1 / (1 + exp(-t)).  The result equals the chain through np.clip,
+    link.psi_inv and link.psi bit for bit; y and plan are not written.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
         raise ValidationError(f"label length {y.shape} does not match n={s.n}")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if np.count_nonzero(y == 0.0) + np.count_nonzero(y == 1.0) != y.size:
         raise ValidationError("classification labels must be 0/1")
     if mode not in ("direct", "link"):
         raise ValidationError(f"unknown classification mode {mode!r}")
     eta = _CLIP_ETA
-    rho = np.clip(estimate_regression(s, plan, y), eta, 1.0 - eta)
+    rho = estimate_regression(s, plan, y)
+    np.clip(rho, eta, 1.0 - eta, out=rho)
     if mode == "link":
-        link = sigmoid_link()
-        latent = link.psi_inv(rho)
-        rho = np.clip(link.psi(estimate_regression(s, plan, latent)), eta, 1.0 - eta)
+        require_probabilities(rho, _LOGIT_MESSAGE)
+        rho /= 1.0 - rho
+        latent = np.log(rho, out=rho)
+        rho = estimate_regression(s, plan, latent)
+        np.negative(rho, out=rho)
+        with np.errstate(over="ignore"):
+            np.exp(rho, out=rho)
+        rho += 1.0
+        np.divide(1.0, rho, out=rho)
+        np.clip(rho, eta, 1.0 - eta, out=rho)
     return rho

@@ -31,6 +31,9 @@ _RESIDUAL_TOL = 1e-8
 _RESIDUAL_CHUNK = 256
 _ORTHONORMAL_TOL = 1e-10
 _MOMENT_RTOL = 1e-10
+# Prefix views an _AxisFactors keeps; the warm estimators and certificates
+# use about three column counts per spectrum.
+_PREFIX_VIEWS = 4
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -240,15 +243,20 @@ class _AxisFactors:
 
     ``analyze`` and ``synthesize`` apply the k columns with one 2-D matrix
     product per axis on a reshaped view; on a single axis they are the
-    head's own products, ``head.T @ y`` and ``head @ c``.
+    head's own products, ``head.T @ y`` and ``head @ c``.  ``shrink`` runs
+    both with the same products, vertex -> core -> vertex, and weights the
+    u_1 x ... x u_r core through a mask, with no k-vector in between.
+
+    Prefix views of the _PREFIX_VIEWS column counts used last are kept,
+    because callers ask for the same few k on every call and a view costs
+    as much as a small transform; older ones are dropped.
     """
 
     vectors: tuple[np.ndarray, ...]
     at: tuple[np.ndarray, ...]
     # The row-major index of each column's axis indices in the u_1 x ... x u_r core.
     flat: np.ndarray = field(init=False, repr=False)
-    # Prefix views by column count, kept because callers ask for the same
-    # few k on every call and a view costs as much as a small transform.
+    # Prefix views by column count, least recently used first.
     _prefixes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -268,11 +276,17 @@ class _AxisFactors:
         """The factors of the first k <= self.k columns."""
         if k == self.k:
             return self
-        view = self._prefixes.get(k)
+        # pop and re-insert moves k to the end; pop(..., None) tolerates a
+        # concurrent caller that removed the same key
+        view = self._prefixes.pop(k, None)
         if view is None:
             at = tuple(i[:k] for i in self.at)
             vectors = tuple(v[:, : int(i.max()) + 1] for v, i in zip(self.vectors, at))
-            view = self._prefixes[k] = _AxisFactors(vectors, at)
+            view = _AxisFactors(vectors, at)
+        self._prefixes[k] = view
+        if len(self._prefixes) > _PREFIX_VIEWS:
+            for old in list(self._prefixes)[:-_PREFIX_VIEWS]:
+                self._prefixes.pop(old, None)
         return view
 
     def rows(self, k0: int, k1: int) -> np.ndarray:
@@ -300,6 +314,29 @@ class _AxisFactors:
         for v in self.vectors:
             y = y.reshape(v.shape[0], -1).T @ v
         return y.ravel()[self.flat]
+
+    def shrink(self, y: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+        """synthesize(weights * (analyze(y) / n)) bit for bit: (n,) -> (n,).
+
+        On several axes the core that analyze's products leave is divided by
+        n and multiplied by a core mask holding weights[c] at flat[c] and 0
+        elsewhere, then expanded by synthesize's products.  The core holds
+        the same numbers in the same places as synthesize's, and zeros
+        elsewhere; a zero's sign could show only in an output entry whose
+        every term is zero.
+        """
+        if len(self.vectors) == 1:
+            return self.synthesize(weights * (self.analyze(y) / n))
+        core = y
+        for v in self.vectors:
+            core = core.reshape(v.shape[0], -1).T @ v
+        mask = np.zeros(core.size)
+        mask[self.flat] = weights
+        core /= n
+        core *= mask.reshape(core.shape)
+        for v in self.vectors:
+            core = core.reshape(v.shape[1], -1).T @ v.T
+        return core.reshape(self.n)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """sum_j c[..., j] psi_j: (k,) -> (n,), or a block of rows (B, k) -> (B, n)."""

@@ -217,6 +217,18 @@ class TestVgPacking:
         for N in range(8, 97):
             assert_same_packing(gm.vg_packing(N, seed), reference_packing(N, seed))
 
+    @pytest.mark.parametrize(
+        "N, seeds",
+        [(8, (3, 202, 333)), (9, (4, 69, 171)), (12, (5, 30, 237)), (16, (3, 4, 5)),
+         (48, (3, 4, 5)), (96, (3,))],
+    )
+    def test_whole_blocks_and_the_scan_equal_the_greedy_loop(self, N, seeds):
+        # at these targets a block almost always clears ceil(N/8) everywhere
+        # and is taken whole; seeds 202, 333, 69, 171, 30 and 237 draw a
+        # second candidate too close to the first, so their block is scanned
+        for seed in seeds:
+            assert_same_packing(gm.vg_packing(N, seed), reference_packing(N, seed))
+
     @pytest.mark.parametrize("block", [1, 7, 200])
     def test_block_size_does_not_change_the_packing(self, block, monkeypatch):
         monkeypatch.setattr(fano, "_PACKING_BLOCK", block)

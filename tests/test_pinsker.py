@@ -93,8 +93,9 @@ class TestSolveX:
         eps = 0.4
         N = gm.cutoff_N(w, eps)
         assert N > 2
-        with pytest.raises(NumericError):
-            gm.solve_x(w, eps, max(1, N - 2))
+        for wrong in (N - 2, N + 1):
+            with pytest.raises(NumericError):
+                gm.solve_x(w, eps, wrong)
 
 
 class TestPinskerPlan:
@@ -367,6 +368,29 @@ class TestEstimateClassification:
             y = (rng.random(1024) < rho).astype(float)
             risks.append(np.mean((gm.estimate_classification(s, plan, y) - rho) ** 2))
         assert np.mean(risks) < 0.25
+
+    @pytest.mark.parametrize("spec", ["path:512", "grid:48x48", "torus:16x64", "ws:512,6,0.1,1"])
+    def test_link_pass_is_the_reference_chain_bit_for_bit(self, spec):
+        # the in-place pass equals np.clip, link.psi_inv, the latent shrink,
+        # link.psi and np.clip on new arrays; it writes neither y nor plan.l
+        g = gm.parse_graph_spec(spec)
+        s = gm.eigendecompose(g)
+        r = float(len(g.shape[1])) if g.shape else 2.0
+        plan = gm.pinsker_plan(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, r)), 0.5, g.n)
+        link = gm.sigmoid_link()
+        rng = np.random.default_rng(4)
+        for p in (0.05, 0.4, 0.97):
+            y = (rng.random(g.n) < p).astype(float)
+            y_before, l_before = y.copy(), plan.l.copy()
+            rho = np.clip(gm.estimate_regression(s, plan, y), 1e-3, 1.0 - 1e-3)
+            latent = gm.estimate_regression(s, plan, link.psi_inv(rho))
+            want = np.clip(link.psi(latent), 1e-3, 1.0 - 1e-3)
+            got = gm.estimate_classification(s, plan, y, mode="link")
+            assert got.tobytes() == want.tobytes()
+            direct = gm.estimate_classification(s, plan, y, mode="direct")
+            assert direct.tobytes() == rho.tobytes()
+            assert y.tobytes() == y_before.tobytes()
+            assert plan.l.tobytes() == l_before.tobytes()
 
     def test_rejects_non_binary_labels(self):
         s, _, plan = path_plan(32, sigma=0.5)

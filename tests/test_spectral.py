@@ -457,6 +457,38 @@ class TestAxisFactors:
         assert [v.shape for v in s._factors.vectors] == [(16, 6), (16, 6)]
 
 
+    @pytest.mark.parametrize(
+        "spec", ["path:2048", "grid:48x48", "torus:16x64", "grid:8x8x8", "ws:512,6,0.1,1"]
+    )
+    def test_shrink_is_the_weighted_transform_pair_bit_for_bit(self, spec):
+        g = gm.parse_graph_spec(spec)
+        s = gm.eigendecompose(g)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(g.n)
+        for k in (1, cluster_split(s), 37, 48, 69):
+            factors = gm.spectral._axis_factors(s, k)
+            l = rng.uniform(0.0, 1.0, k)
+            want = factors.synthesize(l * (factors.analyze(y) / g.n))
+            assert factors.shrink(y, l, g.n).tobytes() == want.tobytes()
+
+    def test_prefix_views_stay_bounded(self):
+        # a projection at every cutoff of grid 48^2 keeps only the last few
+        # prefix views, not one index copy per column count
+        s = gm.eigendecompose(gm.build_grid([48, 48]))
+        y = np.random.default_rng(0).standard_normal(s.n)
+        gm.projection_estimate(s, y, s.n)
+        tracemalloc.start()
+        try:
+            for m in range(1, s.n + 1):
+                gm.projection_estimate(s, y, m)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        views = gm.spectral._PREFIX_VIEWS
+        assert list(s._factors._prefixes) == list(range(s.n - views, s.n))
+
+
 def test_array_dataclasses_compare_and_hash_by_identity():
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
 
