@@ -155,7 +155,7 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
     """
     ns = np.asarray(n_values, dtype=float)
     means = np.asarray(mean_risks, dtype=float)
-    if len(ns) < 2 or len(np.unique(ns)) < 2:
+    if len(ns) < 2 or np.all(ns == ns[0]):
         raise ValidationError("rate fit needs at least two distinct sizes")
     if np.any(means <= 0.0):
         raise NumericError("degenerate rate fit: non-positive mean risk")

@@ -1,5 +1,9 @@
 import io
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,6 +52,21 @@ def reference_lattice(dims, wrap):
 
 def star_edge_list(n):
     return io.StringIO("".join(f"0 {i}\n" for i in range(1, n)))
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc/self/status"
+)
+
+
+def resident_mib():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError("no VmRSS line")
 
 
 class TestBuildPath:
@@ -273,6 +292,56 @@ class TestLaplacian:
         g = gm.build_path(gm.DEFAULT_DENSE_CAP + 1)
         with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap 8192"):
             gm.laplacian(g)
+
+    def test_equals_the_zero_array_construction(self):
+        star = gm.load_edge_list(star_edge_list(300))
+        for g in (gm.build_path(2), star, gm.build_small_world(2048, 6, 0.1, 1)):
+            want = np.zeros((g.n, g.n))
+            u, v = g.edges.T
+            want[u, v] = want[v, u] = -1.0
+            want[np.diag_indices(g.n)] = g.degrees
+            L = gm.laplacian(g)
+            assert L.dtype == np.float64 and L.shape == (g.n, g.n)
+            assert L.flags.c_contiguous and L.flags.writeable
+            assert np.array_equal(L, want)
+            assert np.array_equal(np.linalg.eigvalsh(L), np.linalg.eigvalsh(want))
+
+    @needs_proc_status
+    def test_only_written_pages_are_resident_and_freed(self):
+        # n^2 * 8 bytes = 32 MiB; the pages holding an edge or a degree are about 10.4 MiB
+        g = gm.build_small_world(2048, 6, 0.1, 1)
+        before = resident_mib()
+        L = gm.laplacian(g)
+        held = resident_mib() - before
+        assert held < 16.0
+        assert np.linalg.eigvalsh(L)[1] > 0.0  # reading every zero maps no page
+        del L
+        assert resident_mib() - before < 2.0
+
+    def test_cold_edge_list_fit_and_simulate_skip_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (numpy 2.4), about 1 MiB and 12-16 ms per cold run
+        edges = tmp_path / "ws.txt"
+        g = gm.build_small_world(256, 6, 0.1, 1)
+        edges.write_text("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
+        code = (
+            "import contextlib, io, sys\n"
+            "from graphminimax import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        for argv in (
+            ["fit-r", "--graph", f"file:{edges}"],
+            ["simulate", "--family", "path", "--n-list", "64,128", "--beta", "1", "--sigma", "1",
+             "--estimator", "pinsker", "--reps", "2", "--seed", "1",
+             "--out-prefix", str(tmp_path / "mc")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
 class TestEdgeArrays:
