@@ -56,10 +56,6 @@ def star_edge_list(n):
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-needs_proc_status = pytest.mark.skipif(
-    not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc/self/status"
-)
-
 
 def resident_mib():
     with open("/proc/self/status") as fh:
@@ -304,17 +300,15 @@ class TestLaplacian:
             assert L.dtype == np.float64 and L.shape == (g.n, g.n)
             assert L.flags.c_contiguous and L.flags.writeable
             assert np.array_equal(L, want)
-            assert np.array_equal(np.linalg.eigvalsh(L), np.linalg.eigvalsh(want))
 
-    @needs_proc_status
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS there")
     def test_only_written_pages_are_resident_and_freed(self):
         # n^2 * 8 bytes = 32 MiB; the pages holding an edge or a degree are about 10.4 MiB
         g = gm.build_small_world(2048, 6, 0.1, 1)
         before = resident_mib()
         L = gm.laplacian(g)
-        held = resident_mib() - before
-        assert held < 16.0
-        assert np.linalg.eigvalsh(L)[1] > 0.0  # reading every zero maps no page
+        assert L.max() == g.degrees.max()  # reads every page, as eigvalsh's copy does
+        assert resident_mib() - before < 16.0
         del L
         assert resident_mib() - before < 2.0
 
