@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from ._text import csv_text, format_rows
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_seed
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
 from .graphs import parse_graph_spec
 from .harness import (
@@ -193,7 +193,7 @@ def _cmd_prior_demo(args) -> int:
     s, ball = _model(args, eigenvalues)
     w = ellipsoid_weights(s, ball)
     plan = pinsker_plan(w, args.sigma, s.n)
-    seeds = np.random.SeedSequence(args.seed).generate_state(args.draws, np.uint64)
+    seeds = np.random.SeedSequence(_check_seed(args.seed)).generate_state(args.draws, np.uint64)
     risks = np.empty(args.draws)
     for i, seed in enumerate(seeds):
         coeffs = worst_case_prior_sample(plan, w, args.delta, int(seed))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one seed check."""
+import numbers
 
 
 class GraphMinimaxError(Exception):
@@ -11,3 +12,10 @@ class ValidationError(GraphMinimaxError):
 
 class NumericError(GraphMinimaxError):
     """A numeric procedure failed or produced an inconsistent result."""
+
+
+def _check_seed(seed) -> int:
+    """seed as an int for numpy's generators; ValidationError unless a non-negative integer."""
+    if isinstance(seed, numbers.Integral) and seed >= 0:
+        return int(seed)
+    raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")

@@ -33,10 +33,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_seed
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors, gft_inverse
+from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -111,7 +111,7 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     Draws uniform sign vectors and accepts a candidate iff it disagrees
     with every accepted vector in at least ceil(N/8) coordinates, stopping
     at floor(2^(N/8)) accepted vectors or after 1000x that many candidates.
-    Deterministic given the seed.
+    Deterministic given the seed, a non-negative integer.
 
     Candidates come in blocks of 64 from one rng call, which yields the same
     stream as one draw per candidate.  Each block takes one product with the
@@ -127,7 +127,7 @@ def vg_packing(N: int, seed: int) -> PackingSet:
         raise ValidationError(f"packing needs N >= 8, got {N}")
     d_min = math.ceil(N / 8)
     target = _vg_target(N)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     thetas = np.empty((target, N))
     M, min_h = 0, N
     budget = _PACKING_ATTEMPT_FACTOR * target
@@ -175,13 +175,14 @@ def hard_alternatives(
 
     Row 0 is the zero base point; row j >= 1 is the signal with eigenbasis
     coefficients a * theta^(j) on the first N coordinates (a as in the module
-    docstring).  This is the vertex-space reference for fano_certificate.
+    docstring), synthesized in one block from the first N columns' factors.
+    This is the vertex-space reference for fano_certificate.
     """
     if pack.N > s.n:
         raise ValidationError(f"packing dimension {pack.N} exceeds n={s.n}")
-    coeffs = np.zeros((pack.M + 1, s.n))
-    coeffs[1:, : pack.N] = _bump_amplitude(delta, spec, pack.N) * pack.thetas
-    return np.vstack([gft_inverse(s, c) for c in coeffs])
+    coeffs = np.zeros((pack.M + 1, pack.N))
+    coeffs[1:] = _bump_amplitude(delta, spec, pack.N) * pack.thetas
+    return _axis_factors(s, pack.N).synthesize(coeffs)
 
 
 def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -376,6 +377,7 @@ def fano_certificate(
     per-axis factors must be orthonormal to 1e-10 (else NumericError), as
     Parseval needs.  The recorded seed reproduces the packing.
     """
+    seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
     if N < 8:
         raise ValidationError(f"n too small for packing (N = {N} < 8)")
@@ -386,8 +388,8 @@ def fano_certificate(
     else:
         mode = "regression"
         sigma = float(sigma_or_link)
-        if not sigma > 0:
-            raise ValidationError(f"sigma must be positive, got {sigma_or_link!r}")
+        if not 0 < sigma < math.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {sigma_or_link!r}")
         delta = _gaussian_calibrated_delta(s, spec, N, sigma)
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)
@@ -422,7 +424,7 @@ def fano_certificate(
         alpha=float(alpha),
         fano_bound=float(fano_bound),
         valid=bool(sobolev_max <= spec.Q**2 and alpha < 1.0 and separation_min > 0.0),
-        seed=int(seed),
+        seed=seed,
         mode=mode,
     )
 
@@ -443,7 +445,7 @@ def worst_case_prior_sample(
     v2 = np.zeros_like(w.a)
     active = plan.l > 0.0
     v2[active] = plan.epsilon**2 * plan.l[active] / (plan.x * w.a[active])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return rng.standard_normal(len(v2)) * np.sqrt((1.0 - delta_prior) * v2)
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_seed
 
 #: Largest vertex count for which a dense n x n array may be materialized:
 #: the Laplacian of ``laplacian``, the eigenbasis ``eigendecompose`` solves
@@ -200,8 +200,9 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"small-world needs k < n, got k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"rewiring probability must be in [0, 1], got {p!r}")
+    seed = _check_seed(seed)
     for attempt in range(_WS_RETRY_BUDGET):
-        used = int(seed) + attempt
+        used = seed + attempt
         edges = _ws_edges(int(n), int(k), float(p), used)
         if _connectivity_witness(int(n), edges) is None:
             return _finish_graph(int(n), edges, build_seed=used)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_seed
 from .graphs import Graph, parse_graph_spec
 from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball, sample_ball_coefficients
@@ -88,8 +88,9 @@ class ExperimentSpec:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         if not 0.0 < self.fill <= 1.0:
             raise ValidationError(f"fill must be in (0, 1], got {self.fill}")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValidationError(f"sigma must be non-negative and finite, got {self.sigma}")
+        _check_seed(self.seed)
         for n in self.n_values:
             _graph_spec(self.family, n, self.seed)
 

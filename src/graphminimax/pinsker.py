@@ -128,8 +128,8 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     n sets the noise scale sigma / sqrt(n) and must be the number of
     weights, one per eigenvalue; ValidationError otherwise.
     """
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    if not 0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
     if n != len(w.a):
         raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
     epsilon = sigma / np.sqrt(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_seed
 from .spectral import Spectrum, gft_forward, gft_inverse
 
 
@@ -28,12 +28,12 @@ class SobolevSpec:
     r: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValidationError(f"beta must be positive, got {self.beta!r}")
-        if not self.Q > 0:
-            raise ValidationError(f"Q must be positive, got {self.Q!r}")
-        if not self.r >= 1:
-            raise ValidationError(f"r must be >= 1, got {self.r!r}")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
+        if not 0 < self.Q < math.inf:
+            raise ValidationError(f"Q must be positive and finite, got {self.Q!r}")
+        if not 1 <= self.r < math.inf:
+            raise ValidationError(f"r must be >= 1 and finite, got {self.r!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +72,11 @@ def sample_ball_coefficients(w: EllipsoidWeights, fill: float, seed: int) -> np.
     A standard normal vector g is scaled coefficient-wise by
     sqrt(fill) * Q / (a_j ||g||_2) with Q = sqrt(R), which places the draw
     on the boundary of the ball of radius sqrt(fill) * Q.  Deterministic
-    given the seed.
+    given the seed, a non-negative integer.
     """
     if not 0.0 < fill <= 1.0:
         raise ValidationError(f"fill must be in (0, 1], got {fill!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     g = rng.standard_normal(len(w.a))
     return np.sqrt(fill) * math.sqrt(w.R) * g / (w.a * np.linalg.norm(g))
 

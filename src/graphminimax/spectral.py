@@ -58,9 +58,9 @@ class Spectrum:
     holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
     basis, or a basis passed here as an (n, w) array, kept as one
     column-major, read-only factor.  The estimators, the certificates, the
-    GFT and ``sup_norm_bound`` apply the factors one axis at a time and
-    hold no n x k array; on a path or an explicit basis the single factor
-    is the head itself (n x k).
+    GFT and ``sup_norm_bound`` apply the factors by one product per axis,
+    on one axis as on several, and hold no n x k array beside them; on a
+    path or an explicit basis the single factor is the head itself.
 
     ``head_basis(s, k)`` returns the first k columns as an n x k array: a
     view of a single factor, or on a grid or torus a new array expanded
@@ -193,15 +193,6 @@ def _head_width(s: Spectrum, k) -> int:
     return k
 
 
-def _check_head_values(s: Spectrum, k: int) -> None:
-    """ValidationError, before anything is allocated, if n k exceeds DEFAULT_DENSE_CAP**2."""
-    if s.n * k > DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
-            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
-        )
-
-
 def head_basis(s: Spectrum, k: int) -> np.ndarray:
     """The first k eigenvectors of s as an n x k column-major, read-only array.
 
@@ -218,8 +209,11 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     ``_axis_factors`` does.
     """
     k = _head_width(s, k)
-    if s._shaped is not None:
-        _check_head_values(s, k)
+    if s._shaped is not None and s.n * k > DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
+            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
+        )
     factors = _axis_factors(s, k)
     if len(factors.vectors) == 1:
         return factors.vectors[0]
@@ -242,10 +236,10 @@ class _AxisFactors:
     its factor, at = (arange(k),) and at[0] itself as ``flat``.
 
     ``analyze`` and ``synthesize`` apply the k columns with one 2-D matrix
-    product per axis on a reshaped view; on a single axis they are the
-    head's own products, ``head.T @ y`` and ``head @ c``.  ``shrink`` runs
-    both with the same products, vertex -> core -> vertex, and weights the
-    u_1 x ... x u_r core through a mask, with no k-vector in between.
+    product per axis on a reshaped view, one code path for any number of
+    axes.  ``shrink`` runs both with the same products, vertex -> core ->
+    vertex, and weights the u_1 x ... x u_r core through a mask, with no
+    k-vector in between.
 
     Prefix views of the _PREFIX_VIEWS column counts used last are kept,
     because callers ask for the same few k on every call and a view costs
@@ -307,8 +301,6 @@ class _AxisFactors:
 
     def analyze(self, y: np.ndarray) -> np.ndarray:
         """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
-        if len(self.vectors) == 1:
-            return self.vectors[0].T @ y
         # each product contracts the leading vertex axis and appends its
         # column axis at the back, so the next vertex axis leads
         for v in self.vectors:
@@ -318,15 +310,13 @@ class _AxisFactors:
     def shrink(self, y: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
         """synthesize(weights * (analyze(y) / n)) bit for bit: (n,) -> (n,).
 
-        On several axes the core that analyze's products leave is divided by
-        n and multiplied by a core mask holding weights[c] at flat[c] and 0
+        The core that analyze's products leave is divided by n and
+        multiplied by a core mask holding weights[c] at flat[c] and 0
         elsewhere, then expanded by synthesize's products.  The core holds
         the same numbers in the same places as synthesize's, and zeros
         elsewhere; a zero's sign could show only in an output entry whose
         every term is zero.
         """
-        if len(self.vectors) == 1:
-            return self.synthesize(weights * (self.analyze(y) / n))
         core = y
         for v in self.vectors:
             core = core.reshape(v.shape[0], -1).T @ v
@@ -340,9 +330,6 @@ class _AxisFactors:
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """sum_j c[..., j] psi_j: (k,) -> (n,), or a block of rows (B, k) -> (B, n)."""
-        if len(self.vectors) == 1:
-            head = self.vectors[0]
-            return head @ c if c.ndim == 1 else c @ head.T
         rows = c.reshape(-1, self.k)
         core = np.zeros((math.prod(v.shape[1] for v in self.vectors), len(rows)))
         core[self.flat] = rows.T
@@ -508,13 +495,11 @@ def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
     sum of the axis Laplacians, so L psi - lambda psi is the sum over the
     axes of the axis residual times the other axes' vectors, and the
     checks bound every product column's residual by eigendecompose's 1e-8.
-    The factors may hold at most ``DEFAULT_DENSE_CAP**2`` values; a single
-    axis is refused with the head's message, since its factor is the head.
+    The factors may hold at most ``DEFAULT_DENSE_CAP**2`` values (on a path
+    the head's n k); more raises ValidationError before any vector is built.
     """
     g, order = s._shaped
     kind, dims = g.shape
-    if len(dims) == 1:
-        _check_head_values(s, k)
     old = s._factors
     axis_index = np.unravel_index(order[:k], dims)
     # every axis's indices in order of first use, and each column's position there

@@ -473,3 +473,43 @@ class TestPriorDemoCommand:
         first = capsys.readouterr().out
         run_cli(*args)
         assert capsys.readouterr().out == first
+
+
+
+SIMULATE = ["simulate", "--family", "path", "--n-list", "64,128", "--reps", "2",
+            "--out-prefix", "sim"]
+DENOISE = ["denoise", "--graph", "path:64", "--obs", "obs.csv", "--beta", "1", "--out", "f.csv"]
+FANO = ["fano", "--graph", "path:512", "--out", "c.csv"]
+PRIOR = ["prior-demo", "--graph", "path:64", "--beta", "1"]
+SEED_MESSAGE = "seed must be a non-negative integer"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (SIMULATE + ["--beta", "1", "--sigma", "1", "--seed", "-1"], SEED_MESSAGE),
+        (FANO + ["--beta", "1", "--seed", "-1"], SEED_MESSAGE),
+        (PRIOR + ["--seed", "-1"], SEED_MESSAGE),
+        (["spectrum", "--graph", "ws:64,4,0.1,-1", "--out", "s.csv"], SEED_MESSAGE),
+        (FANO + ["--beta", "1", "--Q", "inf"], "Q must be positive and finite"),
+        (FANO + ["--beta", "1", "--r", "inf"], "r must be >= 1 and finite"),
+        (SIMULATE + ["--beta", "inf", "--sigma", "1"], "beta must be positive and finite"),
+        (SIMULATE + ["--beta", "1", "--sigma", "nan"], "sigma must be non-negative and finite"),
+        (SIMULATE + ["--beta", "1", "--sigma", "inf"], "sigma must be non-negative and finite"),
+        (DENOISE + ["--sigma", "inf"], "sigma must be positive and finite"),
+        (PRIOR + ["--sigma", "inf"], "sigma must be positive and finite"),
+        (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "inf"],
+         "sigma must be positive and finite"),
+    ],
+)
+def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
+    args, message, tmp_path, monkeypatch, capsys
+):
+    # each fails with the exit-1 error line, not numpy's traceback or exit 2
+    monkeypatch.chdir(tmp_path)
+    write_obs_csv(tmp_path / "obs.csv", np.zeros(64))
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]

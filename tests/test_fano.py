@@ -199,6 +199,11 @@ class TestVgPacking:
         with pytest.raises(ValidationError):
             gm.vg_packing(7, seed=0)
 
+    @pytest.mark.parametrize("bad", [-1, 2.0, None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, bad):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            gm.vg_packing(8, bad)
+
     def test_rejects_infeasible_target(self):
         with pytest.raises(ValidationError):
             gm.vg_packing(512, seed=0)
@@ -287,6 +292,18 @@ class TestHardAlternatives:
         expected = delta**2 * 16.0 ** (-3.0) * head
         for f in alts[1:]:
             assert abs(gm.sobolev_form(s, BALL, f) - expected) < 1e-9 * expected
+
+    def test_grows_the_packing_columns_only(self):
+        # one block synthesis from the first N columns' factor; the
+        # zero-padded construction through gft_inverse grows all 4096
+        s = gm.path_spectrum_closed_form(4096)
+        pack = gm.vg_packing(16, seed=4)
+        alts = gm.hard_alternatives(s, BALL, 0.3, pack)
+        assert s._factors.k == pack.N
+        coeffs = np.zeros((pack.M + 1, s.n))
+        coeffs[1:, : pack.N] = _bump_amplitude(0.3, BALL, pack.N) * pack.thetas
+        padded = np.vstack([gm.gft_inverse(s, c) for c in coeffs])
+        assert np.abs(alts - padded).max() <= 1e-14 * np.abs(padded).max()
 
     def test_packing_larger_than_graph(self):
         s = gm.path_spectrum_closed_form(8)
@@ -534,8 +551,18 @@ class TestFanoCertificate:
 
     def test_rejects_bad_sigma(self):
         s = gm.path_spectrum_closed_form(1024)
-        with pytest.raises(ValidationError):
-            gm.fano_certificate(s, BALL, 0.0, seed=0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="sigma must be positive and finite"):
+                gm.fano_certificate(s, BALL, bad, seed=0)
+
+    def test_rejects_a_negative_seed_before_calibrating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrated before checking the seed")
+
+        monkeypatch.setattr(fano, "calibrate_delta", refuse)
+        s = gm.path_spectrum_closed_form(1024)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            gm.fano_certificate(s, BALL, gm.sigmoid_link(), seed=-1)
 
     @pytest.mark.parametrize("how", ["clf", 1.0])
     @pytest.mark.parametrize(
@@ -672,6 +699,11 @@ class TestWorstCasePrior:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
                 gm.worst_case_prior_sample(plan, w, bad, seed=0)
+
+    def test_seed_validation(self):
+        w, plan = self._setup(128)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            gm.worst_case_prior_sample(plan, w, 0.2, seed=-3)
 
 
 def test_certificate_csv_round_trip():

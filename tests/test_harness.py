@@ -80,6 +80,15 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValidationError):
             small_spec(fill=0.0)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_sigma_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be non-negative and finite"):
+            small_spec(sigma=sigma)
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            small_spec(seed=-1)
+
 
 class TestRegressionRunner:
     def test_smoke_rows_and_order(self):

@@ -129,6 +129,9 @@ class TestPinskerPlan:
         w = gm.ellipsoid_weights(s, BALL)
         with pytest.raises(ValidationError):
             gm.pinsker_plan(w, 0.0, 32)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="sigma must be positive and finite"):
+                gm.pinsker_plan(w, bad, 32)
 
     def test_n_must_match_the_weights(self):
         # weights of path 64 planned as if n were 4096 would give N = 14 and

@@ -119,3 +119,18 @@ def test_spec_validation():
         gm.SobolevSpec(beta=1.0, Q=0.0, r=1.0)
     with pytest.raises(ValidationError):
         gm.SobolevSpec(beta=1.0, Q=1.0, r=0.5)
+
+
+@pytest.mark.parametrize("field", ["beta", "Q", "r"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_spec_needs_finite_values(field, bad):
+    values = {"beta": 1.0, "Q": 1.0, "r": 1.0, field: bad}
+    with pytest.raises(ValidationError, match=f"{field} must be .* finite"):
+        gm.SobolevSpec(**values)
+
+
+@pytest.mark.parametrize("bad", [-2, -1, 1.5, "3"])
+def test_coefficient_draw_needs_a_non_negative_integer_seed(bad):
+    w = gm.ellipsoid_weights(gm.path_spectrum_closed_form(16), BALL)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        gm.sample_ball_coefficients(w, 1.0, bad)

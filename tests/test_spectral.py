@@ -435,6 +435,25 @@ class TestAxisFactors:
         assert factors.flat is factors.at[0]
         assert [v.shape for v in s._factors.vectors] == [(64, 10)]
 
+    @pytest.mark.parametrize("spec", ["path:2048", "ws:512,6,0.1,1"])
+    def test_one_axis_transforms_are_the_head_products_bit_for_bit(self, spec):
+        # a path's factor and eigh's basis take the per-axis products too;
+        # on one axis they are the head's own products
+        s = gm.eigendecompose(gm.parse_graph_spec(spec))
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(s.n)
+        for k in (1, 14, 100, s.n):
+            factors = gm.spectral._axis_factors(s, k)
+            head = gm.head_basis(s, k)
+            c, rows = rng.standard_normal(k), rng.standard_normal((3, k))
+            for got, want in (
+                (factors.analyze(y), head.T @ y),
+                (factors.synthesize(c), head @ c),
+                (factors.synthesize(rows), rows @ head.T),
+            ):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_growth_builds_and_checks_only_new_axis_vectors(self, monkeypatch):
         s = gm.eigendecompose(gm.build_grid([16, 16]))
         checked, lattices = [], []
