@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and its one seed check."""
-import numbers
+"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds)."""
+import operator
+
+import numpy as np
 
 
 class GraphMinimaxError(Exception):
@@ -14,8 +16,19 @@ class NumericError(GraphMinimaxError):
     """A numeric procedure failed or produced an inconsistent result."""
 
 
+def _check_integer(value, what: str, kind: str = "an integer") -> int:
+    """value as an int if operator.index takes it and it is not a bool; else ValidationError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be {kind}, got {value!r}")
+
+
 def _check_seed(seed) -> int:
     """seed as an int for numpy's generators; ValidationError unless a non-negative integer."""
-    if isinstance(seed, numbers.Integral) and seed >= 0:
-        return int(seed)
-    raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    kind = "a non-negative integer"
+    if _check_integer(seed, "seed", kind) < 0:
+        raise ValidationError(f"seed must be {kind}, got {seed!r}")
+    return operator.index(seed)

@@ -36,7 +36,7 @@ from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_seed
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import _ORTHONORMAL_TOL, Spectrum, _axis_factors
+from .spectral import Spectrum, _axis_factors, _check_orthonormal
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -373,9 +373,9 @@ def fano_certificate(
     Bernoulli KL through its bound.  So a regression certificate reads
     eigenvalues only, and a classification certificate reads eigenvectors
     only for delta's profile, the one way it depends on the basis inside a
-    repeated eigenvalue, and for a Gram check: the first N eigenvectors'
-    per-axis factors must be orthonormal to 1e-10 (else NumericError), as
-    Parseval needs.  The recorded seed reproduces the packing.
+    repeated eigenvalue, and for Parseval's premise: each per-axis factor of
+    the first N eigenvectors must pass ``spectral._check_orthonormal``
+    (else NumericError).  The recorded seed reproduces the packing.
     """
     seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
@@ -397,12 +397,8 @@ def fano_certificate(
     sobolev_max = a**2 * float(np.sum(_spectral_weights_sq(s, spec)[:N]))
 
     if mode == "classification":
-        factors = _axis_factors(s, N)
-        gram_err = max(
-            float(np.abs(v.T @ v / len(v) - np.eye(v.shape[1])).max()) for v in factors.vectors
-        )
-        if gram_err > _ORTHONORMAL_TOL:
-            raise NumericError(f"first {N} eigenvectors are not orthonormal: {gram_err:.3e}")
+        for v in _axis_factors(s, N).vectors:
+            _check_orthonormal(v, 0, f"first {N} eigenvectors")
         kl_total = pack.M * 0.5 * link.kl_constant * s.n * a**2 * N
     else:
         kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)

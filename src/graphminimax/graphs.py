@@ -21,10 +21,10 @@ import numpy as np
 from .errors import NumericError, ValidationError, _check_seed
 
 #: Largest vertex count for which a dense n x n array may be materialized:
-#: the Laplacian of ``laplacian``, the eigenbasis ``eigendecompose`` solves
-#: for a graph without shape, or a full ``Spectrum.basis`` of a path, grid or
-#: torus.  A head of k eigenvectors (``head_basis``, and a path's single
-#: eigenvector factor) may hold n k values up to the square of this cap.
+#: the Laplacian of ``laplacian`` and the eigenbasis ``eigendecompose`` solves
+#: for a graph without shape.  A head of k eigenvectors of a path, grid or
+#: torus (``head_basis``, a path's single factor, a full ``Spectrum.basis``)
+#: may hold n k values up to the square of this cap.
 #: ``laplacian`` never touches the pages of its zeros, so a dense solve
 #: holds LAPACK's n x n copy (and eigh's n x n basis) plus only the pages
 #: of L that hold an edge or a degree.

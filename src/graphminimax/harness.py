@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_seed
 from .graphs import Graph, parse_graph_spec
 from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
-from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball, sample_ball_coefficients
-from .spectral import eigendecompose, eigenvalues, geometry_r
+from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball_coefficients
+from .spectral import _line_fit, eigendecompose, eigenvalues, geometry_r, gft_inverse
 
 REGRESSION_ESTIMATORS = ("pinsker", "projection")
 CLASSIFICATION_ESTIMATORS = ("classification-direct", "classification-link")
@@ -63,7 +63,7 @@ class ExperimentSpec:
     grid/torus families every n must be a perfect d-th power.  sigma is the
     regression noise level; for classification estimators it sets the
     shrinkage plan's noise scale (0.5 matches the worst-case Bernoulli
-    standard deviation).
+    standard deviation).  Every field is checked here, before any graph is built.
     """
 
     family: str
@@ -77,12 +77,13 @@ class ExperimentSpec:
     fill: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = tuple(_check_integer(n, "each n in n_values") for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
         if len(self.n_values) < 2:
             raise ValidationError("rate fitting needs at least two sizes in n_values")
         if any(b >= c for b, c in zip(self.n_values, self.n_values[1:])):
             raise ValidationError("n_values must be strictly increasing")
-        if self.reps < 1:
+        if _check_integer(self.reps, "reps") < 1:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
         if self.estimator not in REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
@@ -90,6 +91,7 @@ class ExperimentSpec:
             raise ValidationError(f"fill must be in (0, 1], got {self.fill}")
         if not 0 <= self.sigma < math.inf:
             raise ValidationError(f"sigma must be non-negative and finite, got {self.sigma}")
+        SobolevSpec(beta=self.beta, Q=self.Q, r=1.0)  # r is fixed per n; this checks beta and Q
         _check_seed(self.seed)
         for n in self.n_values:
             _graph_spec(self.family, n, self.seed)
@@ -97,15 +99,9 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-replicate risks plus the aggregate rate fit."""
+    """The spec that was run (no field of it is restated), per-replicate risks and rate fit."""
 
-    family: str
-    estimator: str
-    beta: float
-    Q: float
-    sigma: float
-    fill: float
-    seed: int
+    spec: ExperimentSpec
     rows: tuple[tuple[int, float, int, int, float], ...]  # (n, r_used, rep, seed, risk)
     per_n: tuple[tuple[int, float, float], ...]  # (n, mean risk, std error)
     r_used_final: float
@@ -151,8 +147,9 @@ def _rep_seeds(master: int, n: int, rep: int) -> tuple[int, int]:
 def fit_rate(n_values, mean_risks) -> tuple[float, float]:
     """OLS slope of log(mean risk) on log(n), with its standard error.
 
-    The standard error comes from the residual variance; with only two
-    points the fit is exact and the error is reported as nan.
+    The line is ``spectral._line_fit``'s, as in fit_geometry.  The standard
+    error comes from the residual variance; with only two points the fit is
+    exact and the error is reported as nan.
     """
     ns = np.asarray(n_values, dtype=float)
     means = np.asarray(mean_risks, dtype=float)
@@ -160,16 +157,10 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
         raise ValidationError("rate fit needs at least two distinct sizes")
     if np.any(means <= 0.0):
         raise NumericError("degenerate rate fit: non-positive mean risk")
-    x = np.log(ns)
-    y = np.log(means)
-    xc = x - x.mean()
-    sxx = float(np.dot(xc, xc))
-    slope = float(np.dot(xc, y) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
+    slope, rss, sxx = _line_fit(np.log(ns), np.log(means))
     dof = len(ns) - 2
     if dof == 0:
         return slope, math.nan
-    rss = float(np.sum((y - (slope * x + intercept)) ** 2))
     return slope, math.sqrt(rss / dof / sxx)
 
 
@@ -187,13 +178,7 @@ def _aggregate(spec: ExperimentSpec, rows, r_used_final) -> RateReport:
         slope, stderr = fit_rate([p[0] for p in per_n], [p[1] for p in per_n])
     theory = -2.0 * spec.beta / (2.0 * spec.beta + r_used_final)
     return RateReport(
-        family=spec.family,
-        estimator=spec.estimator,
-        beta=spec.beta,
-        Q=spec.Q,
-        sigma=spec.sigma,
-        fill=spec.fill,
-        seed=spec.seed,
+        spec=spec,
         rows=tuple(rows),
         per_n=tuple(per_n),
         r_used_final=r_used_final,
@@ -258,11 +243,11 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
                     stacklevel=2,
                 )
                 warned = True
-            ball = SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used)
-            plan = pinsker_plan(ellipsoid_weights(s, ball), spec.sigma, n)
+            w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
+            plan = pinsker_plan(w, spec.sigma, n)
             for rep in range(spec.reps):
                 ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
-                rho = psi(sample_ball(s, ball, spec.fill, ball_seed))
+                rho = psi(gft_inverse(s, sample_ball_coefficients(w, spec.fill, ball_seed)))
                 labels = (
                     np.random.default_rng(noise_seed).random(n) < rho
                 ).astype(float)
@@ -283,9 +268,9 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
 
 def results_csv_text(report: RateReport) -> str:
     """Per-replicate rows, ascending n then rep, under RESULTS_HEADER."""
-    family, beta, Q, sigma = report.family, report.beta, report.Q, report.sigma
+    spec = report.spec
     rows = [
-        (family, n, beta, Q, sigma, r_used, report.estimator, rep, seed, risk)
+        (spec.family, n, spec.beta, spec.Q, spec.sigma, r_used, spec.estimator, rep, seed, risk)
         for n, r_used, rep, seed, risk in report.rows
     ]
     return csv_text(RESULTS_HEADER, rows)
@@ -293,6 +278,6 @@ def results_csv_text(report: RateReport) -> str:
 
 def aggregate_csv_text(report: RateReport) -> str:
     """Single aggregate row with the fitted and theoretical slopes, under AGGREGATE_HEADER."""
-    r = report
-    row = (r.family, r.estimator, r.beta, r.r_used_final, r.slope, r.slope_stderr, r.theory_slope)
-    return csv_text(AGGREGATE_HEADER, [row])
+    spec = report.spec
+    fit = (report.r_used_final, report.slope, report.slope_stderr, report.theory_slope)
+    return csv_text(AGGREGATE_HEADER, [(spec.family, spec.estimator, spec.beta, *fit)])

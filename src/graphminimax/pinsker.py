@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_integer
 from .sobolev import EllipsoidWeights
-from .spectral import Spectrum, _axis_factors, _column_count
+from .spectral import Spectrum, _axis_factors
 
 _EQ_RTOL = 1e-8
 _BISECT_ATOL = 1e-10
@@ -199,7 +199,7 @@ def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
 
     Reads only the first m eigenvectors.  m must be an integer (not a bool).
     """
-    m = _column_count(m, "projection cutoff")
+    m = _check_integer(m, "projection cutoff")
     if not 1 <= m <= s.n:
         raise ValidationError(f"projection cutoff must be in [1, {s.n}], got {m}")
     return _shrink_head(s, y, np.ones(m))

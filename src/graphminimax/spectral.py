@@ -9,22 +9,13 @@ bounded signal stay O(1) as the graph grows.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError
-from .graphs import (
-    DEFAULT_DENSE_CAP,
-    Graph,
-    apply_laplacian,
-    build_path,
-    check_dense_cap,
-    is_lattice,
-    laplacian,
-)
+from .errors import NumericError, ValidationError, _check_integer
+from .graphs import DEFAULT_DENSE_CAP, Graph, apply_laplacian, build_path, is_lattice, laplacian
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
@@ -66,8 +57,8 @@ class Spectrum:
     view of a single factor, or on a grid or torus a new array expanded
     from the factors on every call (O(n k) memory, not kept).  A spectrum
     that cannot grow raises ValidationError naming k and w when k > w.
-    ``basis`` is ``head_basis(s, n)``, all n columns (n within
-    ``DEFAULT_DENSE_CAP``).
+    ``basis`` is ``head_basis(s, n)``, all n columns, under its cap (on a
+    path, grid or torus n^2 within ``DEFAULT_DENSE_CAP**2``).
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -114,7 +105,6 @@ class Spectrum:
         """The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum."""
         if self._factors is None and self._shaped is None:
             return None
-        check_dense_cap(self.n)
         return head_basis(self, self.n)
 
 
@@ -175,19 +165,9 @@ def _checked_lambdas(g: Graph, lams: np.ndarray) -> np.ndarray:
     return lams
 
 
-def _column_count(k, what: str) -> int:
-    """k as an int, for a number of eigenvectors; bools and non-integers raise."""
-    if not isinstance(k, (bool, np.bool_)):
-        try:
-            return operator.index(k)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what} must be an integer, got {k!r}")
-
-
 def _head_width(s: Spectrum, k) -> int:
     """k as a column count of s's head: an integer (not a bool) in [1, n]."""
-    k = _column_count(k, "a head's column count k")
+    k = _check_integer(k, "a head's column count k")
     if not 1 <= k <= s.n:
         raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
     return k
@@ -383,8 +363,8 @@ def eigendecompose(g: Graph) -> Spectrum:
     on a path the n x k head); the estimators, the certificates, the GFT
     and ``sup_norm_bound`` apply it one axis at a time, and only
     ``head_basis`` and ``s.basis`` expand n x k columns, on every call.  A
-    path's factor, like any head, needs n k within ``DEFAULT_DENSE_CAP**2``,
-    and the full basis n within ``DEFAULT_DENSE_CAP``, checked at their
+    path's factor, like any head, needs n k within ``DEFAULT_DENSE_CAP**2``
+    (so the full basis n within ``DEFAULT_DENSE_CAP``), checked at its
     first read.  Any other graph gets a dense ``eigh`` of all n columns
     here, kept as a single factor, and n above the dense cap raises
     ValidationError (from ``laplacian``) before anything is allocated.
@@ -544,18 +524,14 @@ def _check_axis_vectors(
 ) -> None:
     """NumericError unless columns u0.. of an axis factor are orthonormal eigenvectors.
 
-    Columns u0.. (axis indices js) are checked against every column in a
-    Gram block to 1e-10, and their residual against the axis's path or
-    cycle Laplacian, ||L_a v - lambda_a v|| sqrt(n / side) / max(1, lambda_a)
-    on an axis of side vertices, must stay within 1e-8 / axes.
+    Columns u0.. (axis indices js) pass ``_check_orthonormal`` against every
+    column, and their residual against the axis's path or cycle Laplacian,
+    ||L_a v - lambda_a v|| sqrt(n / side) / max(1, lambda_a) on an axis of
+    side vertices, must stay within 1e-8 / axes.
     """
     side = len(vectors)
+    _check_orthonormal(vectors, u0, f"{kind} axis basis of side {side}")
     fresh = vectors[:, u0:]
-    gram = fresh.T @ vectors / side
-    gram[np.arange(len(js)), u0 + np.arange(len(js))] -= 1.0
-    gram_err = float(np.abs(gram).max(initial=0.0))
-    if gram_err > _ORTHONORMAL_TOL:
-        raise NumericError(f"{kind} axis basis of side {side} is not orthonormal: {gram_err:.3e}")
     lams = _axis_eigenvalues(kind, side)[js]
     if kind == "grid":
         lap = np.zeros_like(fresh)
@@ -569,6 +545,20 @@ def _check_axis_vectors(
     worst = float(rel.max(initial=0.0))
     if worst > _RESIDUAL_TOL / axes:
         raise NumericError(f"{kind} axis of side {side}: eigenvector residual too large: {worst:.3e}")
+
+
+def _check_orthonormal(vectors: np.ndarray, u0: int, what: str) -> None:
+    """NumericError naming what unless columns u0.. of vectors are orthonormal.
+
+    Their Gram block against every column, under <.,.>_d on d rows, must be
+    the identity's to 1e-10 in every entry.
+    """
+    fresh = vectors[:, u0:]
+    gram = fresh.T @ vectors / len(vectors)
+    gram[np.arange(fresh.shape[1]), u0 + np.arange(fresh.shape[1])] -= 1.0
+    gram_err = float(np.abs(gram).max(initial=0.0))
+    if gram_err > _ORTHONORMAL_TOL:
+        raise NumericError(f"{what} is not orthonormal: {gram_err:.3e}")
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -603,12 +593,23 @@ def path_spectrum_closed_form(n: int) -> Spectrum:
     return eigendecompose(build_path(n))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """The OLS line of y on x: slope, residual sum of squares, Sxx = sum((x - mean x)^2)."""
+    xc = x - x.mean()
+    sxx = float(np.dot(xc, xc))
+    slope = float(np.dot(xc, y) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    rss = float(np.sum((y - (slope * x + intercept)) ** 2))
+    return slope, rss, sxx
+
+
 def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     """Least-squares fit of log(lambda_i) against log(i/n).
 
     The fitted range is i in {i0, ..., floor(kappa * n)} (clipped to n-1).
     The defaults skip the non-power-law head and tail; both are overridable
-    because the right range is graph-dependent.
+    because the right range is graph-dependent.  The line is ``_line_fit``'s,
+    as in harness.fit_rate; a slope <= 0 raises NumericError.
     """
     if i0 < 1:
         raise ValidationError(f"i0 must be >= 1, got {i0}")
@@ -621,14 +622,9 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     lams = s.lambdas[idx]
     if np.any(lams <= 0.0):
         raise ValidationError("fitted range contains non-positive eigenvalues")
-    x = np.log(idx / s.n)
-    y = np.log(lams)
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y) / np.dot(xc, xc))
+    slope, rss, _ = _line_fit(np.log(idx / s.n), np.log(lams))
     if slope <= 0.0:
         raise NumericError(f"degenerate geometry fit: slope {slope:.3e} <= 0")
-    intercept = float(y.mean() - slope * x.mean())
-    rss = float(np.sum((y - (slope * x + intercept)) ** 2))
     ratios = lams / (idx / s.n) ** slope
     return GeometryFit(
         r_hat=2.0 / slope,

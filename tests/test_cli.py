@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -513,3 +514,27 @@ def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (["--beta", "-1"], "beta must be positive and finite, got -1.0"),
+        (["--beta", "1", "--Q", "nan"], "Q must be positive and finite, got nan"),
+    ],
+    ids=["beta-negative", "Q-nan"],
+)
+@pytest.mark.parametrize("estimator", ["classification-direct", "pinsker"])
+def test_simulate_checks_beta_and_q_before_running(
+    model, message, estimator, tmp_path, monkeypatch, capsys
+):
+    # the spec refuses them: no graph, no regime warning, no size suffix
+    monkeypatch.chdir(tmp_path)
+    args = SIMULATE + model + ["--sigma", "0.5", "--estimator", estimator]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*args) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -199,7 +199,7 @@ class TestVgPacking:
         with pytest.raises(ValidationError):
             gm.vg_packing(7, seed=0)
 
-    @pytest.mark.parametrize("bad", [-1, 2.0, None])
+    @pytest.mark.parametrize("bad", [-1, 2.0, None, True])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, bad):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             gm.vg_packing(8, bad)
@@ -702,8 +702,9 @@ class TestWorstCasePrior:
 
     def test_seed_validation(self):
         w, plan = self._setup(128)
-        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
-            gm.worst_case_prior_sample(plan, w, 0.2, seed=-3)
+        for bad in (-3, True):
+            with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+                gm.worst_case_prior_sample(plan, w, 0.2, seed=bad)
 
 
 def test_certificate_csv_round_trip():

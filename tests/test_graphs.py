@@ -187,8 +187,9 @@ class TestSmallWorld:
             gm.build_small_world(10, 10, 0.1, seed=0)  # k >= n
         with pytest.raises(ValidationError):
             gm.build_small_world(10, 4, 1.5, seed=0)
-        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
-            gm.build_small_world(10, 4, 0.1, seed=-1)
+        for bad in (-1, True):
+            with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+                gm.build_small_world(10, 4, 0.1, seed=bad)
 
     def test_geometry_parameter_near_reported_value(self):
         # a lightly rewired ring reproduces the reported small-world r of

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +48,26 @@ class TestFitRate:
             hits += abs(slope - (-2.0 / 3.0)) <= 3.0 * stderr
         assert hits >= 950
 
+    @pytest.mark.parametrize(
+        "ns, means",
+        [([256, 512, 1024, 2048], [0.031, 0.0204, 0.0127, 0.0081]), ([100, 1000], [0.3, 0.07])],
+    )
+    def test_line_fit_is_the_inline_formula_bit_for_bit(self, ns, means):
+        # the shared line fit against the formula fit_rate wrote out before
+        # it had one, in the same order of operations
+        x = np.log(np.asarray(ns, dtype=float))
+        y = np.log(np.asarray(means, dtype=float))
+        xc = x - x.mean()
+        sxx = float(np.dot(xc, xc))
+        slope = float(np.dot(xc, y) / sxx)
+        intercept = float(y.mean() - slope * x.mean())
+        rss = float(np.sum((y - (slope * x + intercept)) ** 2))
+        got = gm.fit_rate(ns, means)
+        if len(ns) == 2:
+            assert got[0] == slope and math.isnan(got[1])
+        else:
+            assert got == (slope, math.sqrt(rss / (len(ns) - 2) / sxx))
+
     def test_errors(self):
         with pytest.raises(ValidationError):
             gm.fit_rate([100], [1.0])
@@ -88,6 +110,47 @@ class TestExperimentSpecValidation:
     def test_seed_non_negative(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             small_spec(seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_seed_is_an_integer_not_a_bool(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            small_spec(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("beta", -1.0, "beta must be positive and finite"),
+            ("beta", float("nan"), "beta must be positive and finite"),
+            ("beta", float("inf"), "beta must be positive and finite"),
+            ("Q", float("nan"), "Q must be positive and finite"),
+            ("Q", 0.0, "Q must be positive and finite"),
+        ],
+    )
+    def test_beta_and_q_are_checked_before_any_graph(self, field, value, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
+        for estimator in ("pinsker", "classification-direct"):
+            with pytest.raises(ValidationError, match=message) as info:
+                small_spec(estimator=estimator, sigma=0.5, **{field: value})
+            assert "(family=" not in str(info.value)
+
+    @pytest.mark.parametrize("reps", [2.5, True, np.bool_(True), "3", None])
+    def test_reps_is_an_integer(self, reps):
+        message = re.escape(f"reps must be an integer, got {reps!r}")
+        with pytest.raises(ValidationError, match=message):
+            small_spec(reps=reps)
+
+    @pytest.mark.parametrize("n_values", [(64.9, 128), (64, 128.0), (True, 128)])
+    def test_sizes_are_integers(self, n_values):
+        with pytest.raises(ValidationError, match="each n in n_values must be an integer"):
+            small_spec(n_values=n_values)
+
+    def test_numpy_integers_are_integers(self):
+        spec = small_spec(n_values=np.array([64, 128]), reps=np.int64(2), seed=np.uint32(3))
+        assert spec.n_values == (64, 128) and all(type(n) is int for n in spec.n_values)
+        assert len(gm.run_experiment(spec).rows) == 4
 
 
 class TestRegressionRunner:
@@ -224,6 +287,23 @@ class TestClassificationRunner:
                 small_spec(estimator="classification-direct", sigma=0.0)
             )
 
+    def test_truth_is_sample_ball_bit_for_bit(self, grid8_eig, monkeypatch):
+        # each truth is drawn from the per-n weights; it is the sample_ball
+        # signal of the replicate's ball seed, on grid 8x8 at n = 64
+        truths = []
+
+        def recording(s, coeffs):
+            truths.append(gm.spectral.gft_inverse(s, coeffs))
+            return truths[-1]
+
+        monkeypatch.setattr(gm.harness, "gft_inverse", recording)
+        spec = small_spec(family="grid:2", n_values=(64, 256), estimator="classification-link",
+                          sigma=0.5, reps=1, seed=5, fill=0.7)
+        report = gm.run_classification_experiment(spec)
+        ball_seed = report.rows[0][3]
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+        assert np.array_equal(truths[0], gm.sample_ball(grid8_eig, ball, 0.7, ball_seed))
+
 
 @pytest.mark.parametrize("family, dims", [("grid:2", (16, 16)), ("torus:2", (16, 16))])
 def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monkeypatch):
@@ -244,6 +324,13 @@ def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monke
     spec = small_spec(family=family, n_values=(64, 256), estimator="classification-link",
                       sigma=0.5, reps=2)
     assert len(gm.run_classification_experiment(spec).rows) == 4
+
+
+def test_rate_report_restates_no_spec_field():
+    spec_fields = {f.name for f in dataclasses.fields(gm.ExperimentSpec)}
+    assert not spec_fields & {f.name for f in dataclasses.fields(gm.RateReport)}
+    spec = small_spec()
+    assert gm.run_experiment(spec).spec is spec
 
 
 class TestCsvFormat:
@@ -267,6 +354,6 @@ class TestCsvFormat:
 
     def test_run_experiment_dispatch(self):
         rep1 = gm.run_experiment(small_spec())
-        assert rep1.estimator == "pinsker"
+        assert rep1.spec.estimator == "pinsker"
         rep2 = gm.run_experiment(small_spec(estimator="classification-direct", sigma=0.5))
-        assert rep2.estimator == "classification-direct"
+        assert rep2.spec.estimator == "classification-direct"

@@ -129,7 +129,7 @@ def test_spec_needs_finite_values(field, bad):
         gm.SobolevSpec(**values)
 
 
-@pytest.mark.parametrize("bad", [-2, -1, 1.5, "3"])
+@pytest.mark.parametrize("bad", [-2, -1, 1.5, "3", True])
 def test_coefficient_draw_needs_a_non_negative_integer_seed(bad):
     w = gm.ellipsoid_weights(gm.path_spectrum_closed_form(16), BALL)
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):

@@ -137,13 +137,14 @@ class TestClosedFormEigendecompose:
 
     def test_cap_is_checked_before_allocation(self):
         # a full basis above DEFAULT_DENSE_CAP, and a head above its square
-        # in values, fail at once, before any n x k array exists
+        # in values, fail at once, before any n x k array exists; the full
+        # basis is the head of k = n columns and meets the same limit
         s = gm.eigendecompose(gm.build_path(10000))
         assert s.n > gm.DEFAULT_DENSE_CAP
         too_many = gm.DEFAULT_DENSE_CAP**2 // s.n + 1
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap"):
+            with pytest.raises(ValidationError, match=r"k=10000 .* n\*k = .* above the limit"):
                 s.basis
             with pytest.raises(ValidationError, match=r"n\*k = .* above the limit"):
                 gm.head_basis(s, too_many)
@@ -741,6 +742,24 @@ class TestFitGeometry:
         s = synthetic_spectrum(np.concatenate([[0.0], np.ones(63)]))
         with pytest.raises(NumericError):
             gm.fit_geometry(s)
+
+    @pytest.mark.parametrize("spec", ["path:2048", "ws:2048,6,0.1,1"])
+    def test_line_fit_is_the_inline_formula_bit_for_bit(self, spec):
+        # the shared line fit against the formula fit_geometry wrote out
+        # before it had one, in the same order of operations
+        s = gm.eigenvalues(gm.parse_graph_spec(spec))
+        fit = gm.fit_geometry(s)
+        idx = np.arange(5, s.n // 2 + 1)
+        lams = s.lambdas[idx]
+        x = np.log(idx / s.n)
+        y = np.log(lams)
+        xc = x - x.mean()
+        slope = float(np.dot(xc, y) / np.dot(xc, xc))
+        intercept = float(y.mean() - slope * x.mean())
+        rss = float(np.sum((y - (slope * x + intercept)) ** 2))
+        ratios = lams / (idx / s.n) ** slope
+        assert (fit.slope, fit.rss, fit.r_hat) == (slope, rss, 2.0 / slope)
+        assert (fit.c1_hat, fit.c2_hat) == (float(ratios.min()), float(ratios.max()))
 
 
 def test_spectrum_csv_text():
