@@ -132,9 +132,8 @@ class TestExperimentSpecValidation:
 
         monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
         for estimator in ("pinsker", "classification-direct"):
-            with pytest.raises(ValidationError, match=message) as info:
+            with pytest.raises(ValidationError, match=message):
                 small_spec(estimator=estimator, sigma=0.5, **{field: value})
-            assert "(family=" not in str(info.value)
 
     @pytest.mark.parametrize("reps", [2.5, True, np.bool_(True), "3", None])
     def test_reps_is_an_integer(self, reps):
