@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_seed
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
 from .spectral import Spectrum, _axis_factors, _check_orthonormal
@@ -123,7 +123,7 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     candidate order over those distances.  Either way the result equals
     the one-candidate-at-a-time greedy loop.
     """
-    if N < 8:
+    if _check_integer(N, "packing dimension N") < 8:
         raise ValidationError(f"packing needs N >= 8, got {N}")
     d_min = math.ceil(N / 8)
     target = _vg_target(N)

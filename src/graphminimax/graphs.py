@@ -12,6 +12,7 @@ Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 """
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
 from typing import Iterable
@@ -44,8 +45,8 @@ class Graph:
     randomized graph (None for deterministic families).  ``shape`` is
     ``("grid", dims)`` for a grid (a path is the 1-axis grid),
     ``("torus", dims)`` for a torus and None for every other graph; spectral
-    code reads it to use the closed-form spectrum and the known r = len(dims).
-    Graphs compare and hash by identity.
+    code checks it with ``is_lattice``, then reads the closed-form spectrum
+    and the known r = len(dims) off it.  Graphs compare and hash by identity.
     """
 
     n: int
@@ -134,8 +135,10 @@ def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
 
 
 def is_lattice(g: Graph) -> bool:
-    """Whether g's edges are exactly the lattice edges of ``g.shape``."""
+    """Whether g has exactly the vertices and edges of ``g.shape`` (checked once per spectrum)."""
     kind, dims = g.shape
+    if g.n != math.prod(dims):
+        return False
     u, v = _lattice_edges(list(dims), wrap=kind == "torus").T
     want = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
     return np.array_equal(want, g.edges[:, 0] * g.n + g.edges[:, 1])
@@ -289,12 +292,6 @@ def parse_graph_spec(text: str) -> Graph:
     raise ValidationError(f"unknown graph family in {text!r}")
 
 
-def check_dense_cap(n: int) -> None:
-    """ValidationError naming the cap if an n x n dense array exceeds it."""
-    if n > DEFAULT_DENSE_CAP:
-        raise ValidationError(f"n={n} exceeds the dense Laplacian cap {DEFAULT_DENSE_CAP}")
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian L = D - A of the graph.
 
@@ -310,7 +307,8 @@ def laplacian(g: Graph) -> np.ndarray:
     memory, so a dense solve's resident peak is LAPACK's copy plus L's
     written pages.  The pages are returned when the array is freed.
     """
-    check_dense_cap(g.n)
+    if g.n > DEFAULT_DENSE_CAP:
+        raise ValidationError(f"n={g.n} exceeds the dense Laplacian cap {DEFAULT_DENSE_CAP}")
     L = _lazy_zeros(g.n)
     u, v = g.edges.T
     L[u, v] = -1.0

@@ -155,8 +155,8 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
     means = np.asarray(mean_risks, dtype=float)
     if len(ns) < 2 or np.all(ns == ns[0]):
         raise ValidationError("rate fit needs at least two distinct sizes")
-    if np.any(means <= 0.0):
-        raise NumericError("degenerate rate fit: non-positive mean risk")
+    if not np.all((means > 0.0) & (means < math.inf)):
+        raise NumericError("degenerate rate fit: a mean risk is not positive and finite")
     slope, rss, sxx = _line_fit(np.log(ns), np.log(means))
     dof = len(ns) - 2
     if dof == 0:

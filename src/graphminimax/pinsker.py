@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError, _check_integer
-from .sobolev import EllipsoidWeights
+from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, _axis_factors
 
 _EQ_RTOL = 1e-8
@@ -191,6 +191,7 @@ def sup_risk_over_ellipsoid(l: np.ndarray, w: EllipsoidWeights, epsilon: float) 
 
 def projection_cutoff(n: int, beta: float, r: float) -> int:
     """Rate-optimal truncation level m = round(n^(r/(2 beta + r))), in [1, n]."""
+    SobolevSpec(beta=beta, Q=1.0, r=r)  # ValidationError naming beta or r, by SobolevSpec's rule
     return max(1, min(n, round(n ** (r / (2.0 * beta + r)))))
 
 

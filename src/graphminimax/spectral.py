@@ -41,11 +41,12 @@ class Spectrum:
     that choice should compare eigenvalue multisets or eigenspace projectors.
 
     A spectrum keeps its eigenvectors in one store, per-axis factors (see
-    ``_AxisFactors``).  One from eigendecompose of a path, grid or torus
-    holds none at first.  Its eigenvectors are Kronecker products of
-    per-axis path or cycle vectors, and it keeps one factor per axis: the
-    checked axis vectors that its first k columns use (d_a x u_a values on
-    an axis of d_a vertices), grown on first use.  Every other spectrum
+    ``_AxisFactors``).  One from eigendecompose of a path, grid or torus,
+    whose edges were checked against its shape there, holds none at first.
+    Its eigenvectors are Kronecker products of per-axis path or cycle
+    vectors, and it keeps one factor per axis: the checked axis vectors its
+    first k columns use (d_a x u_a values on an axis of d_a vertices),
+    grown on first use.  Every other spectrum
     holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
     basis, or a basis passed here as an (n, w) array, kept as one
     column-major, read-only factor.  The estimators, the certificates, the
@@ -353,37 +354,27 @@ def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
 def eigendecompose(g: Graph) -> Spectrum:
     """The Laplacian eigenpairs of g, every eigenvalue and eigenvector checked.
 
-    Paths, grids and tori (``g.shape`` set) use their closed form: products
-    of per-axis path (DCT-II) or cycle eigenvectors, ordered by a stable sort
-    of the Kronecker-sum eigenvalues, so ``lambdas`` equals
-    ``eigenvalues(g).lambdas`` bit for bit and the basis inside a repeated
-    eigenvalue is that fixed product basis.  Such a spectrum computes its
-    eigenvalues here and no eigenvector.  Every reader grows one checked
-    factor per axis on first use (``_axis_factors``, sum_a d_a u_a values;
-    on a path the n x k head); the estimators, the certificates, the GFT
-    and ``sup_norm_bound`` apply it one axis at a time, and only
-    ``head_basis`` and ``s.basis`` expand n x k columns, on every call.  A
-    path's factor, like any head, needs n k within ``DEFAULT_DENSE_CAP**2``
-    (so the full basis n within ``DEFAULT_DENSE_CAP``), checked at its
-    first read.  Any other graph gets a dense ``eigh`` of all n columns
-    here, kept as a single factor, and n above the dense cap raises
-    ValidationError (from ``laplacian``) before anything is allocated.
+    A path, grid or torus (``g.shape`` set) gets its closed form from
+    ``_shaped_spectrum``, which first checks, once, that g's edges are the
+    lattice edges of g.shape: products of per-axis path (DCT-II) or cycle
+    eigenvectors, ordered by a stable sort of the Kronecker-sum eigenvalues,
+    so ``lambdas`` equals ``eigenvalues(g).lambdas`` bit for bit and the
+    basis inside a repeated eigenvalue is that fixed product basis.  No
+    eigenvector is computed here: readers grow checked per-axis factors on
+    first use (``_grown_factors``, under its cap).  Any other graph gets a
+    dense ``eigh`` of all n columns here, kept as a single factor; n above
+    the dense cap raises ValidationError (from ``laplacian``) before
+    anything is allocated.
 
-    The eigenvalues, all n of them, pass the moment, null-eigenvalue and
-    connectivity checks of ``eigenvalues``.  Every column that is formed
-    must pass the residual check ||L psi - lambda psi|| / max(1, lambda)
-    <= 1e-8 when it is built, with L applied by ``apply_laplacian`` (O(m)
-    per column, no n x n Laplacian); the per-axis factors pass checks that
-    bound that residual for every product column (``_grown_factors``).  A
-    failed check raises NumericError.
+    The eigenvalues pass the moment, null-eigenvalue and connectivity
+    checks of ``_checked_lambdas``.  Every column that is formed must pass
+    the residual check ||L psi - lambda psi|| / max(1, lambda) <= 1e-8 when
+    it is built, with L applied by ``apply_laplacian`` (O(m) per column);
+    the per-axis factors pass checks that bound that residual for every
+    product column (``_grown_factors``).  A failed check raises NumericError.
     """
     if g.shape is not None:
-        raw = _kronecker_sum(g)
-        order = np.argsort(raw, kind="stable")
-        s = Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw[order]))
-        order.setflags(write=False)
-        object.__setattr__(s, "_shaped", (g, order))
-        return s
+        return _shaped_spectrum(g)
     lams, vecs = np.linalg.eigh(laplacian(g))
     lams = _checked_lambdas(g, lams)
     basis = _fix_signs(vecs * np.sqrt(g.n))
@@ -461,19 +452,35 @@ def _kronecker_sum(g: Graph) -> np.ndarray:
     lams = np.zeros(1)
     for side in dims:
         lams = np.add.outer(lams, _axis_eigenvalues(kind, side)).ravel()
-    if lams.shape != (g.n,):
-        raise NumericError(f"{lams.size} eigenvalues for a graph on n={g.n} vertices")
     return lams
+
+
+def _shaped_spectrum(g: Graph) -> Spectrum:
+    """Lazy closed-form spectrum of a path, grid or torus: the one place a shape is trusted.
+
+    NumericError unless ``is_lattice(g)``, before any eigenvalue is formed.
+    """
+    kind, dims = g.shape
+    if not is_lattice(g):
+        raise NumericError(
+            f"the graph's edges are not the lattice edges of {kind} {'x'.join(map(str, dims))}"
+        )
+    raw = _kronecker_sum(g)
+    order = np.argsort(raw, kind="stable")
+    order.setflags(write=False)
+    s = Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw[order]))
+    object.__setattr__(s, "_shaped", (g, order))
+    return s
 
 
 def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
     """The per-axis factors of the first k columns of a lazy shaped spectrum.
 
     Only the axis vectors first used past the held factors are built and
-    checked (``_check_axis_vectors``), and the first growth checks that
-    g's edges are the lattice edges of g.shape.  L is then the Kronecker
-    sum of the axis Laplacians, so L psi - lambda psi is the sum over the
-    axes of the axis residual times the other axes' vectors, and the
+    checked (``_check_axis_vectors``).  No lattice check runs here: g's
+    edges were checked against g.shape when s was built, so L is the
+    Kronecker sum of the axis Laplacians, L psi - lambda psi is the sum over
+    the axes of the axis residual times the other axes' vectors, and the
     checks bound every product column's residual by eigendecompose's 1e-8.
     The factors may hold at most ``DEFAULT_DENSE_CAP**2`` values (on a path
     the head's n k); more raises ValidationError before any vector is built.
@@ -495,11 +502,6 @@ def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
         raise ValidationError(
             f"the per-axis factors of a head of k={k} columns on n={s.n} vertices hold "
             f"{values} values, above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
-        )
-    if old is None and not is_lattice(g):
-        raise NumericError(
-            f"eigenvector residuals are unbounded: the graph's edges are not the lattice "
-            f"edges of {kind} {'x'.join(map(str, dims))}"
         )
     vectors = []
     for a, (side, (js, _)) in enumerate(zip(dims, used)):
@@ -564,24 +566,21 @@ def _check_orthonormal(vectors: np.ndarray, u0: int, what: str) -> None:
 def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
-    Grids, paths and tori (``g.shape`` set) use their closed form; any other
-    graph gets a dense ``eigvalsh``.  Without eigenvectors there is no
-    residual to check; the eigenvalues pass the same checks as those of
-    eigendecompose: the exact moments sum(lambda) = trace(L) = sum_i d_i
-    and sum(lambda^2) = ||L||_F^2 = sum_i d_i^2 + sum_i d_i to 1e-10
-    relative, the null eigenvalue and connectivity.
+    A path, grid or torus gets eigendecompose's lattice-checked closed form,
+    its eigenvalues bit for bit; any other graph a dense ``eigvalsh``.  With
+    no eigenvectors there is no residual to check; the eigenvalues pass the
+    moment, null-eigenvalue and connectivity checks of ``_checked_lambdas``.
     """
-    raw = np.linalg.eigvalsh(laplacian(g)) if g.shape is None else np.sort(_kronecker_sum(g))
-    return Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw))
+    if g.shape is not None:
+        return Spectrum(n=g.n, lambdas=_shaped_spectrum(g).lambdas)
+    return Spectrum(n=g.n, lambdas=_checked_lambdas(g, np.linalg.eigvalsh(laplacian(g))))
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
     """Exact path Laplacian eigenvalues 4 sin^2(pi j / (2n)), j = 0..n-1."""
     if n < 2:
         raise ValidationError(f"path graph needs n >= 2, got {n!r}")
-    lams = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-    lams[0] = 0.0
-    return lams
+    return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
 
 
 def path_spectrum_closed_form(n: int) -> Spectrum:
@@ -611,7 +610,7 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     because the right range is graph-dependent.  The line is ``_line_fit``'s,
     as in harness.fit_rate; a slope <= 0 raises NumericError.
     """
-    if i0 < 1:
+    if _check_integer(i0, "i0") < 1:
         raise ValidationError(f"i0 must be >= 1, got {i0}")
     if not 0.0 < kappa <= 1.0:
         raise ValidationError(f"kappa must be in (0, 1], got {kappa}")

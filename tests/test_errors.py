@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphminimax as gm
 from graphminimax.errors import ValidationError, _check_integer, _check_seed
 
 
@@ -17,3 +18,28 @@ def test_bools_and_non_integers_are_refused(value):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         _check_seed(value)
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: gm.vg_packing(8.5, 0), "N must be an integer, got 8.5", id="N"),
+        pytest.param(
+            lambda: gm.fit_geometry(gm.eigenvalues(gm.build_path(64)), i0=2.5),
+            "i0 must be an integer, got 2.5",
+            id="i0",
+        ),
+        pytest.param(
+            lambda: gm.projection_cutoff(100, -0.5, 1.0),
+            "beta must be positive and finite, got -0.5",
+            id="beta",
+        ),
+        pytest.param(
+            lambda: gm.projection_cutoff(100, 1.0, 0.5),
+            "r must be >= 1 and finite, got 0.5",
+            id="r",
+        ),
+    ],
+)
+def test_public_functions_name_the_argument_they_refuse(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

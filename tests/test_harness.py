@@ -73,6 +73,9 @@ class TestFitRate:
             gm.fit_rate([100], [1.0])
         with pytest.raises(NumericError):
             gm.fit_rate([100, 200], [1.0, 0.0])
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(NumericError, match="degenerate rate fit"):
+                gm.fit_rate([100, 200, 400], [bad, 0.5, 0.2])
 
 
 class TestExperimentSpecValidation:

@@ -154,18 +154,31 @@ class TestClosedFormEigendecompose:
         assert peak < 1 << 20
         assert s._factors is None
 
-    def test_wrong_shape_fails_the_residual_check(self):
-        # a 4-regular graph on 24 vertices has the moments of any other:
-        # only the eigenvectors show that a 3x8 torus is not a 4x6 one
+    def test_wrong_shape_fails_the_residual_check(self, monkeypatch):
+        # a 4-regular graph on 24 vertices has the moments of any other: a
+        # 3x8 torus labelled 4x6 is refused at construction, by its edges
         g = gm.build_torus([3, 8])
-        s = gm.eigendecompose(dataclasses.replace(g, shape=("torus", (4, 6))))
+        wrong = dataclasses.replace(g, shape=("torus", (4, 6)))
+        for solve in (gm.eigendecompose, regression_estimate):
+            with pytest.raises(NumericError, match="not the lattice edges of torus 4x6"):
+                solve(wrong)
+        regression_estimate(g)
+        # a corrupted order pairs columns with the wrong eigenvalues but keeps
+        # the eigenvalue multiset and every axis vector: only the residuals
+        # of the expanded head show it
+        kronecker_sum = gm.spectral._kronecker_sum
+
+        def swapped(g):
+            raw = kronecker_sum(g)
+            raw[[1, 2]] = raw[[2, 1]]
+            return raw
+
+        monkeypatch.setattr(gm.spectral, "_kronecker_sum", swapped)
+        s = gm.eigendecompose(gm.build_torus([4, 6]))
         with pytest.raises(NumericError, match="residual"):
-            gm.head_basis(s, 2)
+            gm.head_basis(s, 4)
         with pytest.raises(NumericError, match="residual"):
             s.basis
-        with pytest.raises(NumericError, match="not the lattice edges of torus 4x6"):
-            regression_estimate(dataclasses.replace(g, shape=("torus", (4, 6))))
-        regression_estimate(g)
 
     def test_wrong_eigenvalues_fail_the_moment_check(self, monkeypatch):
         kronecker_sum = gm.spectral._kronecker_sum
@@ -473,7 +486,7 @@ class TestAxisFactors:
         # the first 10 columns use axis vectors 0..2 on the first axis and
         # 0..3 on the second (column 9 is (0, 3)); the first 30 use 0..5 on both
         assert checked == [(0, 3), (0, 4), (3, 6), (4, 6)]
-        assert len(lattices) == 1
+        assert lattices == []  # the shape was checked once, by eigendecompose
         assert [v.shape for v in s._factors.vectors] == [(16, 6), (16, 6)]
 
 
@@ -577,19 +590,53 @@ class TestEigenvalues:
             gm.eigenvalues(g)
 
     @staticmethod
-    def _assert_rejects_wrong_shape(solve):
+    def _assert_rejects_wrong_shape(solve, monkeypatch):
         g = gm.build_grid([4, 4])
-        for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,))):
+        shapes = (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,)), ("grid", (5, 5)))
+        for shape in shapes:
+            with pytest.raises(NumericError, match="not the lattice edges"):
+                solve(dataclasses.replace(g, shape=shape))
+        # behind the lattice check, the moments alone still refuse each one
+        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: True)
+        for shape in shapes:
             with pytest.raises(NumericError, match="moment"):
                 solve(dataclasses.replace(g, shape=shape))
-        with pytest.raises(NumericError, match="n=16"):
-            solve(dataclasses.replace(g, shape=("grid", (5, 5))))
 
-    def test_moment_check_rejects_wrong_shape(self):
-        self._assert_rejects_wrong_shape(gm.eigenvalues)
+    def test_moment_check_rejects_wrong_shape(self, monkeypatch):
+        self._assert_rejects_wrong_shape(gm.eigenvalues, monkeypatch)
 
-    def test_eigendecompose_moment_check_rejects_wrong_shape(self):
-        self._assert_rejects_wrong_shape(gm.eigendecompose)
+    def test_eigendecompose_moment_check_rejects_wrong_shape(self, monkeypatch):
+        self._assert_rejects_wrong_shape(gm.eigendecompose, monkeypatch)
+
+    @pytest.mark.parametrize("solve", [gm.eigenvalues, gm.eigendecompose])
+    def test_shapes_their_edges_do_not_have_are_refused(self, solve):
+        # each has the moments of the shape it claims: a 3x8 torus labelled
+        # 4x6, and C4 + K2 (disconnected) labelled as the 6-path
+        torus = dataclasses.replace(gm.build_torus([3, 8]), shape=("torus", (4, 6)))
+        edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3], [4, 5]])
+        c4_k2 = gm.Graph(
+            n=6, edges=edges, degrees=np.bincount(edges.ravel()), shape=("grid", (6,))
+        )
+        for g, shape in ((torus, "torus 4x6"), (c4_k2, "grid 6")):
+            with pytest.raises(NumericError, match=f"not the lattice edges of {shape}$"):
+                solve(g)
+
+    def test_one_lattice_check_per_shaped_spectrum(self, monkeypatch):
+        lattices = []
+        is_lattice = gm.spectral.is_lattice
+        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: lattices.append(g) or is_lattice(g))
+        for g in (gm.build_path(40), gm.build_grid([16, 16]), gm.build_torus([3, 4, 5])):
+            gm.eigenvalues(g)
+            assert lattices == [g]
+            s = gm.eigendecompose(g)
+            assert lattices == [g, g]
+            for k in (1, 10, g.n):
+                gm.spectral._axis_factors(s, k)
+            gm.head_basis(s, 12)
+            assert lattices == [g, g]
+            lattices.clear()
+        gm.eigendecompose(gm.build_small_world(64, 4, 0.2, seed=1))
+        assert lattices == []
 
     def test_geometry_r_known_for_shaped_graphs_fitted_otherwise(self):
         for g, r in ((gm.build_path(64), 1.0), (gm.build_grid([4, 4, 4]), 3.0),
