@@ -398,7 +398,7 @@ def fano_certificate(
 
     if mode == "classification":
         for v in _axis_factors(s, N).vectors:
-            _check_orthonormal(v, 0, f"first {N} eigenvectors")
+            _check_orthonormal(v, f"first {N} eigenvectors")
         kl_total = pack.M * 0.5 * link.kl_constant * s.n * a**2 * N
     else:
         kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)

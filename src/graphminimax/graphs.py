@@ -3,8 +3,11 @@
 Vertex ids are 0-based everywhere.  Every constructor validates simplicity
 (no self-loops, no duplicate edges) and connectivity (lattices by construction,
 other graphs by one BFS), so spectral code can rely on the second-smallest
-Laplacian eigenvalue being positive.  Graphs are immutable after construction
-and safe to share across threads; ``apply_laplacian`` applies L from the edges.
+Laplacian eigenvalue being positive.  Only ``build_path``, ``build_grid`` and
+``build_torus`` give a graph a ``shape``, and their edges are the lattice's by
+construction, so spectral code reads a closed-form spectrum off it unchecked.
+Graphs are immutable after construction and safe to share across threads;
+``apply_laplacian`` applies L from the edges.
 
 Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 
@@ -12,14 +15,13 @@ Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 """
 from __future__ import annotations
 
-import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_seed
 
 #: Largest vertex count for which a dense n x n array may be materialized:
 #: the Laplacian of ``laplacian`` and the eigenbasis ``eigendecompose`` solves
@@ -45,15 +47,18 @@ class Graph:
     randomized graph (None for deterministic families).  ``shape`` is
     ``("grid", dims)`` for a grid (a path is the 1-axis grid),
     ``("torus", dims)`` for a torus and None for every other graph; spectral
-    code checks it with ``is_lattice``, then reads the closed-form spectrum
-    and the known r = len(dims) off it.  Graphs compare and hash by identity.
+    code reads the closed-form spectrum and the known r = len(dims) off it.
+    Only the lattice builders set it, so it cannot be passed: ``Graph(...,
+    shape=...)`` raises TypeError and ``dataclasses.replace(g, shape=...)``
+    ValueError, and ``dataclasses.replace(g, ...)`` returns a copy without
+    shape, solved densely.  Graphs compare and hash by identity.
     """
 
     n: int
     edges: np.ndarray
     degrees: np.ndarray
     build_seed: int | None = None
-    shape: tuple[str, tuple[int, ...]] | None = None
+    shape: tuple[str, tuple[int, ...]] | None = field(default=None, init=False)
 
     @property
     def num_edges(self) -> int:
@@ -109,7 +114,9 @@ def _finish_graph(n: int, edges: np.ndarray, build_seed=None, shape=None) -> Gra
     degrees = np.bincount(edges.ravel(), minlength=n)
     edges.setflags(write=False)
     degrees.setflags(write=False)
-    return Graph(n=n, edges=edges, degrees=degrees, build_seed=build_seed, shape=shape)
+    g = Graph(n=n, edges=edges, degrees=degrees, build_seed=build_seed)
+    object.__setattr__(g, "shape", shape)
+    return g
 
 
 def _check_dims(dims, min_dim: int, what: str) -> list[int]:
@@ -132,16 +139,6 @@ def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
         head[axis] += 1
         pairs.append([np.ravel_multi_index(c, dims, mode="wrap") for c in (tail, head)])
     return np.concatenate(pairs, axis=1).T
-
-
-def is_lattice(g: Graph) -> bool:
-    """Whether g has exactly the vertices and edges of ``g.shape`` (checked once per spectrum)."""
-    kind, dims = g.shape
-    if g.n != math.prod(dims):
-        return False
-    u, v = _lattice_edges(list(dims), wrap=kind == "torus").T
-    want = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
-    return np.array_equal(want, g.edges[:, 0] * g.n + g.edges[:, 1])
 
 
 def build_path(n: int) -> Graph:
@@ -197,7 +194,9 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     retried (budget 64); the seed that finally succeeded is recorded on the
     returned graph.
     """
-    if not isinstance(k, (int, np.integer)) or k <= 0 or k % 2 != 0:
+    n = _check_integer(n, "small-world n")
+    k = _check_integer(k, "small-world k", "a positive even integer")
+    if k <= 0 or k % 2 != 0:
         raise ValidationError(f"small-world k must be a positive even integer, got {k!r}")
     if k >= n:
         raise ValidationError(f"small-world needs k < n, got k={k}, n={n}")
@@ -206,9 +205,9 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     seed = _check_seed(seed)
     for attempt in range(_WS_RETRY_BUDGET):
         used = seed + attempt
-        edges = _ws_edges(int(n), int(k), float(p), used)
-        if _connectivity_witness(int(n), edges) is None:
-            return _finish_graph(int(n), edges, build_seed=used)
+        edges = _ws_edges(n, k, float(p), used)
+        if _connectivity_witness(n, edges) is None:
+            return _finish_graph(n, edges, build_seed=used)
     raise NumericError(
         f"small-world construction failed: no connected draw in {_WS_RETRY_BUDGET} seeds"
     )

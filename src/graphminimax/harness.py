@@ -91,6 +91,8 @@ class ExperimentSpec:
             raise ValidationError(f"fill must be in (0, 1], got {self.fill}")
         if not 0 <= self.sigma < math.inf:
             raise ValidationError(f"sigma must be non-negative and finite, got {self.sigma}")
+        if self.estimator in CLASSIFICATION_ESTIMATORS and self.sigma == 0:
+            raise ValidationError("classification needs a positive plan noise scale sigma")
         SobolevSpec(beta=self.beta, Q=self.Q, r=1.0)  # r is fixed per n; this checks beta and Q
         _check_seed(self.seed)
         for n in self.n_values:
@@ -223,8 +225,6 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
     """Simulate Bernoulli labels with sigmoid soft labels and fit the rate."""
     if spec.estimator not in CLASSIFICATION_ESTIMATORS:
         raise ValidationError(f"classification runner got estimator {spec.estimator!r}")
-    if not spec.sigma > 0:
-        raise ValidationError("classification needs a positive plan noise scale sigma")
     mode = "direct" if spec.estimator == "classification-direct" else "link"
     psi = sigmoid_link().psi
     rows = []

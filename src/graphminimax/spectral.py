@@ -15,7 +15,7 @@ import numpy as np
 
 from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer
-from .graphs import DEFAULT_DENSE_CAP, Graph, apply_laplacian, build_path, is_lattice, laplacian
+from .graphs import DEFAULT_DENSE_CAP, Graph, apply_laplacian, build_path, laplacian
 
 _SIGN_EPS = 1e-12
 _RESIDUAL_TOL = 1e-8
@@ -42,11 +42,11 @@ class Spectrum:
 
     A spectrum keeps its eigenvectors in one store, per-axis factors (see
     ``_AxisFactors``).  One from eigendecompose of a path, grid or torus,
-    whose edges were checked against its shape there, holds none at first.
-    Its eigenvectors are Kronecker products of per-axis path or cycle
-    vectors, and it keeps one factor per axis: the checked axis vectors its
-    first k columns use (d_a x u_a values on an axis of d_a vertices),
-    grown on first use.  Every other spectrum
+    whose edges are its shape's lattice edges by construction, holds none
+    at first.  Its eigenvectors are Kronecker products of per-axis path or
+    cycle vectors, and it keeps one factor per axis: the checked axis
+    vectors its first k columns use (d_a x u_a values on an axis of d_a
+    vertices), built whole on each growth.  Every other spectrum
     holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
     basis, or a basis passed here as an (n, w) array, kept as one
     column-major, read-only factor.  The estimators, the certificates, the
@@ -354,9 +354,9 @@ def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
 def eigendecompose(g: Graph) -> Spectrum:
     """The Laplacian eigenpairs of g, every eigenvalue and eigenvector checked.
 
-    A path, grid or torus (``g.shape`` set) gets its closed form from
-    ``_shaped_spectrum``, which first checks, once, that g's edges are the
-    lattice edges of g.shape: products of per-axis path (DCT-II) or cycle
+    A path, grid or torus (``g.shape`` set, so its edges are the lattice
+    edges of g.shape by construction) gets its closed form from
+    ``_shaped_spectrum``: products of per-axis path (DCT-II) or cycle
     eigenvectors, ordered by a stable sort of the Kronecker-sum eigenvalues,
     so ``lambdas`` equals ``eigenvalues(g).lambdas`` bit for bit and the
     basis inside a repeated eigenvalue is that fixed product basis.  No
@@ -456,15 +456,11 @@ def _kronecker_sum(g: Graph) -> np.ndarray:
 
 
 def _shaped_spectrum(g: Graph) -> Spectrum:
-    """Lazy closed-form spectrum of a path, grid or torus: the one place a shape is trusted.
+    """Lazy closed-form spectrum of a path, grid or torus, for eigendecompose and eigenvalues.
 
-    NumericError unless ``is_lattice(g)``, before any eigenvalue is formed.
+    g.shape is set only by the lattice builders, so g's edges are its lattice
+    edges; the eigenvalues still pass the checks of ``_checked_lambdas``.
     """
-    kind, dims = g.shape
-    if not is_lattice(g):
-        raise NumericError(
-            f"the graph's edges are not the lattice edges of {kind} {'x'.join(map(str, dims))}"
-        )
     raw = _kronecker_sum(g)
     order = np.argsort(raw, kind="stable")
     order.setflags(write=False)
@@ -476,18 +472,17 @@ def _shaped_spectrum(g: Graph) -> Spectrum:
 def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
     """The per-axis factors of the first k columns of a lazy shaped spectrum.
 
-    Only the axis vectors first used past the held factors are built and
-    checked (``_check_axis_vectors``).  No lattice check runs here: g's
-    edges were checked against g.shape when s was built, so L is the
-    Kronecker sum of the axis Laplacians, L psi - lambda psi is the sum over
-    the axes of the axis residual times the other axes' vectors, and the
-    checks bound every product column's residual by eigendecompose's 1e-8.
-    The factors may hold at most ``DEFAULT_DENSE_CAP**2`` values (on a path
-    the head's n k); more raises ValidationError before any vector is built.
+    Each growth builds every used axis's vectors whole and checks them
+    (``_check_axis_vectors``).  g's edges are the lattice edges of g.shape by
+    construction, so L is the Kronecker sum of the axis Laplacians,
+    L psi - lambda psi is the sum over the axes of the axis residual times
+    the other axes' vectors, and the checks bound every product column's
+    residual by eigendecompose's 1e-8.  The factors may hold at most
+    ``DEFAULT_DENSE_CAP**2`` values (on a path the head's n k); more raises
+    ValidationError before any vector is built.
     """
     g, order = s._shaped
     kind, dims = g.shape
-    old = s._factors
     axis_index = np.unravel_index(order[:k], dims)
     # every axis's indices in order of first use, and each column's position there
     used = []
@@ -504,60 +499,49 @@ def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
             f"{values} values, above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
         )
     vectors = []
-    for a, (side, (js, _)) in enumerate(zip(dims, used)):
-        held = None if old is None else old.vectors[a]
-        u0 = 0 if held is None else held.shape[1]
-        if u0 == len(js):
-            vectors.append(held)
-            continue
-        factor = (_path_vectors if kind == "grid" else _cycle_vectors)(side, js[u0:]).T
-        if held is not None:
-            fresh, factor = factor, np.empty((side, len(js)), order="F")
-            factor[:, :u0] = held
-            factor[:, u0:] = fresh
-        _check_axis_vectors(kind, factor, u0, js[u0:], len(dims), s.n)
+    for side, (js, _) in zip(dims, used):
+        factor = (_path_vectors if kind == "grid" else _cycle_vectors)(side, js).T
+        _check_axis_vectors(kind, factor, js, len(dims), s.n)
         factor.setflags(write=False)
         vectors.append(factor)
     return _AxisFactors(tuple(vectors), tuple(at for _, at in used))
 
 
 def _check_axis_vectors(
-    kind: str, vectors: np.ndarray, u0: int, js: np.ndarray, axes: int, n: int
+    kind: str, vectors: np.ndarray, js: np.ndarray, axes: int, n: int
 ) -> None:
-    """NumericError unless columns u0.. of an axis factor are orthonormal eigenvectors.
+    """NumericError unless an axis factor's columns are orthonormal eigenvectors.
 
-    Columns u0.. (axis indices js) pass ``_check_orthonormal`` against every
-    column, and their residual against the axis's path or cycle Laplacian,
+    The columns (axis indices js) pass ``_check_orthonormal``, and their
+    residual against the axis's path or cycle Laplacian,
     ||L_a v - lambda_a v|| sqrt(n / side) / max(1, lambda_a) on an axis of
     side vertices, must stay within 1e-8 / axes.
     """
     side = len(vectors)
-    _check_orthonormal(vectors, u0, f"{kind} axis basis of side {side}")
-    fresh = vectors[:, u0:]
+    _check_orthonormal(vectors, f"{kind} axis basis of side {side}")
     lams = _axis_eigenvalues(kind, side)[js]
     if kind == "grid":
-        lap = np.zeros_like(fresh)
-        step = np.diff(fresh, axis=0)
+        lap = np.zeros_like(vectors)
+        step = np.diff(vectors, axis=0)
         lap[:-1] -= step
         lap[1:] += step
     else:
-        lap = 2.0 * fresh - np.roll(fresh, 1, axis=0) - np.roll(fresh, -1, axis=0)
-    lap -= fresh * lams
+        lap = 2.0 * vectors - np.roll(vectors, 1, axis=0) - np.roll(vectors, -1, axis=0)
+    lap -= vectors * lams
     rel = np.linalg.norm(lap, axis=0) * math.sqrt(n / side) / np.maximum(1.0, lams)
     worst = float(rel.max(initial=0.0))
     if worst > _RESIDUAL_TOL / axes:
         raise NumericError(f"{kind} axis of side {side}: eigenvector residual too large: {worst:.3e}")
 
 
-def _check_orthonormal(vectors: np.ndarray, u0: int, what: str) -> None:
-    """NumericError naming what unless columns u0.. of vectors are orthonormal.
+def _check_orthonormal(vectors: np.ndarray, what: str) -> None:
+    """NumericError naming what unless the columns of vectors are orthonormal.
 
-    Their Gram block against every column, under <.,.>_d on d rows, must be
-    the identity's to 1e-10 in every entry.
+    Their Gram matrix under <.,.>_d on d rows must be the identity to 1e-10
+    in every entry.
     """
-    fresh = vectors[:, u0:]
-    gram = fresh.T @ vectors / len(vectors)
-    gram[np.arange(fresh.shape[1]), u0 + np.arange(fresh.shape[1])] -= 1.0
+    gram = vectors.T @ vectors / len(vectors)
+    gram[np.diag_indices_from(gram)] -= 1.0
     gram_err = float(np.abs(gram).max(initial=0.0))
     if gram_err > _ORTHONORMAL_TOL:
         raise NumericError(f"{what} is not orthonormal: {gram_err:.3e}")
@@ -566,10 +550,10 @@ def _check_orthonormal(vectors: np.ndarray, u0: int, what: str) -> None:
 def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
-    A path, grid or torus gets eigendecompose's lattice-checked closed form,
-    its eigenvalues bit for bit; any other graph a dense ``eigvalsh``.  With
-    no eigenvectors there is no residual to check; the eigenvalues pass the
-    moment, null-eigenvalue and connectivity checks of ``_checked_lambdas``.
+    A path, grid or torus gets eigendecompose's closed form, its eigenvalues
+    bit for bit; any other graph a dense ``eigvalsh``.  With no eigenvectors
+    there is no residual to check; the eigenvalues pass the moment,
+    null-eigenvalue and connectivity checks of ``_checked_lambdas``.
     """
     if g.shape is not None:
         return Spectrum(n=g.n, lambdas=_shaped_spectrum(g).lambdas)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import os
@@ -191,6 +192,14 @@ class TestSmallWorld:
             with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
                 gm.build_small_world(10, 4, 0.1, seed=bad)
 
+    def test_non_integer_n_or_k_is_named(self):
+        with pytest.raises(ValidationError, match="small-world n must be an integer, got 10.7"):
+            gm.build_small_world(10.7, 4, 0.1, 1)
+        for k in (4.0, True):
+            with pytest.raises(ValidationError, match=f"small-world k must be .*, got {k!r}"):
+                gm.build_small_world(10, k, 0.1, 1)
+        assert gm.build_small_world(np.int64(10), np.int64(4), 0.1, 1).n == 10
+
     def test_geometry_parameter_near_reported_value(self):
         # a lightly rewired ring reproduces the reported small-world r of
         # about 1.4; the exact generator parameters behind that value are
@@ -377,6 +386,21 @@ class TestEdgeArrays:
         for build, _, _ in self.BUILT:
             build()
         gm.parse_graph_spec("torus:3x4")
+
+    def test_a_shape_cannot_be_passed(self):
+        # only the lattice builders set a shape: a disconnected C4 + K2 cannot
+        # claim the 6-path's, nor a 3x8 torus the 4x6 torus's
+        edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3], [4, 5]])
+        with pytest.raises(TypeError, match="shape"):
+            gm.Graph(n=6, edges=edges, degrees=np.bincount(edges.ravel()), shape=("grid", (6,)))
+        torus = gm.build_torus([3, 8])
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(torus, shape=("torus", (4, 6)))
+        # a copy keeps the edges but not the shape, and is solved densely
+        copy = dataclasses.replace(torus)
+        assert copy.shape is None and copy.edges is torus.edges
+        want = np.linalg.eigvalsh(gm.laplacian(torus))
+        assert np.max(np.abs(gm.eigenvalues(copy).lambdas - want)) < 1e-10
 
     def test_one_bfs_per_draw(self, monkeypatch):
         calls = []

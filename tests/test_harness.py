@@ -110,6 +110,17 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValidationError, match="sigma must be non-negative and finite"):
             small_spec(sigma=sigma)
 
+    def test_classification_needs_positive_sigma_at_construction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
+        for estimator in ("classification-direct", "classification-link"):
+            with pytest.raises(ValidationError, match="positive plan noise scale sigma"):
+                small_spec(estimator=estimator, sigma=0.0)
+        monkeypatch.undo()
+        assert small_spec(estimator="pinsker", sigma=0.0).sigma == 0.0
+
     def test_seed_non_negative(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             small_spec(seed=-1)

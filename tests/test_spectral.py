@@ -156,12 +156,15 @@ class TestClosedFormEigendecompose:
 
     def test_wrong_shape_fails_the_residual_check(self, monkeypatch):
         # a 4-regular graph on 24 vertices has the moments of any other: a
-        # 3x8 torus labelled 4x6 is refused at construction, by its edges
+        # 3x8 torus cannot be labelled 4x6, and one forged past the dataclass
+        # passes the moments but not the residuals of its expanded head
         g = gm.build_torus([3, 8])
-        wrong = dataclasses.replace(g, shape=("torus", (4, 6)))
-        for solve in (gm.eigendecompose, regression_estimate):
-            with pytest.raises(NumericError, match="not the lattice edges of torus 4x6"):
-                solve(wrong)
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(g, shape=("torus", (4, 6)))
+        wrong = dataclasses.replace(g)
+        object.__setattr__(wrong, "shape", ("torus", (4, 6)))
+        with pytest.raises(NumericError, match="residual"):
+            gm.head_basis(gm.eigendecompose(wrong), g.n)
         regression_estimate(g)
         # a corrupted order pairs columns with the wrong eigenvalues but keeps
         # the eigenvalue multiset and every axis vector: only the residuals
@@ -468,26 +471,29 @@ class TestAxisFactors:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
-    def test_growth_builds_and_checks_only_new_axis_vectors(self, monkeypatch):
-        s = gm.eigendecompose(gm.build_grid([16, 16]))
-        checked, lattices = [], []
+    def test_each_growth_checks_whole_factors(self, monkeypatch):
+        g = gm.build_grid([16, 16])
+        s = gm.eigendecompose(g)
+        checked = []
         check = gm.spectral._check_axis_vectors
-        is_lattice = gm.spectral.is_lattice
 
-        def counting(kind, vectors, u0, js, axes, n):
-            checked.append((u0, vectors.shape[1]))
-            return check(kind, vectors, u0, js, axes, n)
+        def counting(kind, vectors, js, axes, n):
+            checked.append(vectors.shape[1])
+            return check(kind, vectors, js, axes, n)
 
         monkeypatch.setattr(gm.spectral, "_check_axis_vectors", counting)
-        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: lattices.append(g) or is_lattice(g))
         first = gm.spectral._axis_factors(s, 10)
         assert gm.spectral._axis_factors(s, 7).vectors[0].base is first.vectors[0].base
-        gm.spectral._axis_factors(s, 30)
+        grown = gm.spectral._axis_factors(s, 30)
         # the first 10 columns use axis vectors 0..2 on the first axis and
         # 0..3 on the second (column 9 is (0, 3)); the first 30 use 0..5 on both
-        assert checked == [(0, 3), (0, 4), (3, 6), (4, 6)]
-        assert lattices == []  # the shape was checked once, by eigendecompose
+        assert checked == [3, 4, 6, 6]
         assert [v.shape for v in s._factors.vectors] == [(16, 6), (16, 6)]
+        straight = gm.spectral._axis_factors(gm.eigendecompose(g), 30)
+        assert checked == [3, 4, 6, 6, 6, 6]
+        for a, b in zip(grown.vectors + grown.at, straight.vectors + straight.at):
+            assert a.flags.f_contiguous == b.flags.f_contiguous
+            assert a.tobytes("A") == b.tobytes("A")
 
 
     @pytest.mark.parametrize(
@@ -590,53 +596,35 @@ class TestEigenvalues:
             gm.eigenvalues(g)
 
     @staticmethod
-    def _assert_rejects_wrong_shape(solve, monkeypatch):
+    def _assert_rejects_wrong_shape(solve):
+        # a shape forged past the dataclass: the moments alone refuse each one
         g = gm.build_grid([4, 4])
-        shapes = (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,)), ("grid", (5, 5)))
-        for shape in shapes:
-            with pytest.raises(NumericError, match="not the lattice edges"):
-                solve(dataclasses.replace(g, shape=shape))
-        # behind the lattice check, the moments alone still refuse each one
-        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: True)
-        for shape in shapes:
+        for shape in (("torus", (4, 4)), ("grid", (2, 8)), ("grid", (16,)), ("grid", (5, 5))):
+            forged = dataclasses.replace(g)
+            object.__setattr__(forged, "shape", shape)
             with pytest.raises(NumericError, match="moment"):
-                solve(dataclasses.replace(g, shape=shape))
+                solve(forged)
 
-    def test_moment_check_rejects_wrong_shape(self, monkeypatch):
-        self._assert_rejects_wrong_shape(gm.eigenvalues, monkeypatch)
+    def test_moment_check_rejects_wrong_shape(self):
+        self._assert_rejects_wrong_shape(gm.eigenvalues)
 
-    def test_eigendecompose_moment_check_rejects_wrong_shape(self, monkeypatch):
-        self._assert_rejects_wrong_shape(gm.eigendecompose, monkeypatch)
+    def test_eigendecompose_moment_check_rejects_wrong_shape(self):
+        self._assert_rejects_wrong_shape(gm.eigendecompose)
 
-    @pytest.mark.parametrize("solve", [gm.eigenvalues, gm.eigendecompose])
-    def test_shapes_their_edges_do_not_have_are_refused(self, solve):
-        # each has the moments of the shape it claims: a 3x8 torus labelled
-        # 4x6, and C4 + K2 (disconnected) labelled as the 6-path
-        torus = dataclasses.replace(gm.build_torus([3, 8]), shape=("torus", (4, 6)))
-        edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3], [4, 5]])
-        c4_k2 = gm.Graph(
-            n=6, edges=edges, degrees=np.bincount(edges.ravel()), shape=("grid", (6,))
-        )
-        for g, shape in ((torus, "torus 4x6"), (c4_k2, "grid 6")):
-            with pytest.raises(NumericError, match=f"not the lattice edges of {shape}$"):
-                solve(g)
+    def test_no_spectrum_call_rebuilds_lattice_edges(self, monkeypatch):
+        graphs = (gm.build_path(40), gm.build_grid([16, 16]), gm.build_torus([3, 4, 5]))
 
-    def test_one_lattice_check_per_shaped_spectrum(self, monkeypatch):
-        lattices = []
-        is_lattice = gm.spectral.is_lattice
-        monkeypatch.setattr(gm.spectral, "is_lattice", lambda g: lattices.append(g) or is_lattice(g))
-        for g in (gm.build_path(40), gm.build_grid([16, 16]), gm.build_torus([3, 4, 5])):
+        def refuse(dims, wrap):
+            raise AssertionError("a shaped graph's edges are its lattice's by construction")
+
+        monkeypatch.setattr(gm.graphs, "_lattice_edges", refuse)
+        for g in graphs:
             gm.eigenvalues(g)
-            assert lattices == [g]
             s = gm.eigendecompose(g)
-            assert lattices == [g, g]
             for k in (1, 10, g.n):
                 gm.spectral._axis_factors(s, k)
             gm.head_basis(s, 12)
-            assert lattices == [g, g]
-            lattices.clear()
-        gm.eigendecompose(gm.build_small_world(64, 4, 0.2, seed=1))
-        assert lattices == []
+            s.basis
 
     def test_geometry_r_known_for_shaped_graphs_fitted_otherwise(self):
         for g, r in ((gm.build_path(64), 1.0), (gm.build_grid([4, 4, 4]), 3.0),
