@@ -611,6 +611,25 @@ class TestEigenvalues:
     def test_eigendecompose_moment_check_rejects_wrong_shape(self):
         self._assert_rejects_wrong_shape(gm.eigendecompose)
 
+    @pytest.mark.parametrize("solve", [gm.eigenvalues, gm.eigendecompose])
+    def test_shapes_their_edges_do_not_have_are_refused(self, solve):
+        # each has the moments of the shape it claims: a 3x8 torus labelled
+        # 4x6, and C4 + K2 (disconnected) labelled as the 6-path; neither can
+        # be built, so no solver sees the false shape
+        torus = gm.build_torus([3, 8])
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(torus, shape=("torus", (4, 6)))
+        edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3], [4, 5]])
+        with pytest.raises(TypeError, match="shape"):
+            gm.Graph(n=6, edges=edges, degrees=np.bincount(edges.ravel()), shape=("grid", (6,)))
+        # a copy keeps the edges but not the shape, and is solved densely to
+        # its own spectrum, not the 4x6 torus's
+        copy = dataclasses.replace(torus)
+        assert copy.shape is None and copy.edges is torus.edges
+        lambdas = solve(copy).lambdas
+        assert np.max(np.abs(lambdas - np.linalg.eigvalsh(gm.laplacian(torus)))) < 1e-10
+        assert np.max(np.abs(lambdas - gm.eigenvalues(gm.build_torus([4, 6])).lambdas)) > 1e-3
+
     def test_no_spectrum_call_rebuilds_lattice_edges(self, monkeypatch):
         graphs = (gm.build_path(40), gm.build_grid([16, 16]), gm.build_torus([3, 4, 5]))
 
