@@ -26,6 +26,8 @@ from .errors import NumericError, ValidationError, _check_seed
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
 from .graphs import parse_graph_spec
 from .harness import (
+    CLASSIFICATION_ESTIMATORS,
+    REGRESSION_ESTIMATORS,
     ExperimentSpec,
     aggregate_csv_text,
     results_csv_text,
@@ -231,7 +233,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("denoise", help="shrinkage-denoise a noisy vertex signal")
     _add_model_flags(p, sigma=None, obs=True)
-    p.add_argument("--estimator", choices=("pinsker", "projection"), default="pinsker")
+    p.add_argument("--estimator", choices=REGRESSION_ESTIMATORS, default="pinsker")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_denoise)
 
@@ -248,9 +250,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--Q", type=float, default=1.0)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument(
-        "--estimator",
-        choices=("pinsker", "projection", "classification-direct", "classification-link"),
-        default="pinsker",
+        "--estimator", choices=REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS, default="pinsker"
     )
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

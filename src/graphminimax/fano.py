@@ -190,8 +190,6 @@ def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
     Computes sum_i [ rho1 log(rho1/rho2) + (1 - rho1) log((1-rho1)/(1-rho2)) ],
     which is non-negative and zero iff the probability vectors coincide.
-    The two terms are formed in place, so at most three arrays of rho1's
-    size exist beside the inputs.
     """
     rho1 = np.atleast_1d(np.asarray(rho1, dtype=float))
     rho2 = np.atleast_1d(np.asarray(rho2, dtype=float))
@@ -199,16 +197,9 @@ def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
         raise ValidationError("probability vectors have different lengths")
     for rho in (rho1, rho2):
         require_probabilities(rho, _PROBABILITY_MESSAGE)
-    rho1, rho2 = rho1.ravel(), rho2.ravel()
-    terms = rho1 / rho2
-    np.log(terms, out=terms)
-    terms *= rho1
-    rest = 1.0 - rho1
-    ratio = rest / (1.0 - rho2)
-    np.log(ratio, out=ratio)
-    ratio *= rest
-    terms += ratio
-    return float(np.sum(terms))
+    return float(
+        np.sum(rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2)))
+    )
 
 
 def kl_link_bound_check(
@@ -434,10 +425,13 @@ def worst_case_prior_sample(
     (1 - delta_prior) * v_j^2 where v_j^2 = eps^2 (1 - x a_j)_+ / (x a_j);
     the rest are zero.  Since sum_j a_j^2 v_j^2 equals the ellipsoid radius
     exactly, the draws saturate the ellipsoid in expectation up to the
-    (1 - delta_prior) factor.
+    (1 - delta_prior) factor.  The plan must have one weight per ellipsoid
+    weight; ValidationError otherwise.
     """
     if not 0.0 < delta_prior < 1.0:
         raise ValidationError(f"delta_prior must be in (0, 1), got {delta_prior!r}")
+    if len(plan.l) != len(w.a):
+        raise ValidationError(f"plan has {len(plan.l)} weights for {len(w.a)} ellipsoid weights")
     v2 = np.zeros_like(w.a)
     active = plan.l > 0.0
     v2[active] = plan.epsilon**2 * plan.l[active] / (plan.x * w.a[active])

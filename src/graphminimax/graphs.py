@@ -65,17 +65,16 @@ class Graph:
         return len(self.edges)
 
 
-def _half_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions of every edge as (src, dst), sorted stably by src."""
+def _connectivity_witness(n: int, edges: np.ndarray):
+    """None if connected, else (0, the first vertex a BFS from 0 misses).
+
+    The BFS reads each vertex's neighbours from both directions of every
+    edge, sorted stably by source vertex.
+    """
     src, dst = np.concatenate([edges, edges[:, ::-1]]).T
     order = np.argsort(src, kind="stable")
-    return src[order], dst[order]
-
-
-def _connectivity_witness(n: int, edges: np.ndarray):
-    """None if connected, else (0, the first vertex a BFS from 0 misses)."""
-    src, dst = _half_edges(edges)
-    start, nbrs = np.searchsorted(src, np.arange(n + 1)).tolist(), dst.tolist()
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    nbrs = dst[order].tolist()
     seen = bytearray(n)
     seen[0] = 1
     queue = [0]
@@ -332,13 +331,13 @@ def apply_laplacian(g: Graph, X: np.ndarray) -> np.ndarray:
 
     ``X`` has shape (n,) or (n, k).  Each column is (L x)(i) = d_i x(i) -
     sum_{j ~ i} x(j), the neighbour sum one ``np.bincount`` over both
-    directions of every edge: O(m k) time and O(n + m) memory per column,
-    whatever the degrees.  The result is column-major.
+    directions of every edge, in edge order: O(m k) time and O(n + m)
+    memory per column, whatever the degrees.  The result is column-major.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] != g.n:
         raise ValidationError(f"X has {X.shape[0]} rows, expected n={g.n}")
-    src, dst = _half_edges(g.edges)
+    src, dst = np.concatenate([g.edges, g.edges[:, ::-1]]).T
     cols = X.reshape(g.n, -1)
     out = np.empty(cols.shape, order="F")
     for j, x in enumerate(cols.T):

@@ -19,9 +19,7 @@ target with coefficients c are exactly Z_j = c_j + eps * zeta_j with
 eps = sigma / sqrt(n), and the risk of a linear estimator with weights l is
 exactly sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per
 (seed, n, rep), so they are equal in law to iid N(0, sigma^2) noise at the
-vertices.
-(Per-replicate CSV values changed once when this replaced the vertex-space
-simulation.)  Classification replicates need per-vertex labels and stay in
+vertices.  Classification replicates need per-vertex labels and stay in
 vertex space.  On paths, grids and tori the truth's inverse GFT applies one
 full factor per axis (d_a x d_a; on a path the n x n basis) and the
 estimators the factors of their first N eigenvectors; other graphs use a
@@ -155,6 +153,8 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
     """
     ns = np.asarray(n_values, dtype=float)
     means = np.asarray(mean_risks, dtype=float)
+    if ns.shape != means.shape:
+        raise ValidationError(f"rate fit got {ns.size} sizes and {means.size} mean risks")
     if len(ns) < 2 or np.all(ns == ns[0]):
         raise ValidationError("rate fit needs at least two distinct sizes")
     if not np.all((means > 0.0) & (means < math.inf)):

@@ -62,8 +62,8 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     closed-form root's active set.  The left side is non-decreasing in m,
     so a single scan (here vectorized via prefix sums) suffices.
     """
-    if not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < np.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
     a = w.a
     s1 = np.cumsum(a)
     s2 = np.cumsum(a**2)
@@ -184,8 +184,12 @@ def sup_risk_over_ellipsoid(l: np.ndarray, w: EllipsoidWeights, epsilon: float) 
     ellipsoid budget on the coordinate maximizing (1 - l_j)^2 / a_j^2, so
 
         sup_f R(l, f) = R * max_j (1 - l_j)^2 / a_j^2 + eps^2 sum_j l_j^2.
+
+    l must hold one weight per ellipsoid weight; ValidationError otherwise.
     """
     l = np.asarray(l, dtype=float)
+    if l.shape != w.a.shape:
+        raise ValidationError(f"{l.size} shrinkage weights for {len(w.a)} ellipsoid weights")
     return float(w.R * np.max((1.0 - l) ** 2 / w.a**2) + epsilon**2 * np.sum(l**2))
 
 
@@ -286,13 +290,8 @@ def estimate_classification(
     (their coefficient-wise mean is the coefficient vector of the target
     probability) and clips into [eta, 1 - eta] with eta = 1e-3.
     mode="link" additionally maps the clipped direct estimate through the
-    inverse sigmoid, shrinks again on the latent scale, and maps back.
-
-    Every step after a shrink runs in place on the new array the shrink
-    returned: the clips, the sigmoid link's psi_inv log(rho / (1 - rho))
-    after its check that rho lies inside (0, 1), and its psi
-    1 / (1 + exp(-t)).  The result equals the chain through np.clip,
-    link.psi_inv and link.psi bit for bit; y and plan are not written.
+    sigmoid link's psi_inv, shrinks again on the latent scale, maps back
+    through its psi and clips again.  y and plan are not written.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
@@ -302,17 +301,9 @@ def estimate_classification(
     if mode not in ("direct", "link"):
         raise ValidationError(f"unknown classification mode {mode!r}")
     eta = _CLIP_ETA
-    rho = estimate_regression(s, plan, y)
-    np.clip(rho, eta, 1.0 - eta, out=rho)
+    rho = np.clip(estimate_regression(s, plan, y), eta, 1.0 - eta)
     if mode == "link":
-        require_probabilities(rho, _LOGIT_MESSAGE)
-        rho /= 1.0 - rho
-        latent = np.log(rho, out=rho)
-        rho = estimate_regression(s, plan, latent)
-        np.negative(rho, out=rho)
-        with np.errstate(over="ignore"):
-            np.exp(rho, out=rho)
-        rho += 1.0
-        np.divide(1.0, rho, out=rho)
-        np.clip(rho, eta, 1.0 - eta, out=rho)
+        link = sigmoid_link()
+        latent = estimate_regression(s, plan, link.psi_inv(rho))
+        rho = np.clip(link.psi(latent), eta, 1.0 - eta)
     return rho

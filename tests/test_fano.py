@@ -430,6 +430,28 @@ class TestBernoulliKl:
         with pytest.raises(ValidationError):
             gm.bernoulli_kl(np.array([0.5, 0.5]), np.array([0.5]))
 
+    @pytest.mark.parametrize("case", ["random", "edges"])
+    def test_is_the_in_place_sequence_bit_for_bit(self, case):
+        # the plain formula against the two terms formed in place, in the
+        # order bernoulli_kl once wrote out
+        rng = np.random.default_rng(31)
+        if case == "random":
+            r1, r2 = rng.uniform(0.001, 0.999, (2, 4096))
+        else:
+            tiny = np.array([1e-300, 1e-200, 1e-17, 1e-9, 0.5, 1 - 1e-9, 1 - 2**-53])
+            r1, r2 = (a.ravel() for a in np.meshgrid(tiny, tiny))
+        terms = r1 / r2
+        np.log(terms, out=terms)
+        terms *= r1
+        rest = 1.0 - r1
+        ratio = rest / (1.0 - r2)
+        np.log(ratio, out=ratio)
+        ratio *= rest
+        terms += ratio
+        want = float(np.sum(terms))
+        got = gm.bernoulli_kl(r1, r2)
+        assert math.isfinite(want) and got.hex() == want.hex()
+
     def test_nan_is_a_domain_error(self):
         with pytest.raises(ValidationError, match="strictly inside"):
             gm.bernoulli_kl(np.array([np.nan, 0.3]), np.array([0.5, 0.5]))
@@ -699,6 +721,14 @@ class TestWorstCasePrior:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
                 gm.worst_case_prior_sample(plan, w, bad, seed=0)
+
+    def test_rejects_a_plan_of_another_length(self):
+        w64, plan64 = self._setup(64)
+        w128, plan128 = self._setup(128)
+        with pytest.raises(ValidationError, match="plan has 64 weights for 128 ellipsoid"):
+            gm.worst_case_prior_sample(plan64, w128, 0.2, seed=0)
+        with pytest.raises(ValidationError, match="plan has 128 weights for 64 ellipsoid"):
+            gm.worst_case_prior_sample(plan128, w64, 0.2, seed=0)
 
     def test_seed_validation(self):
         w, plan = self._setup(128)

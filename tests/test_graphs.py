@@ -459,6 +459,24 @@ class TestApplyLaplacian:
         hub = (g.n - 1) * X[0] - X[1:].sum(axis=0)
         assert np.max(np.abs(got[0] - hub)) <= 1e-12 * np.abs(X).sum()
 
+    @pytest.mark.parametrize("spec", ["ws:2048,6,0.1,1", "star", "grid:48x48"])
+    def test_is_the_sorted_half_edge_form_bit_for_bit(self, spec):
+        # the neighbour sum over the edges in input order against the one
+        # over both directions sorted stably by source, as apply_laplacian
+        # once wrote it: np.bincount adds each vertex's terms in input order
+        # either way
+        g = gm.load_edge_list(star_edge_list(2000)) if spec == "star" else gm.parse_graph_spec(spec)
+        X = np.random.default_rng(8).standard_normal((g.n, 3))
+        src, dst = np.concatenate([g.edges, g.edges[:, ::-1]]).T
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        want = np.empty(X.shape, order="F")
+        for j, x in enumerate(X.T):
+            want[:, j] = g.degrees * x - np.bincount(src, weights=x[dst], minlength=g.n)
+        got = gm.apply_laplacian(g, X)
+        assert got.tobytes(order="A") == want.tobytes(order="A") and got.flags.f_contiguous
+        assert gm.apply_laplacian(g, X[:, 1]).tobytes() == want[:, 1].tobytes()
+
     def test_rejects_a_wrong_row_count(self):
         with pytest.raises(ValidationError, match="expected n=5"):
             gm.apply_laplacian(gm.build_path(5), np.ones((6, 2)))

@@ -71,6 +71,10 @@ class TestFitRate:
     def test_errors(self):
         with pytest.raises(ValidationError):
             gm.fit_rate([100], [1.0])
+        with pytest.raises(ValidationError, match="3 sizes and 2 mean risks"):
+            gm.fit_rate([1, 2, 3], [1, 2])
+        with pytest.raises(ValidationError, match="2 sizes and 3 mean risks"):
+            gm.fit_rate([100, 200], [1.0, 0.5, 0.2])
         with pytest.raises(NumericError):
             gm.fit_rate([100, 200], [1.0, 0.0])
         for bad in (-1.0, math.nan, math.inf, -math.inf):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -57,6 +58,9 @@ class TestCutoff:
         w = EllipsoidWeights(a=np.ones(4), R=1.0)
         with pytest.raises(ValidationError):
             gm.cutoff_N(w, epsilon=0.0)
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+                gm.cutoff_N(w, epsilon=bad)
 
 
 class TestSolveX:
@@ -224,6 +228,13 @@ class TestSupRisk:
         w = EllipsoidWeights(a=np.array([1.0, 2.0, 5.0]), R=1.7)
         assert gm.sup_risk_over_ellipsoid(np.zeros(3), w, 0.2) == pytest.approx(1.7)
 
+    def test_rejects_a_weight_count_mismatch(self):
+        # a single weight must not broadcast over the 64 ellipsoid weights
+        _, w, plan = path_plan(64)
+        for l in (np.array([0.5]), plan.l[:63], np.ones(65)):
+            with pytest.raises(ValidationError, match=f"{len(l)} shrinkage weights for 64 "):
+                gm.sup_risk_over_ellipsoid(l, w, plan.epsilon)
+
     def test_no_grid_point_beats_the_plan(self):
         # exhaustive search over a 0.01-step weight grid on 5 random
         # three-dimensional ellipsoids
@@ -374,8 +385,9 @@ class TestEstimateClassification:
 
     @pytest.mark.parametrize("spec", ["path:512", "grid:48x48", "torus:16x64", "ws:512,6,0.1,1"])
     def test_link_pass_is_the_reference_chain_bit_for_bit(self, spec):
-        # the in-place pass equals np.clip, link.psi_inv, the latent shrink,
-        # link.psi and np.clip on new arrays; it writes neither y nor plan.l
+        # the link pass is the chain np.clip, link.psi_inv, the latent
+        # shrink, link.psi and np.clip written out here; it writes neither y
+        # nor plan.l
         g = gm.parse_graph_spec(spec)
         s = gm.eigendecompose(g)
         r = float(len(g.shape[1])) if g.shape else 2.0
