@@ -329,14 +329,15 @@ def _lazy_zeros(n: int) -> np.ndarray:
 def apply_laplacian(g: Graph, X: np.ndarray) -> np.ndarray:
     """L @ X from the edge array, without the n x n Laplacian.
 
-    ``X`` has shape (n,) or (n, k).  Each column is (L x)(i) = d_i x(i) -
+    ``X`` has shape (n,) or (n, k); any other shape raises ValidationError
+    naming it.  Each column is (L x)(i) = d_i x(i) -
     sum_{j ~ i} x(j), the neighbour sum one ``np.bincount`` over both
     directions of every edge, in edge order: O(m k) time and O(n + m)
     memory per column, whatever the degrees.  The result is column-major.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] != g.n:
-        raise ValidationError(f"X has {X.shape[0]} rows, expected n={g.n}")
+    if X.ndim not in (1, 2) or X.shape[0] != g.n:
+        raise ValidationError(f"X has shape {X.shape}, expected n={g.n} rows as (n,) or (n, k)")
     src, dst = np.concatenate([g.edges, g.edges[:, ::-1]]).T
     cols = X.reshape(g.n, -1)
     out = np.empty(cols.shape, order="F")

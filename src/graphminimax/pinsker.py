@@ -12,8 +12,8 @@ l'_j = (1 - x a_j)_+ where x > 0 solves
 
 and the attained worst-case risk is S = eps^2 sum_j l'_j.  The solver
 below computes the active-set size N by an upward scan, evaluates the
-closed-form root on that support, and then double-checks both equation (*)
-and an independent bisection before returning, so every emitted plan is
+closed-form root on that support, and then checks both equation (*) and a
+two-point bracket of its root before returning, so every emitted plan is
 self-consistent to tight tolerance.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, _axis_factors
 
 _EQ_RTOL = 1e-8
-_BISECT_ATOL = 1e-10
+_ROOT_ATOL = 1e-10
 _CLIP_ETA = 1e-3
 _LOGIT_MESSAGE = "inverse link needs probabilities strictly inside (0, 1)"
 
@@ -50,6 +50,11 @@ class ShrinkagePlan:
     epsilon: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < np.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     """Size of the active set of the minimax weights.
 
@@ -62,8 +67,7 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     closed-form root's active set.  The left side is non-decreasing in m,
     so a single scan (here vectorized via prefix sums) suffices.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_epsilon(epsilon)
     a = w.a
     s1 = np.cumsum(a)
     s2 = np.cumsum(a**2)
@@ -83,14 +87,20 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
         x = eps^2 sum_{j<N} a_j / (R + eps^2 sum_{j<N} a_j^2)
 
     and verifies it two ways: the defining equation must hold to 1e-8
-    relative, and an independent bisection of the monotone left side on
-    (0, 1/a_0) must agree to 1e-10.  A failure of either check signals an
-    inconsistent N and raises NumericError.  Once its bracket [lo, hi] is
-    found, the bisection sums (*) only over the weights with a_j lo < 1,
-    picked by a mask: every other term is exactly 0 at every x >= lo, in
-    whatever order a is given.
+    relative, and a two-point bracket must place the root within
+    tol = 1e-10 of x.  The left side of (*) is strictly decreasing in x
+    wherever it is positive, so lhs(x - tol) > R >= lhs(x + tol) proves the
+    root lies in (x - tol, x + tol]; the lower test is skipped when
+    x - tol <= 0, where the left side exceeds every R.  A failure of either
+    check signals an inconsistent N and raises NumericError.  N must be an
+    integer (not a bool) in [1, len(w.a)] and epsilon positive and finite;
+    ValidationError otherwise.
     """
+    _check_epsilon(epsilon)
+    N = _check_integer(N, "N")
     a = w.a
+    if not 1 <= N <= len(a):
+        raise ValidationError(f"N must be in [1, {len(a)}], got {N}")
     head = a[:N]
     x = float(epsilon**2 * head.sum() / (w.R + epsilon**2 * np.sum(head**2)))
     if not 0.0 < x < 1.0 / a[0]:
@@ -100,24 +110,11 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
             f"internal inconsistency: closed-form root violates the ellipsoid equation "
             f"(N={N}, x={x:.6e})"
         )
-    lo, hi = x, 1.0 / a[0]
-    while _equation_lhs(a, epsilon, lo) <= w.R:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise NumericError("bisection bracket collapsed")
-    active = a[a * lo < 1.0]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _equation_lhs(active, epsilon, mid) > w.R:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    if abs(0.5 * (lo + hi) - x) > _BISECT_ATOL:
+    lo, hi = x - _ROOT_ATOL, x + _ROOT_ATOL
+    if (lo > 0.0 and _equation_lhs(a, epsilon, lo) <= w.R) or _equation_lhs(a, epsilon, hi) > w.R:
         raise NumericError(
-            f"internal inconsistency: bisection root {0.5 * (lo + hi):.6e} "
-            f"disagrees with closed form {x:.6e}"
+            f"internal inconsistency: the root of the ellipsoid equation is not within "
+            f"{_ROOT_ATOL:g} of the closed form {x:.6e} (N={N})"
         )
     return x
 
@@ -148,13 +145,13 @@ def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
     Only the first k eigenvectors are applied, through their per-axis
     factors (``_AxisFactors.shrink``): O(n k) on a path or an explicit
     head, one matrix product per axis each way on a grid or torus, and no
-    n x k array there.  The result is a new array.
+    n x k array there.  The result is a new array.  y's length is checked
+    before any factor is grown.
     """
-    factors = _axis_factors(s, len(l_head))
     y = np.asarray(y, dtype=float)
     if y.shape != (s.n,):
         raise ValidationError(f"signal length {y.shape} does not match n={s.n}")
-    return factors.shrink(y, l_head, s.n)
+    return _axis_factors(s, len(l_head)).shrink(y, l_head, s.n)
 
 
 def estimate_regression(s: Spectrum, plan: ShrinkagePlan, y: np.ndarray) -> np.ndarray:

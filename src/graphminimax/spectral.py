@@ -648,22 +648,21 @@ def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
     """Coefficients <f, psi_j>_n of a signal in the eigenbasis.
 
     A path, grid or torus applies its full per-axis factors (d_a x d_a);
-    on a path that is the n x n basis.
+    on a path that is the n x n basis.  A signal of another length raises
+    ValidationError before any factor is grown; so does gft_inverse.
     """
-    factors = _axis_factors(s, s.n)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n,):
         raise ValidationError(f"signal length {f.shape} does not match n={s.n}")
-    return factors.analyze(f) / s.n
+    return _axis_factors(s, s.n).analyze(f) / s.n
 
 
 def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
     """Signal sum_j coeffs_j psi_j; inverts gft_forward, through the same factors."""
-    factors = _axis_factors(s, s.n)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (s.n,):
         raise ValidationError(f"coefficient length {coeffs.shape} does not match n={s.n}")
-    return factors.synthesize(coeffs)
+    return _axis_factors(s, s.n).synthesize(coeffs)
 
 
 def spectrum_csv_text(s: Spectrum) -> str:

@@ -478,8 +478,10 @@ class TestApplyLaplacian:
         assert gm.apply_laplacian(g, X[:, 1]).tobytes() == want[:, 1].tobytes()
 
     def test_rejects_a_wrong_row_count(self):
-        with pytest.raises(ValidationError, match="expected n=5"):
-            gm.apply_laplacian(gm.build_path(5), np.ones((6, 2)))
+        # a scalar has no rows, and a third axis is neither (n,) nor (n, k)
+        for X in (np.ones((6, 2)), 1.0, np.ones((5, 2, 1))):
+            with pytest.raises(ValidationError, match=r"X has shape \(.*\), expected n=5"):
+                gm.apply_laplacian(gm.build_path(5), X)
 
 
 class TestParseGraphSpec:

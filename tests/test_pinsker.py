@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphminimax as gm
+from graphminimax import pinsker
 from graphminimax.errors import NumericError, ValidationError
 from graphminimax.sobolev import EllipsoidWeights
 
@@ -101,6 +103,31 @@ class TestSolveX:
             with pytest.raises(NumericError):
                 gm.solve_x(w, eps, wrong)
 
+    def test_bracket_catches_a_root_the_equation_check_lets_through(self, monkeypatch):
+        # with the equation check switched off, the support one too large
+        # still passes the (0, 1/a_0) range check and must fail the bracket
+        rng = np.random.default_rng(2)
+        w = random_weights(rng, 24)
+        eps = 0.4
+        N = gm.cutoff_N(w, eps)
+        monkeypatch.setattr(pinsker, "_EQ_RTOL", math.inf)
+        with pytest.raises(NumericError, match="not within 1e-10 of the closed form"):
+            gm.solve_x(w, eps, N + 1)
+
+    def test_rejects_bad_arguments_by_name(self):
+        w = random_weights(np.random.default_rng(2), 24)
+        N = gm.cutoff_N(w, 0.4)
+        assert gm.solve_x(w, 0.4, np.int64(N)) == gm.solve_x(w, 0.4, N)
+        for N in (2.5, True, "3", None):
+            with pytest.raises(ValidationError, match="N must be an integer"):
+                gm.solve_x(w, 0.4, N)
+        for N in (0, -1, 25):
+            with pytest.raises(ValidationError, match=r"N must be in \[1, 24\]"):
+                gm.solve_x(w, 0.4, N)
+        for eps in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+                gm.solve_x(w, eps, 3)
+
 
 class TestPinskerPlan:
     def test_noiseless_limit(self):
@@ -175,6 +202,26 @@ class TestEstimateRegression:
             gm.estimate_regression(s, other, np.zeros(64))
         with pytest.raises(ValidationError, match="signal length"):
             gm.estimate_regression(s, path_plan(64)[2], np.zeros(63))
+
+    @pytest.mark.parametrize("reader", ["estimate_regression", "projection_estimate"])
+    def test_wrong_length_fails_before_any_factor_is_grown(self, reader):
+        # projection_estimate at m = n would grow the full 4096 x 4096 path
+        # factor (128 MiB), estimate_regression its first N columns, before
+        # either saw a wrong length
+        s = gm.eigendecompose(gm.build_path(4096))
+        plan = gm.pinsker_plan(gm.ellipsoid_weights(s, BALL), 1.0, s.n)
+        y = np.zeros(5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="signal length"):
+                if reader == "estimate_regression":
+                    gm.estimate_regression(s, plan, y)
+                else:
+                    gm.projection_estimate(s, y, s.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s._factors is None and peak < 1 << 20
 
     def test_monte_carlo_risk_within_sup_risk(self):
         # the risk at any ball point is at most S; allow Monte Carlo slack

@@ -763,6 +763,19 @@ class TestGft:
         with pytest.raises(ValidationError):
             gm.gft_inverse(path64_eig, np.zeros(12))
 
+    @pytest.mark.parametrize("transform", ["gft_forward", "gft_inverse"])
+    def test_wrong_length_fails_before_any_factor_is_grown(self, transform):
+        # the full 4096 x 4096 path factor is 128 MiB, and its checks more
+        s = gm.eigendecompose(gm.build_path(4096))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="length .* does not match n=4096"):
+                getattr(gm, transform)(s, np.zeros(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s._factors is None and peak < 1 << 20
+
 
 class TestFitGeometry:
     def test_path2048(self, path2048_eig):
