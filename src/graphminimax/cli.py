@@ -24,7 +24,7 @@ import numpy as np
 from ._text import csv_text, format_rows
 from .errors import NumericError, ValidationError, _check_seed
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
-from .graphs import parse_graph_spec
+from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
 from .harness import (
     CLASSIFICATION_ESTIMATORS,
     REGRESSION_ESTIMATORS,
@@ -190,8 +190,11 @@ def _cmd_fano(args) -> int:
 
 
 def _cmd_prior_demo(args) -> int:
-    if args.draws < 1:
-        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    if not 1 <= args.draws <= DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"--draws must be in [1, DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}], "
+            f"got {args.draws}"
+        )
     s, ball = _model(args, eigenvalues)
     w = ellipsoid_weights(s, ball)
     plan = pinsker_plan(w, args.sigma, s.n)

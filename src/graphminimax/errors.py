@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds)."""
+"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds)
+and one positive-number rule (scales, radii, exponents)."""
+import math
 import operator
 
 import numpy as np
@@ -24,6 +26,16 @@ def _check_integer(value, what: str, kind: str = "an integer") -> int:
         except TypeError:
             pass
     raise ValidationError(f"{what} must be {kind}, got {value!r}")
+
+
+def _check_positive(value, what: str) -> float:
+    """value as a float if it is a number in (0, inf); else ValidationError naming what."""
+    try:
+        if 0 < value < math.inf:
+            return float(value)
+    except (TypeError, ValueError):  # not one number: None, a string, an array
+        pass
+    raise ValidationError(f"{what} must be positive and finite, got {value!r}")
 
 
 def _check_seed(seed) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_integer, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_positive, _check_seed
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
 from .spectral import Spectrum, _axis_factors, _check_orthonormal
@@ -350,6 +350,8 @@ def packing_dimension(n: int, spec: SobolevSpec) -> int:
     A tiny slack guards against the float power landing a hair above an
     exact integer and inflating the ceiling.
     """
+    if _check_integer(n, "n") < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     return int(math.ceil(n ** (spec.r / (2.0 * spec.beta + spec.r)) - 1e-9))
 
 
@@ -378,9 +380,7 @@ def fano_certificate(
         delta = calibrate_delta(s, spec, N, link)
     else:
         mode = "regression"
-        sigma = float(sigma_or_link)
-        if not 0 < sigma < math.inf:
-            raise ValidationError(f"sigma must be positive and finite, got {sigma_or_link!r}")
+        sigma = _check_positive(sigma_or_link, "sigma")
         delta = _gaussian_calibrated_delta(s, spec, N, sigma)
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)

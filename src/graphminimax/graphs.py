@@ -15,6 +15,7 @@ Graphs are named by a one-line spec language, read by ``parse_graph_spec``:
 """
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -27,7 +28,8 @@ from .errors import NumericError, ValidationError, _check_integer, _check_seed
 #: the Laplacian of ``laplacian`` and the eigenbasis ``eigendecompose`` solves
 #: for a graph without shape.  A head of k eigenvectors of a path, grid or
 #: torus (``head_basis``, a path's single factor, a full ``Spectrum.basis``)
-#: may hold n k values up to the square of this cap.
+#: may hold n k values up to the square of this cap.  A small-world graph
+#: may have at most this many vertices, a path, grid or torus its square.
 #: ``laplacian`` never touches the pages of its zeros, so a dense solve
 #: holds LAPACK's n x n copy (and eigh's n x n basis) plus only the pages
 #: of L that hold an edge or a degree.
@@ -119,13 +121,21 @@ def _finish_graph(n: int, edges: np.ndarray, build_seed=None, shape=None) -> Gra
 
 
 def _check_dims(dims, min_dim: int, what: str) -> list[int]:
+    """dims as ints, each >= min_dim, with at most DEFAULT_DENSE_CAP**2 vertices in all."""
     dims = list(dims)
     if not dims:
         raise ValidationError(f"{what} needs at least one dimension")
     for d in dims:
         if not isinstance(d, (int, np.integer)) or d < min_dim:
             raise ValidationError(f"{what} dimensions must be >= {min_dim}, got {d!r}")
-    return [int(d) for d in dims]
+    dims = [int(d) for d in dims]
+    n = math.prod(dims)
+    if n > DEFAULT_DENSE_CAP**2:
+        raise ValidationError(
+            f"a {what} of {n} vertices is above the limit DEFAULT_DENSE_CAP**2 = "
+            f"{DEFAULT_DENSE_CAP**2}"
+        )
+    return dims
 
 
 def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
@@ -191,9 +201,16 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     uniformly random endpoint that creates neither a loop nor a duplicate.
     If a draw is disconnected the seed is incremented and the construction
     retried (budget 64); the seed that finally succeeded is recorded on the
-    returned graph.
+    returned graph.  No spectrum of a graph without shape can be computed
+    above ``DEFAULT_DENSE_CAP`` vertices, so a larger n raises
+    ValidationError before any edge is drawn.
     """
     n = _check_integer(n, "small-world n")
+    if n > DEFAULT_DENSE_CAP:
+        raise ValidationError(
+            f"small-world n={n} exceeds the dense Laplacian cap DEFAULT_DENSE_CAP = "
+            f"{DEFAULT_DENSE_CAP}"
+        )
     k = _check_integer(k, "small-world k", "a positive even integer")
     if k <= 0 or k % 2 != 0:
         raise ValidationError(f"small-world k must be a positive even integer, got {k!r}")

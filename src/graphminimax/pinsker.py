@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _check_integer
+from .errors import NumericError, ValidationError, _check_integer, _check_positive
 from .sobolev import EllipsoidWeights, SobolevSpec
-from .spectral import Spectrum, _axis_factors
+from .spectral import Spectrum, _axis_factors, _vertex_vector
 
 _EQ_RTOL = 1e-8
 _ROOT_ATOL = 1e-10
@@ -50,11 +50,6 @@ class ShrinkagePlan:
     epsilon: float
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0 < epsilon < np.inf:
-        raise ValidationError(f"epsilon must be positive and finite, got {epsilon!r}")
-
-
 def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     """Size of the active set of the minimax weights.
 
@@ -67,7 +62,7 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     closed-form root's active set.  The left side is non-decreasing in m,
     so a single scan (here vectorized via prefix sums) suffices.
     """
-    _check_epsilon(epsilon)
+    _check_positive(epsilon, "epsilon")
     a = w.a
     s1 = np.cumsum(a)
     s2 = np.cumsum(a**2)
@@ -96,7 +91,7 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     integer (not a bool) in [1, len(w.a)] and epsilon positive and finite;
     ValidationError otherwise.
     """
-    _check_epsilon(epsilon)
+    _check_positive(epsilon, "epsilon")
     N = _check_integer(N, "N")
     a = w.a
     if not 1 <= N <= len(a):
@@ -125,8 +120,7 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     n sets the noise scale sigma / sqrt(n) and must be the number of
     weights, one per eigenvalue; ValidationError otherwise.
     """
-    if not 0 < sigma < np.inf:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+    _check_positive(sigma, "sigma")
     if n != len(w.a):
         raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
     epsilon = sigma / np.sqrt(n)
@@ -148,9 +142,7 @@ def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
     n x k array there.  The result is a new array.  y's length is checked
     before any factor is grown.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (s.n,):
-        raise ValidationError(f"signal length {y.shape} does not match n={s.n}")
+    y = _vertex_vector(s, y, "signal")
     return _axis_factors(s, len(l_head)).shrink(y, l_head, s.n)
 
 
@@ -192,6 +184,8 @@ def sup_risk_over_ellipsoid(l: np.ndarray, w: EllipsoidWeights, epsilon: float) 
 
 def projection_cutoff(n: int, beta: float, r: float) -> int:
     """Rate-optimal truncation level m = round(n^(r/(2 beta + r))), in [1, n]."""
+    if _check_integer(n, "n") < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     SobolevSpec(beta=beta, Q=1.0, r=r)  # ValidationError naming beta or r, by SobolevSpec's rule
     return max(1, min(n, round(n ** (r / (2.0 * beta + r)))))
 
@@ -290,9 +284,7 @@ def estimate_classification(
     sigmoid link's psi_inv, shrinks again on the latent scale, maps back
     through its psi and clips again.  y and plan are not written.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (s.n,):
-        raise ValidationError(f"label length {y.shape} does not match n={s.n}")
+    y = _vertex_vector(s, y, "label")
     if np.count_nonzero(y == 0.0) + np.count_nonzero(y == 1.0) != y.size:
         raise ValidationError("classification labels must be 0/1")
     if mode not in ("direct", "link"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_seed
+from .errors import ValidationError, _check_positive, _check_seed
 from .spectral import Spectrum, gft_forward, gft_inverse
 
 
@@ -28,10 +28,8 @@ class SobolevSpec:
     r: float
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
-        if not 0 < self.Q < math.inf:
-            raise ValidationError(f"Q must be positive and finite, got {self.Q!r}")
+        _check_positive(self.beta, "beta")
+        _check_positive(self.Q, "Q")
         if not 1 <= self.r < math.inf:
             raise ValidationError(f"r must be >= 1 and finite, got {self.r!r}")
 
@@ -42,11 +40,24 @@ class EllipsoidWeights:
 
     Membership in the smoothness ball is equivalent to
     sum_j a_j^2 c_j^2 <= R for the eigenbasis coefficients c of a signal.
-    R is the squared radius Q^2.  Weights compare and hash by identity.
+    R is the squared radius Q^2.  a must be 1-D, finite and non-decreasing
+    with a[0] == 1, and R positive and finite; ValidationError naming the
+    field otherwise.  Weights compare and hash by identity.
     """
 
     a: np.ndarray
     R: float
+
+    def __post_init__(self):
+        _check_positive(self.R, "R")
+        a = np.asarray(self.a)
+        if a.ndim != 1 or not a.size or a[0] != 1.0:
+            raise ValidationError(f"ellipsoid weights a must be 1-D with a[0] == 1, got {a!r}")
+        # positive tests, which NaN fails; the last weight is the largest
+        if not (np.all(np.diff(a) >= 0.0) and a[-1] < math.inf):
+            raise ValidationError(
+                f"ellipsoid weights a must be finite and non-decreasing, got {a!r}"
+            )
 
 
 def _spectral_weights_sq(s: Spectrum, spec: SobolevSpec) -> np.ndarray:

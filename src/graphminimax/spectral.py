@@ -42,11 +42,12 @@ class Spectrum:
 
     A spectrum keeps its eigenvectors in one store, per-axis factors (see
     ``_AxisFactors``).  One from eigendecompose of a path, grid or torus,
-    whose edges are its shape's lattice edges by construction, holds none
-    at first.  Its eigenvectors are Kronecker products of per-axis path or
-    cycle vectors, and it keeps one factor per axis: the checked axis
-    vectors its first k columns use (d_a x u_a values on an axis of d_a
-    vertices), built whole on each growth.  Every other spectrum
+    whose edges are its shape's lattice edges by construction, holds its
+    eigenvalues and graph and no eigenvector at first.  Its eigenvectors
+    are Kronecker products of per-axis path or cycle vectors, and it keeps
+    one factor per axis: the checked axis vectors its first k columns use,
+    the first u_a in the axis's fixed order (a stable sort of its
+    eigenvalues), built whole on each growth.  Every other spectrum
     holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
     basis, or a basis passed here as an (n, w) array, kept as one
     column-major, read-only factor.  The estimators, the certificates, the
@@ -75,9 +76,9 @@ class Spectrum:
 
     n: int
     lambdas: np.ndarray
-    # For a lazy spectrum of a path, grid or torus, its graph and the stable
-    # order of its Kronecker-sum eigenvalues; then the one eigenvector store.
-    _shaped: tuple[Graph, np.ndarray] | None = field(init=False, default=None, repr=False)
+    # The graph of a lazy spectrum of a path, grid or torus, whose factors
+    # grow from it; then the one eigenvector store.
+    _graph: Graph | None = field(init=False, default=None, repr=False)
     _factors: _AxisFactors | None = field(init=False, default=None, repr=False)
 
     def __init__(self, n: int, lambdas: np.ndarray, basis: np.ndarray | None = None):
@@ -104,7 +105,7 @@ class Spectrum:
     @property
     def basis(self) -> np.ndarray | None:
         """The n x n eigenbasis, head_basis(s, n); None for an eigenvalues-only spectrum."""
-        if self._factors is None and self._shaped is None:
+        if self._factors is None and self._graph is None:
             return None
         return head_basis(self, self.n)
 
@@ -190,7 +191,7 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     ``_axis_factors`` does.
     """
     k = _head_width(s, k)
-    if s._shaped is not None and s.n * k > DEFAULT_DENSE_CAP**2:
+    if s._graph is not None and s.n * k > DEFAULT_DENSE_CAP**2:
         raise ValidationError(
             f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
             f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
@@ -199,7 +200,7 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     if len(factors.vectors) == 1:
         return factors.vectors[0]
     head = factors.rows(0, k).T
-    _check_residual(s._shaped[0], s.lambdas[:k], head)
+    _check_residual(s._graph, s.lambdas[:k], head)
     head.setflags(write=False)
     return head
 
@@ -211,16 +212,17 @@ class _AxisFactors:
     Column c of the head is the Kronecker product over the axes a of
     ``vectors[a][:, at[a][c]]``, with vertices flattened row-major.  Each
     factor is a column-major, read-only d_a x u_a array of <.,.>_{d_a}-
-    orthonormal axis vectors, in the order the columns first use them, so
-    the first k' <= k columns use the first columns of every factor.  A
-    single axis (a path, or any spectrum's explicit basis) has its head as
-    its factor, at = (arange(k),) and at[0] itself as ``flat``.
+    orthonormal axis vectors, the first u_a of the axis's fixed order (a
+    stable sort of its eigenvalues), so the first k' <= k columns use the
+    first columns of every factor.  A single axis (a path, or any
+    spectrum's explicit basis) has its head as its factor,
+    at = (arange(k),) and at[0] itself as ``flat``.
 
-    ``analyze`` and ``synthesize`` apply the k columns with one 2-D matrix
-    product per axis on a reshaped view, one code path for any number of
-    axes.  ``shrink`` runs both with the same products, vertex -> core ->
-    vertex, and weights the u_1 x ... x u_r core through a mask, with no
-    k-vector in between.
+    ``analyze``, ``shrink`` and ``synthesize`` apply the k columns through
+    one vertex -> core loop and one core -> vertex loop, one 2-D matrix
+    product per axis on a reshaped view, for any number of axes.
+    ``shrink`` runs both and weights the u_1 x ... x u_r core between them
+    through a mask, with no k-vector in between.
 
     Prefix views of the _PREFIX_VIEWS column counts used last are kept,
     because callers ask for the same few k on every call and a view costs
@@ -280,13 +282,23 @@ class _AxisFactors:
                 rows = (rows[:, :, None] * axis_rows[:, None, :]).reshape(len(rows), -1)
         return rows
 
-    def analyze(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
-        # each product contracts the leading vertex axis and appends its
-        # column axis at the back, so the next vertex axis leads
+    def _to_core(self, y: np.ndarray) -> np.ndarray:
+        # vertex values -> u_1 x ... x u_r core: each product contracts the
+        # leading vertex axis and appends its column axis at the back
         for v in self.vectors:
             y = y.reshape(v.shape[0], -1).T @ v
-        return y.ravel()[self.flat]
+        return y
+
+    def _from_core(self, core: np.ndarray) -> np.ndarray:
+        # core -> vertex values: each product expands the leading core axis
+        # and cycles it to the back, so a block's rows end up in front
+        for v in self.vectors:
+            core = core.reshape(v.shape[1], -1).T @ v.T
+        return core
+
+    def analyze(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
+        return self._to_core(y).ravel()[self.flat]
 
     def shrink(self, y: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
         """synthesize(weights * (analyze(y) / n)) bit for bit: (n,) -> (n,).
@@ -298,28 +310,19 @@ class _AxisFactors:
         elsewhere; a zero's sign could show only in an output entry whose
         every term is zero.
         """
-        core = y
-        for v in self.vectors:
-            core = core.reshape(v.shape[0], -1).T @ v
+        core = self._to_core(y)
         mask = np.zeros(core.size)
         mask[self.flat] = weights
         core /= n
         core *= mask.reshape(core.shape)
-        for v in self.vectors:
-            core = core.reshape(v.shape[1], -1).T @ v.T
-        return core.reshape(self.n)
+        return self._from_core(core).reshape(self.n)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """sum_j c[..., j] psi_j: (k,) -> (n,), or a block of rows (B, k) -> (B, n)."""
         rows = c.reshape(-1, self.k)
         core = np.zeros((math.prod(v.shape[1] for v in self.vectors), len(rows)))
         core[self.flat] = rows.T
-        # the core's axes, then the rows; each product expands the leading
-        # axis and cycles it to the back, so the rows end up in front
-        x = core
-        for v in self.vectors:
-            x = x.reshape(v.shape[1], -1).T @ v.T
-        return x.reshape(c.shape[:-1] + (self.n,))
+        return self._from_core(core).reshape(c.shape[:-1] + (self.n,))
 
 
 def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
@@ -335,7 +338,7 @@ def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
     k = _head_width(s, k)
     factors = s._factors
     if factors is None or factors.k < k:
-        if s._shaped is None:
+        if s._graph is None:
             if factors is None:
                 raise ValidationError(
                     "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
@@ -355,16 +358,15 @@ def eigendecompose(g: Graph) -> Spectrum:
     """The Laplacian eigenpairs of g, every eigenvalue and eigenvector checked.
 
     A path, grid or torus (``g.shape`` set, so its edges are the lattice
-    edges of g.shape by construction) gets its closed form from
-    ``_shaped_spectrum``: products of per-axis path (DCT-II) or cycle
-    eigenvectors, ordered by a stable sort of the Kronecker-sum eigenvalues,
-    so ``lambdas`` equals ``eigenvalues(g).lambdas`` bit for bit and the
-    basis inside a repeated eigenvalue is that fixed product basis.  No
-    eigenvector is computed here: readers grow checked per-axis factors on
-    first use (``_grown_factors``, under its cap).  Any other graph gets a
-    dense ``eigh`` of all n columns here, kept as a single factor; n above
-    the dense cap raises ValidationError (from ``laplacian``) before
-    anything is allocated.
+    edges of g.shape by construction) gets ``eigenvalues(g)`` plus its
+    graph, from which readers grow checked per-axis factors on first use
+    (``_grown_factors``, under its cap); no eigenvector is computed here.
+    Its eigenvectors are products of per-axis path (DCT-II) or cycle
+    vectors, in the stable order of the Kronecker-sum eigenvalues, so the
+    basis inside a repeated eigenvalue is that fixed product basis.  Any
+    other graph gets a dense ``eigh`` of all n columns here, kept as a
+    single factor; n above the dense cap raises ValidationError (from
+    ``laplacian``) before anything is allocated.
 
     The eigenvalues pass the moment, null-eigenvalue and connectivity
     checks of ``_checked_lambdas``.  Every column that is formed must pass
@@ -374,7 +376,9 @@ def eigendecompose(g: Graph) -> Spectrum:
     product column (``_grown_factors``).  A failed check raises NumericError.
     """
     if g.shape is not None:
-        return _shaped_spectrum(g)
+        s = eigenvalues(g)
+        object.__setattr__(s, "_graph", g)
+        return s
     lams, vecs = np.linalg.eigh(laplacian(g))
     lams = _checked_lambdas(g, lams)
     basis = _fix_signs(vecs * np.sqrt(g.n))
@@ -455,43 +459,30 @@ def _kronecker_sum(g: Graph) -> np.ndarray:
     return lams
 
 
-def _shaped_spectrum(g: Graph) -> Spectrum:
-    """Lazy closed-form spectrum of a path, grid or torus, for eigendecompose and eigenvalues.
-
-    g.shape is set only by the lattice builders, so g's edges are its lattice
-    edges; the eigenvalues still pass the checks of ``_checked_lambdas``.
-    """
-    raw = _kronecker_sum(g)
-    order = np.argsort(raw, kind="stable")
-    order.setflags(write=False)
-    s = Spectrum(n=g.n, lambdas=_checked_lambdas(g, raw[order]))
-    object.__setattr__(s, "_shaped", (g, order))
-    return s
-
-
 def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
     """The per-axis factors of the first k columns of a lazy shaped spectrum.
 
-    Each growth builds every used axis's vectors whole and checks them
-    (``_check_axis_vectors``).  g's edges are the lattice edges of g.shape by
-    construction, so L is the Kronecker sum of the axis Laplacians,
-    L psi - lambda psi is the sum over the axes of the axis residual times
-    the other axes' vectors, and the checks bound every product column's
-    residual by eigendecompose's 1e-8.  The factors may hold at most
-    ``DEFAULT_DENSE_CAP**2`` values (on a path the head's n k); more raises
-    ValidationError before any vector is built.
+    Column c is entry c of a stable sort of the Kronecker-sum eigenvalues,
+    re-sorted on each growth.  The first column to use an axis index j is
+    j's own axis column (0 on the other axes), so the indices the first k
+    columns use are a prefix of the axis's fixed order, a stable sort of
+    its eigenvalues.  Each growth builds every used axis's vectors whole
+    and checks them (``_check_axis_vectors``).  g's edges are the lattice
+    edges of g.shape by construction, so L is the Kronecker sum of the
+    axis Laplacians, L psi - lambda psi is the sum over the axes of the
+    axis residual times the other axes' vectors, and the checks bound
+    every product column's residual by eigendecompose's 1e-8.  The factors
+    may hold at most ``DEFAULT_DENSE_CAP**2`` values (on a path the head's
+    n k); more raises ValidationError before any vector is built.
     """
-    g, order = s._shaped
+    g = s._graph
     kind, dims = g.shape
-    axis_index = np.unravel_index(order[:k], dims)
-    # every axis's indices in order of first use, and each column's position there
+    order = np.argsort(_kronecker_sum(g), kind="stable")
     used = []
-    for side, ks in zip(dims, axis_index):
-        js, first = np.unique(ks, return_index=True)
-        js = js[np.argsort(first)]
-        position = np.empty(side, dtype=np.int64)
-        position[js] = np.arange(len(js))
-        used.append((js, position[ks]))
+    for side, ks in zip(dims, np.unravel_index(order[:k], dims)):
+        axis_order = np.argsort(_axis_eigenvalues(kind, side), kind="stable")
+        at = np.argsort(axis_order)[ks]
+        used.append((axis_order[: at.max() + 1], at))
     values = sum(side * len(js) for side, (js, _) in zip(dims, used))
     if values > DEFAULT_DENSE_CAP**2:
         raise ValidationError(
@@ -550,19 +541,22 @@ def _check_orthonormal(vectors: np.ndarray, what: str) -> None:
 def eigenvalues(g: Graph) -> Spectrum:
     """Laplacian eigenvalues alone, as a Spectrum with ``basis=None``.
 
-    A path, grid or torus gets eigendecompose's closed form, its eigenvalues
-    bit for bit; any other graph a dense ``eigvalsh``.  With no eigenvectors
-    there is no residual to check; the eigenvalues pass the moment,
-    null-eigenvalue and connectivity checks of ``_checked_lambdas``.
+    A path, grid or torus gets its Kronecker-sum eigenvalues, sorted, and no
+    eigenvector order (eigendecompose adds the graph); any other graph a
+    dense ``eigvalsh``.  With no eigenvectors there is no residual to check;
+    the eigenvalues pass the moment, null-eigenvalue and connectivity
+    checks of ``_checked_lambdas``.
     """
     if g.shape is not None:
-        return Spectrum(n=g.n, lambdas=_shaped_spectrum(g).lambdas)
-    return Spectrum(n=g.n, lambdas=_checked_lambdas(g, np.linalg.eigvalsh(laplacian(g))))
+        lams = np.sort(_kronecker_sum(g))
+    else:
+        lams = np.linalg.eigvalsh(laplacian(g))
+    return Spectrum(n=g.n, lambdas=_checked_lambdas(g, lams))
 
 
 def path_eigenvalues(n: int) -> np.ndarray:
     """Exact path Laplacian eigenvalues 4 sin^2(pi j / (2n)), j = 0..n-1."""
-    if n < 2:
+    if _check_integer(n, "path graph n") < 2:
         raise ValidationError(f"path graph needs n >= 2, got {n!r}")
     return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
 
@@ -651,18 +645,22 @@ def gft_forward(s: Spectrum, f: np.ndarray) -> np.ndarray:
     on a path that is the n x n basis.  A signal of another length raises
     ValidationError before any factor is grown; so does gft_inverse.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (s.n,):
-        raise ValidationError(f"signal length {f.shape} does not match n={s.n}")
+    f = _vertex_vector(s, f, "signal")
     return _axis_factors(s, s.n).analyze(f) / s.n
 
 
 def gft_inverse(s: Spectrum, coeffs: np.ndarray) -> np.ndarray:
     """Signal sum_j coeffs_j psi_j; inverts gft_forward, through the same factors."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (s.n,):
-        raise ValidationError(f"coefficient length {coeffs.shape} does not match n={s.n}")
+    coeffs = _vertex_vector(s, coeffs, "coefficient")
     return _axis_factors(s, s.n).synthesize(coeffs)
+
+
+def _vertex_vector(s: Spectrum, x, what: str) -> np.ndarray:
+    """x as a float array of shape (n,); else ValidationError naming what it holds."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (s.n,):
+        raise ValidationError(f"{what} length {x.shape} does not match n={s.n}")
+    return x
 
 
 def spectrum_csv_text(s: Spectrum) -> str:

@@ -5,6 +5,7 @@ tolerance and prints a single PASS/FAIL line (run with ``pytest -s`` to see
 the lines as they stream).  Monte Carlo criteria use frozen master seeds so
 the whole suite is deterministic on a given platform.
 """
+import dataclasses
 import functools
 import math
 import time
@@ -46,7 +47,8 @@ def test_criterion_01_closed_form_spectrum():
     t0 = time.monotonic()
     worst_lam = worst_vec = 0.0
     for n in (16, 64, 256):
-        s = gm.eigendecompose(gm.build_path(n))
+        # the shape-free copy gets the dense eigh, not the closed form
+        s = gm.eigendecompose(dataclasses.replace(gm.build_path(n)))
         cf = gm.path_spectrum_closed_form(n)
         worst_lam = max(worst_lam, float(np.max(np.abs(s.lambdas - cf.lambdas))))
         worst_vec = max(worst_vec, float(np.max(np.abs(s.basis - cf.basis))))

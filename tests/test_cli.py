@@ -465,6 +465,16 @@ class TestPriorDemoCommand:
         err = capsys.readouterr().err
         assert "--draws" in err and "Traceback" not in err
 
+    def test_draws_above_the_limit_are_refused_before_the_model(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("graphminimax.cli._model", refuse)
+        draws = str(gm.DEFAULT_DENSE_CAP**2 + 1)
+        assert run_cli("prior-demo", "--graph", "path:128", "--beta", "1", "--draws", draws) == 1
+        err = capsys.readouterr().err
+        assert "--draws must be in [1, DEFAULT_DENSE_CAP**2 = 67108864], got 67108865" in err
+
     def test_reproducible(self, capsys):
         args = [
             "prior-demo", "--graph", "path:128", "--beta", "1", "--sigma", "1",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphminimax as gm
-from graphminimax.errors import ValidationError, _check_integer, _check_seed
+from graphminimax.errors import ValidationError, _check_integer, _check_positive, _check_seed
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
@@ -17,6 +17,17 @@ def test_bools_and_non_integers_are_refused(value):
         _check_integer(value, "k")
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         _check_seed(value)
+
+
+@pytest.mark.parametrize("value", [2, np.float64(0.5), 1e300])
+def test_positive_numbers_pass_as_float(value):
+    assert _check_positive(value, "x") == value and type(_check_positive(value, "x")) is float
+
+
+@pytest.mark.parametrize("value", [0, -1.0, np.inf, np.nan, None, "1", np.array([1.0, 2.0])])
+def test_non_positive_and_non_numbers_are_refused(value):
+    with pytest.raises(ValidationError, match=r"^x must be positive and finite, got "):
+        _check_positive(value, "x")
 
 
 @pytest.mark.parametrize(
@@ -37,6 +48,33 @@ def test_bools_and_non_integers_are_refused(value):
             lambda: gm.projection_cutoff(100, 1.0, 0.5),
             "r must be >= 1 and finite, got 0.5",
             id="r",
+        ),
+        pytest.param(
+            lambda: gm.path_eigenvalues(2.5),
+            "path graph n must be an integer, got 2.5",
+            id="path n",
+        ),
+        pytest.param(
+            lambda: gm.projection_cutoff(-5, 1.0, 1.0), "n must be >= 1, got -5", id="cutoff n"
+        ),
+        pytest.param(
+            lambda: gm.fano.packing_dimension(-8, gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)),
+            "n must be >= 1, got -8",
+            id="packing n",
+        ),
+        pytest.param(
+            lambda: gm.fano_certificate(
+                gm.eigenvalues(gm.build_path(1024)), gm.SobolevSpec(1.0, 1.0, 1.0), "abc", 0
+            ),
+            "sigma must be positive and finite, got 'abc'",
+            id="sigma str",
+        ),
+        pytest.param(
+            lambda: gm.fano_certificate(
+                gm.eigenvalues(gm.build_path(1024)), gm.SobolevSpec(1.0, 1.0, 1.0), None, 0
+            ),
+            "sigma must be positive and finite, got None",
+            id="sigma None",
         ),
     ],
 )

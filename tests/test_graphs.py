@@ -212,6 +212,26 @@ class TestSmallWorld:
         assert 1.0 < gm.fit_geometry(s).r_hat < 2.2
 
 
+def test_sizes_above_the_limits_are_refused_before_any_edge(monkeypatch):
+    # a path, grid or torus may have DEFAULT_DENSE_CAP**2 vertices and a
+    # small-world graph DEFAULT_DENSE_CAP; at a limit the edges are drawn
+    # (refused here), just above it nothing is
+    def refuse(*args, **kwargs):
+        raise AssertionError("edges were drawn")
+
+    monkeypatch.setattr(gm.graphs, "_lattice_edges", refuse)
+    monkeypatch.setattr(gm.graphs, "_ws_edges", refuse)
+    cap = gm.DEFAULT_DENSE_CAP
+    for spec in (f"path:{cap**2}", f"grid:{cap}x{cap}", f"torus:{cap}x{cap}", f"ws:{cap},4,0.1,1"):
+        with pytest.raises(AssertionError, match="edges were drawn"):
+            gm.parse_graph_spec(spec)
+    for spec in (f"path:{cap**2 + 1}", f"grid:{cap}x{cap + 1}", "torus:100000x100000x100000"):
+        with pytest.raises(ValidationError, match=r"above the limit DEFAULT_DENSE_CAP\*\*2 = "):
+            gm.parse_graph_spec(spec)
+    with pytest.raises(ValidationError, match=r"n=8193 exceeds the dense Laplacian cap"):
+        gm.parse_graph_spec(f"ws:{cap + 1},4,0.1,1")
+
+
 class TestLoadEdgeList:
     def test_path_on_three_vertices(self):
         g = gm.load_edge_list(io.StringIO("0 1\n1 2\n"))

@@ -8,6 +8,26 @@ from graphminimax.errors import ValidationError
 BALL = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
 
 
+@pytest.mark.parametrize(
+    "a, R, field",
+    [
+        ([1.0, 2.0, 3.0], 0.0, "R"),
+        ([1.0, 2.0, 3.0], -1.0, "R"),
+        ([1.0, 2.0, 3.0], np.inf, "R"),
+        ([3.0, 2.0, 1.0], 1.0, "a"),
+        ([1.0, 3.0, 2.0], 1.0, "a"),
+        ([1.0, np.nan, 3.0], 1.0, "a"),
+        ([1.0, 2.0, np.inf], 1.0, "a"),
+        ([[1.0, 2.0, 3.0]], 1.0, "a"),
+    ],
+    ids=["R=0", "R=-1", "R=inf", "a=3,2,1", "a=1,3,2", "a=1,nan,3", "a=1,2,inf", "a 2-D"],
+)
+def test_bad_ellipsoid_weights_name_their_field(a, R, field):
+    # refused at construction, so pinsker_plan never blames N or its root
+    with pytest.raises(ValidationError, match=rf"(^| ){field} must be"):
+        gm.pinsker_plan(gm.EllipsoidWeights(np.array(a), R), 1.0, 3)
+
+
 class TestSobolevForm:
     def test_constant_signal(self, path64_eig):
         # lambda_0 = 0, so only the unit weight on the mean survives

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
-from graphminimax.spectral import Spectrum
+from graphminimax.spectral import Spectrum, _cycle_vectors, _path_vectors
 
 
 def synthetic_spectrum(lams):
@@ -27,14 +28,16 @@ class TestEigendecompose:
         assert np.allclose(s.basis[:, 0], [1.0, 1.0], atol=1e-12)
         assert np.allclose(s.basis[:, 1], [1.0, -1.0], atol=1e-12)
 
-    def test_path64_matches_closed_form(self, path64_eig):
+    def test_path64_matches_closed_form(self):
+        # the shape-free copy gets the dense eigh, not the closed form
+        dense = gm.eigendecompose(dataclasses.replace(gm.build_path(64)))
         cf = gm.path_spectrum_closed_form(64)
-        assert np.max(np.abs(path64_eig.lambdas - cf.lambdas)) < 1e-8
-        assert np.max(np.abs(path64_eig.basis - cf.basis)) < 1e-8
+        assert np.max(np.abs(dense.lambdas - cf.lambdas)) < 1e-8
+        assert np.max(np.abs(dense.basis - cf.basis)) < 1e-8
 
     def test_closed_form_agreement_across_sizes(self):
         for n in (16, 64, 256):
-            s = gm.eigendecompose(gm.build_path(n))
+            s = gm.eigendecompose(dataclasses.replace(gm.build_path(n)))
             cf = gm.path_spectrum_closed_form(n)
             assert np.max(np.abs(s.lambdas - cf.lambdas)) < 1e-8
 
@@ -404,6 +407,16 @@ def cluster_split(s):
     return int(ties[0]) + 1 if ties.size else 2
 
 
+# Every grid with sides 2-9 and torus with sides 3-9 on one or two axes, and
+# the three-axis ones with sides up to 5.
+SMALL_LATTICES = [
+    (kind, dims)
+    for kind, low in (("grid", 2), ("torus", 3))
+    for axes, high in ((1, 9), (2, 9), (3, 5))
+    for dims in itertools.product(range(low, high + 1), repeat=axes)
+]
+
+
 class TestAxisFactors:
     @pytest.mark.parametrize("spec", SHAPED_SPECS)
     def test_transforms_match_the_explicit_head(self, spec, monkeypatch):
@@ -495,6 +508,38 @@ class TestAxisFactors:
             assert a.flags.f_contiguous == b.flags.f_contiguous
             assert a.tobytes("A") == b.tobytes("A")
 
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [SMALL_LATTICES, [("grid", (48, 48))], [("torus", (16, 64))], [("grid", (1024, 1024))]],
+        ids=["small", "grid:48x48", "torus:16x64", "grid:1024x1024"],
+    )
+    def test_axis_order_is_the_first_use_order_bit_for_bit(self, shapes):
+        # Reference: each axis's indices in the order the columns first use
+        # them, found by np.unique's first indices, and each column's
+        # position there.  The fixed per-axis order (a stable sort of the
+        # axis's eigenvalues) must give the same factors and at arrays.
+        for kind, dims in shapes:
+            g = (gm.build_grid if kind == "grid" else gm.build_torus)(list(dims))
+            raw = gm.spectral._kronecker_sum(g)
+            order = np.argsort(raw, kind="stable")
+            assert gm.eigenvalues(g).lambdas.tobytes() == raw[order].tobytes()
+            s = gm.eigendecompose(g)
+            axis_vectors = _path_vectors if kind == "grid" else _cycle_vectors
+            n = g.n
+            ks = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, n // 3, n // 2, n - 1, n)
+            for k in sorted({k for k in ks if 1 <= k <= n}):
+                factors = gm.spectral._grown_factors(s, k)
+                axis_index = np.unravel_index(order[:k], dims)
+                for side, used, v, at in zip(dims, axis_index, factors.vectors, factors.at):
+                    js, first = np.unique(used, return_index=True)
+                    js = js[np.argsort(first)]
+                    position = np.empty(side, dtype=np.int64)
+                    position[js] = np.arange(len(js))
+                    want = axis_vectors(side, js).T
+                    assert v.shape == want.shape
+                    assert v.tobytes() == want.tobytes()
+                    assert np.array_equal(at, position[used])
 
     @pytest.mark.parametrize(
         "spec", ["path:2048", "grid:48x48", "torus:16x64", "grid:8x8x8", "ws:512,6,0.1,1"]
