@@ -22,7 +22,9 @@ vectors.  With c = link.kl_constant, phi(t) = KL(Bern(psi(t)) || Bern(psi(0)))
     Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N.
 
 Only the calibration of delta measures the Bernoulli KL, at the worst-case
-vertex amplitudes a sum_{j<N} |psi_j| of the first N eigenvectors' per-axis
+vertex amplitudes a sum_{j<N} |psi_j|.  On a product basis |psi_j| is the
+product of per-axis |factor| entries, so that profile is one synthesis of N
+ones through the absolute values of the first N eigenvectors' per-axis
 factors (``spectral._axis_factors``).
 """
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_positive, _check_seed
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import Spectrum, _axis_factors, _check_orthonormal
+from .spectral import Spectrum, _AxisFactors, _axis_factors, _check_orthonormal
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -44,10 +46,6 @@ _PACKING_ATTEMPT_FACTOR = 1000
 _PACKING_TARGET_CAP = 4096
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
-# Vertex values the calibration's profile expands at once.  Its blocks
-# (8192 doubles, 64 KiB) stay below glibc's 128 KiB mmap threshold, so they
-# come from the heap instead of fresh pages on each call of a new process.
-_KL_BLOCK_VALUES = 8192
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
 
 
@@ -254,22 +252,17 @@ def _alpha(kl: float, m: int) -> float:
 
 
 def _head_profile(s: Spectrum, N: int) -> np.ndarray:
-    """profile(i) = sum_{j<N} |psi_j(i)|, column by column.
+    """profile(i) = sum_{j<N} |psi_j(i)|, in one pass through the per-axis factors.
 
-    The columns are expanded from their per-axis factors a block of at most
-    max(1, _KL_BLOCK_VALUES // n) at a time, exactly as the head's columns
-    are, and added one by one in the order np.abs(head).sum(axis=1) adds
-    those of the column-major head.  So the result is the same bit for bit
-    at any block size, in O(block) memory beside the factors; the block is
-    small enough to be served from the heap (see _KL_BLOCK_VALUES).
+    On a product basis |psi_c(i)| is the product over the axes of the
+    |factor| entries, so the profile is the synthesis of N ones through the
+    factors' absolute values.  Beside O(n), it holds only those |factor|
+    copies; it agrees with np.abs(head).sum(axis=1) to rounding, not bit
+    for bit, since the terms are added in another order.
     """
     factors = _axis_factors(s, N)
-    profile = np.zeros(s.n)
-    step = max(1, _KL_BLOCK_VALUES // s.n)
-    for j0 in range(0, N, step):
-        for term in np.abs(factors.rows(j0, min(N, j0 + step))):
-            profile += term
-    return profile
+    absolute = _AxisFactors(tuple(np.abs(v) for v in factors.vectors), factors.at)
+    return absolute.synthesize(np.ones(N))
 
 
 def calibrate_delta(

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_seed
-from .graphs import Graph, parse_graph_spec
+from .graphs import DEFAULT_DENSE_CAP, Graph, parse_graph_spec
 from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball_coefficients
 from .spectral import _line_fit, eigendecompose, eigenvalues, geometry_r, gft_inverse
@@ -57,11 +57,12 @@ class ExperimentSpec:
     """One rate experiment: graph family, size grid, model, estimator.
 
     family is "path", "grid:<d>", "torus:<d>", "ws:<k>,<p>" or
-    "file:<path>" (the path may contain "{n}", substituted per size).  For
-    grid/torus families every n must be a perfect d-th power.  sigma is the
-    regression noise level; for classification estimators it sets the
-    shrinkage plan's noise scale (0.5 matches the worst-case Bernoulli
-    standard deviation).  Every field is checked here, before any graph is built.
+    "file:<path>" (the path may contain "{n}", substituted per size).  Every
+    n must lie in [2, DEFAULT_DENSE_CAP**2], and for grid/torus families be
+    a perfect d-th power.  sigma is the regression noise level; for
+    classification estimators it sets the shrinkage plan's noise scale (0.5
+    matches the worst-case Bernoulli standard deviation).  Every field is
+    checked here, before any graph is built.
     """
 
     family: str
@@ -81,6 +82,11 @@ class ExperimentSpec:
             raise ValidationError("rate fitting needs at least two sizes in n_values")
         if any(b >= c for b, c in zip(self.n_values, self.n_values[1:])):
             raise ValidationError("n_values must be strictly increasing")
+        for n in n_values:
+            if not 2 <= n <= DEFAULT_DENSE_CAP**2:
+                raise ValidationError(
+                    f"n={n} is outside [2, DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}]"
+                )
         if _check_integer(self.reps, "reps") < 1:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
         if self.estimator not in REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS:

@@ -47,20 +47,19 @@ class Spectrum:
     are Kronecker products of per-axis path or cycle vectors, and it keeps
     one factor per axis: the checked axis vectors its first k columns use,
     the first u_a in the axis's fixed order (a stable sort of its
-    eigenvalues), built whole on each growth.  Every other spectrum
-    holds the first w eigenvectors for some 1 <= w <= n, or none: eigh's
-    basis, or a basis passed here as an (n, w) array, kept as one
-    column-major, read-only factor.  The estimators, the certificates, the
-    GFT and ``sup_norm_bound`` apply the factors by one product per axis,
-    on one axis as on several, and hold no n x k array beside them; on a
-    path or an explicit basis the single factor is the head itself.
+    eigenvalues), built whole on each growth.  Every other spectrum holds
+    all n eigenvectors or none: eigh's basis, or a basis passed here as an
+    (n, n) array, kept as one column-major, read-only factor.  The
+    estimators, the certificates, the GFT and ``sup_norm_bound`` apply the
+    factors by one product per axis, on one axis as on several, and hold
+    no n x k array beside them; on a path or an explicit basis the single
+    factor is the head itself.
 
     ``head_basis(s, k)`` returns the first k columns as an n x k array: a
     view of a single factor, or on a grid or torus a new array expanded
-    from the factors on every call (O(n k) memory, not kept).  A spectrum
-    that cannot grow raises ValidationError naming k and w when k > w.
-    ``basis`` is ``head_basis(s, n)``, all n columns, under its cap (on a
-    path, grid or torus n^2 within ``DEFAULT_DENSE_CAP**2``).
+    from the factors on every call (O(n k) memory, not kept).  ``basis``
+    is ``head_basis(s, n)``, all n columns, under its cap (on a path, grid
+    or torus n^2 within ``DEFAULT_DENSE_CAP**2``).
 
     ``basis`` is None for an eigenvalues-only spectrum (see ``eigenvalues``).
     Such a spectrum serves everything that reads only n and the eigenvalues
@@ -91,13 +90,12 @@ class Spectrum:
         lambdas.setflags(write=False)
         if basis is not None:
             basis = np.asfortranarray(basis).view()
-            if basis.ndim != 2 or basis.shape[0] != n or not 1 <= basis.shape[1] <= n:
+            if basis.shape != (n, n):
                 raise ValidationError(
-                    f"a basis on n={n} vertices has shape (n, w) with 1 <= w <= n, "
-                    f"got {basis.shape}"
+                    f"a basis on n={n} vertices has shape (n, n), got {basis.shape}"
                 )
             basis.setflags(write=False)
-            factors = _AxisFactors((basis,), (np.arange(basis.shape[1]),))
+            factors = _AxisFactors((basis,), (np.arange(n),))
             object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lambdas", lambdas)
@@ -183,7 +181,8 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     GFT and ``sup_norm_bound`` apply ``_axis_factors`` instead.  On a path
     or an explicit basis it returns a view of the single factor.  On a grid
     or torus it expands the k columns from the per-axis factors on every
-    call, keeps none of them, and checks every column's residual as
+    call, one broadcast product per axis (the only place product columns
+    are formed), keeps none of them, and checks every column's residual as
     eigendecompose describes; ``head_basis(s, k)`` is ``s.basis[:, :k]``
     bit for bit.  A path, grid or torus head may hold at most
     ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises ValidationError
@@ -199,7 +198,12 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     factors = _axis_factors(s, k)
     if len(factors.vectors) == 1:
         return factors.vectors[0]
-    head = factors.rows(0, k).T
+    # psi_c is the outer product over the axes of the factor columns at[a][c],
+    # flattened row-major like the vertices and formed in axis order
+    rows = np.ones((k, 1))
+    for v, at in zip(factors.vectors, factors.at):
+        rows = (rows[:, :, None] * v.T[at][:, None, :]).reshape(k, -1)
+    head = rows.T
     _check_residual(s._graph, s.lambdas[:k], head)
     head.setflags(write=False)
     return head
@@ -266,22 +270,6 @@ class _AxisFactors:
                 self._prefixes.pop(old, None)
         return view
 
-    def rows(self, k0: int, k1: int) -> np.ndarray:
-        """Columns k0..k1-1 of the head, expanded from the factors, as rows.
-
-        psi_c is the outer product over axes of the factor columns at[a][c],
-        flattened row-major like the vertices; the products are formed in
-        axis order, so every entry rounds the same in every expansion.
-        """
-        rows = None
-        for v, at in zip(self.vectors, self.at):
-            axis_rows = np.take(v.T, at[k0:k1], axis=0)
-            if rows is None:
-                rows = axis_rows
-            else:
-                rows = (rows[:, :, None] * axis_rows[:, None, :]).reshape(len(rows), -1)
-        return rows
-
     def _to_core(self, y: np.ndarray) -> np.ndarray:
         # vertex values -> u_1 x ... x u_r core: each product contracts the
         # leading vertex axis and appends its column axis at the back
@@ -331,21 +319,16 @@ def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:
     This is the one reader of the eigenvectors a spectrum holds.  A lazy
     spectrum of a path, grid or torus grows its factors to k columns on
     first use (see _grown_factors) and keeps them.  Any other spectrum
-    holding w < k columns raises ValidationError naming k and w, and an
-    eigenvalues-only spectrum one saying so.  k must be an integer (not a
-    bool) in [1, n]; anything else raises ValidationError naming it.
+    holds all n columns, or none: an eigenvalues-only spectrum raises
+    ValidationError saying so.  k must be an integer (not a bool) in
+    [1, n]; anything else raises ValidationError naming it.
     """
     k = _head_width(s, k)
     factors = s._factors
     if factors is None or factors.k < k:
         if s._graph is None:
-            if factors is None:
-                raise ValidationError(
-                    "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
-                )
             raise ValidationError(
-                f"a head of k={k} columns needs more than the w={factors.k} eigenvectors "
-                f"this spectrum holds"
+                "this spectrum holds eigenvalues only; eigenvectors need eigendecompose()"
             )
         factors = _grown_factors(s, k)
         # One assignment: a concurrent caller sees the old factors or the new

@@ -341,6 +341,23 @@ class TestSimulateCommand:
         assert "ws:4" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "family, n_list, bad",
+        [("grid:2", "-4,16", -4), ("torus:2", f"16,{10**400}", 10**400)],
+        ids=["negative", "1e400"],
+    )
+    def test_size_outside_the_limits(self, family, n_list, bad, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--family", family, f"--n-list={n_list}", "--beta", "1",
+            "--sigma", "0.5", "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        limit = gm.DEFAULT_DENSE_CAP**2
+        assert err == f"error: n={bad} is outside [2, DEFAULT_DENSE_CAP**2 = {limit}]\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFanoCommand:
     def test_small_graph_rejected_with_message(self, tmp_path, capsys):
         code = run_cli(

@@ -43,9 +43,8 @@ def assert_same_packing(p, ref):
     assert p.thetas.tobytes() == thetas.tobytes()
 
 
-def reference_calibrate(s, spec, N, link):
-    """100 bisection steps, recomputing the base measure at every step."""
-    profile = np.abs(s.basis[:, :N]).sum(axis=1)
+def reference_calibrate(s, spec, N, link, profile):
+    """100 bisection steps at the given profile, recomputing the base measure at every step."""
     m = _vg_target(N)
 
     def alpha_bound(delta):
@@ -342,11 +341,16 @@ class TestCalibrateDelta:
         s = request.getfixturevalue(eig)
         spec = gm.SobolevSpec(beta=beta, Q=Q, r=r)
         N = fano.packing_dimension(s.n, spec)
-        want = reference_calibrate(s, spec, N, link)
+        want = reference_calibrate(s, spec, N, link, fano._head_profile(s, N))
         if (beta, Q) == (1.0, 1.0):
             # the KL condition binds, so the search really ran
             assert want < _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
         assert gm.calibrate_delta(s, spec, N, link) == want
+        # the explicit head's row sum adds the terms in another order
+        row_sum = np.abs(s.basis[:, :N]).sum(axis=1)
+        assert reference_calibrate(s, spec, N, link, row_sum) == pytest.approx(
+            want, rel=1e-14, abs=0.0
+        )
 
     @pytest.mark.parametrize("eig, r", [("path2048_eig", 1.0), ("grid48_eig", 2.0)])
     def test_bisection_stops_at_its_fixed_point(self, eig, r, request, monkeypatch):
@@ -398,8 +402,10 @@ class TestCalibrateDelta:
     @pytest.mark.parametrize("N", [8, 37, 96])
     def test_head_profile_is_the_old_row_sum(self, eig, N, request):
         s = request.getfixturevalue(eig)
+        # one synthesis through the |factors| adds the terms in another order
+        # than the row sum, so they agree to N roundings
         want = np.abs(s.basis[:, :N]).sum(axis=1)
-        assert np.array_equal(fano._head_profile(s, N), want)
+        assert np.all(np.abs(fano._head_profile(s, N) - want) <= N * 2.2e-16 * want)
 
 
 class TestBernoulliKl:
@@ -606,24 +612,20 @@ class TestFanoCertificate:
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
 
-    @pytest.mark.parametrize("rows", [None, 3, 5])
     @pytest.mark.parametrize(
         "eig, r",
         [("path2048_eig", 1.0), ("grid32_eig", 2.0), ("ws512_eig", 2.0), ("grid48_eig", 2.0)],
     )
-    def test_kl_budget_is_the_per_row_sum(self, eig, r, rows, request, monkeypatch):
+    def test_kl_budget_is_the_per_row_sum(self, eig, r, request):
         # the closed-form budget bounds what bernoulli_kl gives per row of the
-        # whole M x n value matrix of the explicit head, within 1e-3, at the
-        # default profile block and at blocks of 3 or 5 columns
+        # whole M x n value matrix of the explicit head, within 1e-3
         s = request.getfixturevalue(eig)
-        if rows is not None:
-            monkeypatch.setattr(fano, "_KL_BLOCK_VALUES", rows * s.n)
         assert_kl_budget_is_the_per_row_sum(s, gm.SobolevSpec(beta=1.0, Q=1.0, r=r), 3)
 
     @pytest.mark.parametrize("n, M", [(16384, 9), (20001, 11)])
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_kl_budget_is_the_per_row_sum_above_the_old_cap(self, n, M, seed):
-        # paths above n = 10922, where the profile expands one column at a time
+        # paths above the dense cap of 8192 vertices, whose full basis is never formed
         s = gm.eigendecompose(gm.build_path(n))
         cert = assert_kl_budget_is_the_per_row_sum(s, BALL, seed)
         assert cert.M == M and cert.valid

@@ -164,6 +164,24 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValidationError, match="each n in n_values must be an integer"):
             small_spec(n_values=n_values)
 
+    @pytest.mark.parametrize("family", ["path", "grid:2", "torus:2"])
+    @pytest.mark.parametrize(
+        "n_values, bad",
+        [((-4, 16), -4), ((1, 16), 1), ((16, 10**400), 10**400),
+         ((16, gm.DEFAULT_DENSE_CAP**2 + 1), gm.DEFAULT_DENSE_CAP**2 + 1)],
+        ids=["negative", "one", "1e400", "above-the-cap"],
+    )
+    def test_sizes_outside_the_limits_are_refused_first(self, family, n_values, bad, monkeypatch):
+        # refused before any size becomes a graph spec, where a negative n
+        # took a complex root and 10**400 overflowed a float
+        def refuse(*args):
+            raise AssertionError("a graph spec was formed")
+
+        monkeypatch.setattr(gm.harness, "_graph_spec", refuse)
+        message = f"n={bad} is outside [2, DEFAULT_DENSE_CAP**2 = {gm.DEFAULT_DENSE_CAP**2}]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            small_spec(family=family, n_values=n_values)
+
     def test_numpy_integers_are_integers(self):
         spec = small_spec(n_values=np.array([64, 128]), reps=np.int64(2), seed=np.uint32(3))
         assert spec.n_values == (64, 128) and all(type(n) is int for n in spec.n_values)
@@ -323,13 +341,9 @@ class TestClassificationRunner:
 
 
 @pytest.mark.parametrize("family, dims", [("grid:2", (16, 16)), ("torus:2", (16, 16))])
-def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, monkeypatch):
+def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, refuse_product_rows):
     # the GFT applies the full per-axis factors, so sample_ball, sobolev_form,
     # hard_alternatives and the classification simulate expand no product column
-    def refuse(*args, **kwargs):
-        raise AssertionError("an n x k product head was formed")
-
-    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", refuse)
     g = gm.build_grid(list(dims)) if family == "grid:2" else gm.build_torus(list(dims))
     s = gm.eigendecompose(g)
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)

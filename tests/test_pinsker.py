@@ -488,16 +488,9 @@ def test_estimators_read_only_their_head_columns():
         assert np.max(np.abs(estimate(s) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_grid_estimators_and_certificates_form_no_head(monkeypatch):
-    # on grid 48^2 they apply per-axis factors: no n x k head is built, and
-    # the clf calibration's profile expands its columns in bounded blocks
-    rows = gm.spectral._AxisFactors.rows
-
-    def bounded(factors, k0, k1):
-        assert (k1 - k0) * factors.n <= gm.fano._KL_BLOCK_VALUES, "an n x k head was formed"
-        return rows(factors, k0, k1)
-
-    monkeypatch.setattr(gm.spectral._AxisFactors, "rows", bounded)
+def test_grid_estimators_and_certificates_form_no_head(refuse_product_rows):
+    # on grid 48^2 they apply per-axis factors, the clf calibration's profile
+    # too: no product column is expanded
     s = gm.eigendecompose(gm.build_grid([48, 48]))
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
     plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), 0.5, s.n)
