@@ -285,6 +285,7 @@ def calibrate_delta(
     """
     if N > s.n:
         raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
+    _vg_target(N)  # refuse N > 96 before the profile grows any factor
     link = sigmoid_link() if link is None else link
     profile = _head_profile(s, N)
     base = link.psi(np.zeros(s.n))

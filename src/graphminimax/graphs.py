@@ -122,13 +122,12 @@ def _finish_graph(n: int, edges: np.ndarray, build_seed=None, shape=None) -> Gra
 
 def _check_dims(dims, min_dim: int, what: str) -> list[int]:
     """dims as ints, each >= min_dim, with at most DEFAULT_DENSE_CAP**2 vertices in all."""
-    dims = list(dims)
+    dims = [_check_integer(d, f"{what} dimension") for d in dims]
     if not dims:
         raise ValidationError(f"{what} needs at least one dimension")
     for d in dims:
-        if not isinstance(d, (int, np.integer)) or d < min_dim:
+        if d < min_dim:
             raise ValidationError(f"{what} dimensions must be >= {min_dim}, got {d!r}")
-    dims = [int(d) for d in dims]
     n = math.prod(dims)
     if n > DEFAULT_DENSE_CAP**2:
         raise ValidationError(
@@ -152,7 +151,7 @@ def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
 
 def build_path(n: int) -> Graph:
     """Path graph on n vertices: edges {i, i+1} for i = 0..n-2 (the 1-axis grid)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if _check_integer(n, "path graph n") < 2:
         raise ValidationError(f"path graph needs n >= 2, got {n!r}")
     return build_grid([n])
 

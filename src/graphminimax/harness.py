@@ -1,8 +1,9 @@
 """Config-driven Monte Carlo experiments that recover minimax rates.
 
 An ExperimentSpec names a graph family, a grid of sizes, model parameters
-and an estimator; the runners simulate seeded replicates, record the
-per-replicate risks ||estimate - truth||_n^2, and fit the log-log slope of
+and an estimator; run_experiment, the one runner for regression and
+classification alike, simulates seeded replicates, records the
+per-replicate risks ||estimate - truth||_n^2, and fits the log-log slope of
 the mean risk against n.  For smooth targets the slope should track the
 minimax exponent -2 beta / (2 beta + r).
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_seed
-from .graphs import DEFAULT_DENSE_CAP, Graph, parse_graph_spec
+from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
 from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball_coefficients
 from .spectral import _line_fit, eigendecompose, eigenvalues, geometry_r, gft_inverse
@@ -138,13 +139,6 @@ def _graph_spec(family: str, n: int, seed: int) -> str:
     )
 
 
-def _build_graph(spec: ExperimentSpec, n: int) -> Graph:
-    g = parse_graph_spec(_graph_spec(spec.family, n, spec.seed))
-    if g.n != n:
-        raise ValidationError(f"graph has n={g.n}, expected {n}")
-    return g
-
-
 def _rep_seeds(master: int, n: int, rep: int) -> tuple[int, int]:
     state = np.random.SeedSequence((master, n, rep)).generate_state(2, np.uint64)
     return int(state[0]), int(state[1])
@@ -172,76 +166,25 @@ def fit_rate(n_values, mean_risks) -> tuple[float, float]:
     return slope, math.sqrt(rss / dof / sxx)
 
 
-def _aggregate(spec: ExperimentSpec, rows, r_used_final) -> RateReport:
-    per_n = []
-    for n in spec.n_values:
-        risks = np.array([row[4] for row in rows if row[0] == n])
-        sem = float(risks.std(ddof=1) / math.sqrt(len(risks))) if len(risks) > 1 else 0.0
-        per_n.append((n, float(risks.mean()), sem))
-    note = ""
-    if all(mean < _ZERO_RISK for _, mean, _ in per_n):
-        note = "degenerate: zero risk"
-        slope, stderr = math.nan, math.nan
-    else:
-        slope, stderr = fit_rate([p[0] for p in per_n], [p[1] for p in per_n])
-    theory = -2.0 * spec.beta / (2.0 * spec.beta + r_used_final)
-    return RateReport(
-        spec=spec,
-        rows=tuple(rows),
-        per_n=tuple(per_n),
-        r_used_final=r_used_final,
-        slope=slope,
-        slope_stderr=stderr,
-        theory_slope=theory,
-        note=note,
-    )
+def run_experiment(spec: ExperimentSpec) -> RateReport:
+    """Simulate every (n, rep) replicate of spec and fit the rate of the mean risks.
 
-
-def run_regression_experiment(spec: ExperimentSpec) -> RateReport:
-    """Simulate Z = c + eps * zeta in coefficient space and fit the rate."""
-    if spec.estimator not in REGRESSION_ESTIMATORS:
-        raise ValidationError(f"regression runner got estimator {spec.estimator!r}")
-    rows = []
-    r_used_final = 1.0
-    for n in spec.n_values:
-        try:
-            g = _build_graph(spec, n)
-            s = eigenvalues(g)
-            r_used = r_used_final = geometry_r(g, s)
-            w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
-            if spec.estimator == "projection":
-                l = (np.arange(n) < projection_cutoff(n, spec.beta, r_used)).astype(float)
-            elif spec.sigma > 0:
-                l = pinsker_plan(w, spec.sigma, n).l
-            else:  # pinsker in the noiseless limit is the identity
-                l = np.ones(n)
-            epsilon = spec.sigma / np.sqrt(n)
-            for rep in range(spec.reps):
-                ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
-                c = sample_ball_coefficients(w, spec.fill, ball_seed)
-                z = c + epsilon * np.random.default_rng(noise_seed).standard_normal(n)
-                risk = float(np.sum((l * z - c) ** 2))
-                rows.append((n, r_used, rep, ball_seed, risk))
-        except (ValidationError, NumericError) as exc:
-            raise type(exc)(f"{exc} (family={spec.family}, n={n})") from exc
-    return _aggregate(spec, rows, r_used_final)
-
-
-def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
-    """Simulate Bernoulli labels with sigmoid soft labels and fit the rate."""
-    if spec.estimator not in CLASSIFICATION_ESTIMATORS:
-        raise ValidationError(f"classification runner got estimator {spec.estimator!r}")
-    mode = "direct" if spec.estimator == "classification-direct" else "link"
+    Regression replicates are scored in coefficient space on eigenvalues
+    only, classification replicates on vertex-space labels (see the module
+    docstring); both draw truth and noise from the same per-replicate seeds.
+    """
+    classify = spec.estimator in CLASSIFICATION_ESTIMATORS
     psi = sigmoid_link().psi
-    rows = []
-    r_used_final = 1.0
+    rows, per_n = [], []
     warned = False
     for n in spec.n_values:
         try:
-            g = _build_graph(spec, n)
-            s = eigendecompose(g)
-            r_used = r_used_final = geometry_r(g, s)
-            if spec.beta < r_used / 2.0 and not warned:
+            g = parse_graph_spec(_graph_spec(spec.family, n, spec.seed))
+            if g.n != n:
+                raise ValidationError(f"graph has n={g.n}, expected {n}")
+            s = eigendecompose(g) if classify else eigenvalues(g)
+            r_used = geometry_r(g, s)
+            if classify and spec.beta < r_used / 2.0 and not warned:
                 warnings.warn(
                     f"beta={spec.beta} is below r/2={r_used / 2.0}: outside the regime "
                     "where the classification rate is established",
@@ -250,26 +193,50 @@ def run_classification_experiment(spec: ExperimentSpec) -> RateReport:
                 )
                 warned = True
             w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
-            plan = pinsker_plan(w, spec.sigma, n)
+            if spec.estimator == "projection":
+                l = (np.arange(n) < projection_cutoff(n, spec.beta, r_used)).astype(float)
+            elif spec.sigma > 0:  # always so for classification
+                plan = pinsker_plan(w, spec.sigma, n)
+                l = plan.l
+            else:  # pinsker in the noiseless limit is the identity
+                l = np.ones(n)
+            epsilon = spec.sigma / np.sqrt(n)
+            risks = np.empty(spec.reps)
             for rep in range(spec.reps):
                 ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
-                rho = psi(gft_inverse(s, sample_ball_coefficients(w, spec.fill, ball_seed)))
-                labels = (
-                    np.random.default_rng(noise_seed).random(n) < rho
-                ).astype(float)
-                rho_hat = estimate_classification(s, plan, labels, mode=mode)
-                risk = float(np.mean((rho_hat - rho) ** 2))
-                rows.append((n, r_used, rep, ball_seed, risk))
+                c = sample_ball_coefficients(w, spec.fill, ball_seed)
+                noise = np.random.default_rng(noise_seed)
+                if classify:
+                    rho = psi(gft_inverse(s, c))
+                    labels = (noise.random(n) < rho).astype(float)
+                    rho_hat = estimate_classification(
+                        s, plan, labels, mode=spec.estimator.removeprefix("classification-")
+                    )
+                    risks[rep] = np.mean((rho_hat - rho) ** 2)
+                else:
+                    z = c + epsilon * noise.standard_normal(n)
+                    risks[rep] = np.sum((l * z - c) ** 2)
+                rows.append((n, r_used, rep, ball_seed, float(risks[rep])))
         except (ValidationError, NumericError) as exc:
             raise type(exc)(f"{exc} (family={spec.family}, n={n})") from exc
-    return _aggregate(spec, rows, r_used_final)
-
-
-def run_experiment(spec: ExperimentSpec) -> RateReport:
-    """Dispatch to the regression or classification runner by estimator."""
-    if spec.estimator in REGRESSION_ESTIMATORS:
-        return run_regression_experiment(spec)
-    return run_classification_experiment(spec)
+        sem = float(risks.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0
+        per_n.append((n, float(risks.mean()), sem))
+    note = ""
+    if all(mean < _ZERO_RISK for _, mean, _ in per_n):
+        note = "degenerate: zero risk"
+        slope, stderr = math.nan, math.nan
+    else:
+        slope, stderr = fit_rate([p[0] for p in per_n], [p[1] for p in per_n])
+    return RateReport(
+        spec=spec,
+        rows=tuple(rows),
+        per_n=tuple(per_n),
+        r_used_final=r_used,
+        slope=slope,
+        slope_stderr=stderr,
+        theory_slope=-2.0 * spec.beta / (2.0 * spec.beta + r_used),
+        note=note,
+    )
 
 
 def results_csv_text(report: RateReport) -> str:

@@ -215,7 +215,6 @@ class LinkFunction:
     name: str
     psi: Callable[[np.ndarray], np.ndarray]
     psi_inv: Callable[[np.ndarray], np.ndarray]
-    dpsi: Callable[[np.ndarray], np.ndarray]
     sup_dpsi: float
     sup_ratio: float
 
@@ -247,12 +246,6 @@ def _sigmoid_inv(p):
     return np.log(p / (1.0 - p))
 
 
-def _sigmoid_deriv(t):
-    # exp(-|t|) / (1 + exp(-|t|))^2 is symmetric and never overflows
-    e = np.exp(-np.abs(np.asarray(t, dtype=float)))
-    return e / (1.0 + e) ** 2
-
-
 def sigmoid_link() -> LinkFunction:
     """Logistic link Psi(t) = 1 / (1 + exp(-t)).
 
@@ -263,7 +256,6 @@ def sigmoid_link() -> LinkFunction:
         name="sigmoid",
         psi=_sigmoid,
         psi_inv=_sigmoid_inv,
-        dpsi=_sigmoid_deriv,
         sup_dpsi=0.25,
         sup_ratio=1.0,
     )

@@ -30,7 +30,7 @@ def path_regression_report():
         family="path", n_values=(256, 512, 1024, 2048, 4096), beta=1.0, Q=1.0,
         sigma=1.0, estimator="pinsker", reps=50, seed=MC_SEED,
     )
-    return gm.run_regression_experiment(spec)
+    return gm.run_experiment(spec)
 
 
 @functools.cache
@@ -40,7 +40,7 @@ def grid_regression_report():
         family="grid:2", n_values=(256, 529, 1024, 2025, 4096), beta=1.0, Q=1.0,
         sigma=1.0, estimator="pinsker", reps=50, seed=MC_SEED,
     )
-    return gm.run_regression_experiment(spec)
+    return gm.run_experiment(spec)
 
 
 def test_criterion_01_closed_form_spectrum():
@@ -131,7 +131,7 @@ def test_criterion_05_classification_rate():
         family="path", n_values=(256, 512, 1024, 2048, 4096), beta=1.0, Q=1.0,
         sigma=0.5, estimator="classification-direct", reps=50, seed=MC_SEED,
     )
-    rep = gm.run_classification_experiment(spec)
+    rep = gm.run_experiment(spec)
     elapsed = time.monotonic() - t0
     dev = abs(rep.slope - (-2.0 / 3.0))
     ok = dev <= 0.15 and elapsed < 600.0
@@ -241,7 +241,7 @@ def test_criterion_10_determinism(tmp_path):
         family="path", n_values=(256, 512, 1024, 2048, 4096), beta=1.0, Q=1.0,
         sigma=1.0, estimator="pinsker", reps=50, seed=MC_SEED,
     )
-    r2 = gm.run_regression_experiment(spec)
+    r2 = gm.run_experiment(spec)
     harness_ok = (
         gm.results_csv_text(r1) == gm.results_csv_text(r2)
         and gm.aggregate_csv_text(r1) == gm.aggregate_csv_text(r2)

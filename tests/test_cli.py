@@ -205,7 +205,7 @@ class TestDenoiseCommand:
             family="path", n_values=(64, 128), beta=1.0, Q=1.0, sigma=1.0,
             estimator="pinsker", reps=1, seed=9,
         )
-        report = gm.run_regression_experiment(spec)
+        report = gm.run_experiment(spec)
         row = report.rows[0]
         ball_seed, noise_seed = _rep_seeds(9, 64, 0)
         assert row[3] == ball_seed

@@ -54,6 +54,12 @@ def test_non_positive_and_non_numbers_are_refused(value):
             "path graph n must be an integer, got 2.5",
             id="path n",
         ),
+        pytest.param(lambda: gm.build_path(2.5), "path graph n must be an integer, got 2.5",
+                     id="build_path n"),
+        pytest.param(lambda: gm.build_grid([2.5, 3]),
+                     "grid dimension must be an integer, got 2.5", id="grid dim 2.5"),
+        pytest.param(lambda: gm.build_grid([2.0, 3]),
+                     "grid dimension must be an integer, got 2.0", id="grid dim 2.0"),
         pytest.param(
             lambda: gm.projection_cutoff(-5, 1.0, 1.0), "n must be >= 1, got -5", id="cutoff n"
         ),

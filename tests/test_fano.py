@@ -72,7 +72,6 @@ def steep_link():
         name="sigmoid(4t)",
         psi=lambda t: sig.psi(4.0 * np.asarray(t, dtype=float)),
         psi_inv=lambda p: sig.psi_inv(p) / 4.0,
-        dpsi=lambda t: 4.0 * sig.dpsi(4.0 * np.asarray(t, dtype=float)),
         sup_dpsi=1.0,
         sup_ratio=4.0,
     )
@@ -470,7 +469,6 @@ class TestBernoulliKl:
             name="broken",
             psi=lambda t: np.where(np.asarray(t) == 0.0, 0.5, np.nan),
             psi_inv=lambda p: p,
-            dpsi=lambda t: t,
             sup_dpsi=1.0,
             sup_ratio=1.0,
         )
@@ -576,6 +574,16 @@ class TestFanoCertificate:
         s = gm.path_spectrum_closed_form(16)
         with pytest.raises(ValidationError, match="n too small for packing"):
             gm.fano_certificate(s, BALL, gm.sigmoid_link(), seed=0)
+
+    @pytest.mark.parametrize("how", ["clf", 1.0])
+    def test_refuses_a_packing_above_the_limit_before_growing_factors(self, how):
+        # grid 512x512 at beta = 1 needs N = 512; both modes refuse it before
+        # any per-axis factor is grown
+        s = gm.eigendecompose(gm.build_grid([512, 512]))
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
+        with pytest.raises(ValidationError, match=r"\(N <= 96\)"):
+            gm.fano_certificate(s, ball, gm.sigmoid_link() if how == "clf" else how, seed=0)
+        assert s._factors is None
 
     def test_rejects_bad_sigma(self):
         s = gm.path_spectrum_closed_form(1024)

@@ -190,7 +190,7 @@ class TestExperimentSpecValidation:
 
 class TestRegressionRunner:
     def test_smoke_rows_and_order(self):
-        report = gm.run_regression_experiment(small_spec())
+        report = gm.run_experiment(small_spec())
         assert len(report.rows) == 6
         assert [row[0] for row in report.rows] == [64, 64, 64, 128, 128, 128]
         assert [row[2] for row in report.rows] == [0, 1, 2, 0, 1, 2]
@@ -199,13 +199,13 @@ class TestRegressionRunner:
         assert report.theory_slope == pytest.approx(-2.0 / 3.0)
 
     def test_deterministic_csv(self):
-        r1 = gm.run_regression_experiment(small_spec())
-        r2 = gm.run_regression_experiment(small_spec())
+        r1 = gm.run_experiment(small_spec())
+        r2 = gm.run_experiment(small_spec())
         assert gm.results_csv_text(r1) == gm.results_csv_text(r2)
         assert gm.aggregate_csv_text(r1) == gm.aggregate_csv_text(r2)
 
     def test_zero_noise_flags_degenerate(self):
-        report = gm.run_regression_experiment(small_spec(sigma=0.0))
+        report = gm.run_experiment(small_spec(sigma=0.0))
         assert report.note == "degenerate: zero risk"
         assert all(row[4] < 1e-12 for row in report.rows)
         assert math.isnan(report.slope)
@@ -213,7 +213,7 @@ class TestRegressionRunner:
     def test_mean_risk_decreases_with_n(self):
         # monotone sanity; tolerate at most one adjacent bump within 1 sem
         spec = small_spec(n_values=(256, 512, 1024, 2048), reps=20, seed=7)
-        report = gm.run_regression_experiment(spec)
+        report = gm.run_experiment(spec)
         violations = 0
         for (na, ma, sa), (nb, mb, sb) in zip(report.per_n, report.per_n[1:]):
             if mb > ma:
@@ -223,11 +223,11 @@ class TestRegressionRunner:
 
     def test_grid_family_requires_perfect_power(self):
         with pytest.raises(ValidationError):
-            gm.run_regression_experiment(small_spec(family="grid:2", n_values=(50, 100)))
+            gm.run_experiment(small_spec(family="grid:2", n_values=(50, 100)))
 
     def test_grid_family_smoke(self):
         spec = small_spec(family="grid:2", n_values=(64, 256), reps=2)
-        report = gm.run_regression_experiment(spec)
+        report = gm.run_experiment(spec)
         assert report.r_used_final == 2.0
         assert report.theory_slope == pytest.approx(-0.5)
 
@@ -236,13 +236,9 @@ class TestRegressionRunner:
             lines = "\n".join(f"{i} {i + 1}" for i in range(n - 1))
             (tmp_path / f"path{n}.txt").write_text(lines + "\n")
         spec = small_spec(family=f"file:{tmp_path}/path{{n}}.txt", n_values=(32, 64), reps=2)
-        report = gm.run_regression_experiment(spec)
+        report = gm.run_experiment(spec)
         assert len(report.rows) == 4
         assert report.r_used_final >= 1.0
-
-    def test_rejects_classification_estimator(self):
-        with pytest.raises(ValidationError):
-            gm.run_regression_experiment(small_spec(estimator="classification-direct"))
 
 
 class TestCoefficientSpaceOracle:
@@ -265,7 +261,7 @@ class TestCoefficientSpaceOracle:
     def test_replicate_risk_matches_vertex_space(self, family, n_values, dims, estimator, sigma):
         spec = small_spec(family=family, n_values=n_values, estimator=estimator,
                           sigma=sigma, reps=3, seed=11, fill=0.8)
-        report = gm.run_regression_experiment(spec)
+        report = gm.run_experiment(spec)
         r = report.r_used_final
         s = gm.eigendecompose(gm.build_path(64) if dims is None else gm.build_grid(dims))
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
@@ -294,19 +290,25 @@ class TestCoefficientSpaceOracle:
 class TestClassificationRunner:
     def test_smoke(self):
         spec = small_spec(estimator="classification-direct", sigma=0.5)
-        report = gm.run_classification_experiment(spec)
+        report = gm.run_experiment(spec)
         assert len(report.rows) == 6
         assert all(0.0 < row[4] < 0.25 for row in report.rows)
 
     def test_link_mode_smoke(self):
         spec = small_spec(estimator="classification-link", sigma=0.5)
-        report = gm.run_classification_experiment(spec)
+        report = gm.run_experiment(spec)
         assert all(row[4] > 0 for row in report.rows)
 
     def test_warns_outside_theorem_regime(self):
         spec = small_spec(estimator="classification-direct", sigma=0.5, beta=0.4)
         with pytest.warns(RuntimeWarning, match="below r/2"):
-            gm.run_classification_experiment(spec)
+            gm.run_experiment(spec)
+
+    def test_warning_names_the_caller(self):
+        spec = small_spec(estimator="classification-direct", sigma=0.5, beta=0.4)
+        with pytest.warns(RuntimeWarning, match="below r/2") as record:
+            gm.run_experiment(spec)
+        assert [w.filename for w in record] == [__file__]
 
     def test_no_warning_inside_regime(self):
         import warnings
@@ -314,11 +316,11 @@ class TestClassificationRunner:
         spec = small_spec(estimator="classification-direct", sigma=0.5, beta=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            gm.run_classification_experiment(spec)
+            gm.run_experiment(spec)
 
     def test_needs_positive_sigma(self):
         with pytest.raises(ValidationError):
-            gm.run_classification_experiment(
+            gm.run_experiment(
                 small_spec(estimator="classification-direct", sigma=0.0)
             )
 
@@ -334,7 +336,7 @@ class TestClassificationRunner:
         monkeypatch.setattr(gm.harness, "gft_inverse", recording)
         spec = small_spec(family="grid:2", n_values=(64, 256), estimator="classification-link",
                           sigma=0.5, reps=1, seed=5, fill=0.7)
-        report = gm.run_classification_experiment(spec)
+        report = gm.run_experiment(spec)
         ball_seed = report.rows[0][3]
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
         assert np.array_equal(truths[0], gm.sample_ball(grid8_eig, ball, 0.7, ball_seed))
@@ -354,7 +356,7 @@ def test_vertex_space_readers_form_no_head_on_grids_and_tori(family, dims, refus
     assert sum(v.size for v in s._factors.vectors) == sum(d * d for d in dims)
     spec = small_spec(family=family, n_values=(64, 256), estimator="classification-link",
                       sigma=0.5, reps=2)
-    assert len(gm.run_classification_experiment(spec).rows) == 4
+    assert len(gm.run_experiment(spec).rows) == 4
 
 
 def test_rate_report_restates_no_spec_field():
@@ -366,7 +368,7 @@ def test_rate_report_restates_no_spec_field():
 
 class TestCsvFormat:
     def test_headers(self):
-        report = gm.run_regression_experiment(small_spec())
+        report = gm.run_experiment(small_spec())
         res = gm.results_csv_text(report)
         agg = gm.aggregate_csv_text(report)
         assert res.startswith(RESULTS_HEADER + "\n")
@@ -375,7 +377,7 @@ class TestCsvFormat:
         assert AGGREGATE_HEADER == "family,estimator,beta,r_used,slope,stderr,theory_slope"
 
     def test_results_row_fields(self):
-        report = gm.run_regression_experiment(small_spec())
+        report = gm.run_experiment(small_spec())
         line = gm.results_csv_text(report).strip().split("\n")[1].split(",")
         assert line[0] == "path"
         assert int(line[1]) == 64
