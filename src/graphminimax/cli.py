@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from ._text import csv_text, format_rows
-from .errors import NumericError, ValidationError, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_seed
 from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sample
 from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
 from .harness import (
@@ -190,11 +190,7 @@ def _cmd_fano(args) -> int:
 
 
 def _cmd_prior_demo(args) -> int:
-    if not 1 <= args.draws <= DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"--draws must be in [1, DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}], "
-            f"got {args.draws}"
-        )
+    _check_integer(args.draws, "--draws", 1, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     s, ball = _model(args, eigenvalues)
     w = ellipsoid_weights(s, ball)
     plan = pinsker_plan(w, args.sigma, s.n)

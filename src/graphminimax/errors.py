@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds)
-and one positive-number rule (scales, radii, exponents)."""
+"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds,
+each with its range) and one positive-number rule (scales, radii, exponents)."""
 import math
 import operator
 
@@ -18,14 +18,24 @@ class NumericError(GraphMinimaxError):
     """A numeric procedure failed or produced an inconsistent result."""
 
 
-def _check_integer(value, what: str, kind: str = "an integer") -> int:
-    """value as an int if operator.index takes it and it is not a bool; else ValidationError."""
+def _check_integer(value, what: str, lo=-math.inf, hi=math.inf, limit: str = "") -> int:
+    """value as an int if operator.index takes it, it is not a bool and lo <= value <= hi.
+
+    Else ValidationError naming what: "must be an integer" for a non-integer, else the range
+    and the value, with hi written as ``limit = hi`` when limit names the constant it stands
+    for.  This is the one place a count is compared with its bounds.
+    """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be {kind}, got {value!r}")
+        else:
+            if lo <= value <= hi:
+                return value
+            top = f"{limit} = {hi}" if limit else hi
+            raise ValidationError(f"{what} must be in [{lo}, {top}], got {value}")
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_positive(value, what: str) -> float:
@@ -40,7 +50,7 @@ def _check_positive(value, what: str) -> float:
 
 def _check_seed(seed) -> int:
     """seed as an int for numpy's generators; ValidationError unless a non-negative integer."""
-    kind = "a non-negative integer"
-    if _check_integer(seed, "seed", kind) < 0:
-        raise ValidationError(f"seed must be {kind}, got {seed!r}")
-    return operator.index(seed)
+    try:
+        return _check_integer(seed, "seed", lo=0)
+    except ValidationError:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None

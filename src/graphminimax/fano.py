@@ -36,14 +36,15 @@ import numpy as np
 
 from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_positive, _check_seed
+from .graphs import DEFAULT_DENSE_CAP
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
 from .spectral import Spectrum, _AxisFactors, _axis_factors, _check_orthonormal
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
-# The greedy packing costs O(target^2 N) time; 4096 = 2^(96/8) allows N <= 96.
-_PACKING_TARGET_CAP = 4096
+# The greedy packing costs O(target^2 N) time; N <= 96 keeps its target 2^(N/8) within 4096.
+_PACKING_DIMENSION_CAP = 96
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
@@ -93,14 +94,13 @@ _CERTIFICATE_COLUMNS = tuple(f.name for f in fields(FanoCertificate) if f.name !
 
 
 def _vg_target(N: int) -> int:
-    """Classical packing size floor(2^(N/8)), at least 2."""
-    target = max(2, int(math.floor(2.0 ** (N / 8.0))))
-    if target > _PACKING_TARGET_CAP:
-        raise ValidationError(
-            f"packing target {target} for N={N} exceeds the greedy packing limit "
-            f"{_PACKING_TARGET_CAP} (N <= 96)"
-        )
-    return target
+    """Classical packing size floor(2^(N/8)) of a packing dimension N in [8, 96].
+
+    N is checked before the power is formed, which overflows a float above N = 8192.
+    """
+    limit = "the greedy packing limit 8 log2(4096)"
+    N = _check_integer(N, "packing dimension N", 8, _PACKING_DIMENSION_CAP, limit)
+    return math.floor(2.0 ** (N / 8.0))
 
 
 def vg_packing(N: int, seed: int) -> PackingSet:
@@ -109,7 +109,8 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     Draws uniform sign vectors and accepts a candidate iff it disagrees
     with every accepted vector in at least ceil(N/8) coordinates, stopping
     at floor(2^(N/8)) accepted vectors or after 1000x that many candidates.
-    Deterministic given the seed, a non-negative integer.
+    N must be an integer in [8, 96].  Deterministic given the seed, a
+    non-negative integer.
 
     Candidates come in blocks of 64 from one rng call, which yields the same
     stream as one draw per candidate.  Each block takes one product with the
@@ -121,10 +122,8 @@ def vg_packing(N: int, seed: int) -> PackingSet:
     candidate order over those distances.  Either way the result equals
     the one-candidate-at-a-time greedy loop.
     """
-    if _check_integer(N, "packing dimension N") < 8:
-        raise ValidationError(f"packing needs N >= 8, got {N}")
-    d_min = math.ceil(N / 8)
     target = _vg_target(N)
+    d_min = math.ceil(N / 8)
     rng = np.random.default_rng(_check_seed(seed))
     thetas = np.empty((target, N))
     M, min_h = 0, N
@@ -176,8 +175,7 @@ def hard_alternatives(
     docstring), synthesized in one block from the first N columns' factors.
     This is the vertex-space reference for fano_certificate.
     """
-    if pack.N > s.n:
-        raise ValidationError(f"packing dimension {pack.N} exceeds n={s.n}")
+    _check_integer(pack.N, "packing dimension N", 1, s.n)
     coeffs = np.zeros((pack.M + 1, pack.N))
     coeffs[1:] = _bump_amplitude(delta, spec, pack.N) * pack.thetas
     return _axis_factors(s, pack.N).synthesize(coeffs)
@@ -228,6 +226,7 @@ def _classification_alpha_bound(
     N: int,
     delta: float,
     link: LinkFunction,
+    m: int | None = None,
 ) -> float:
     """Upper bound on the certificate's alpha, uniform over sign patterns.
 
@@ -238,12 +237,13 @@ def _classification_alpha_bound(
     a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
     Bernoulli divergence exactly at that amplitude bounds every pair.
     base is the base measure's link.psi(0) at every vertex.  Link values
-    that round to 0 or 1 give inf; NaN still raises in bernoulli_kl.
+    that round to 0 or 1 give inf; NaN still raises in bernoulli_kl.  m is the
+    packing target _vg_target(N), formed here if not given.
     """
     rho = link.psi(_bump_amplitude(delta, spec, N) * profile)
     if not np.all((rho > 0.0) & (rho < 1.0)) and np.all((rho >= 0.0) & (rho <= 1.0)):
         return math.inf
-    return _alpha(bernoulli_kl(rho, base), _vg_target(N))
+    return _alpha(bernoulli_kl(rho, base), _vg_target(N) if m is None else m)
 
 
 def _alpha(kl: float, m: int) -> float:
@@ -283,16 +283,15 @@ def calibrate_delta(
     delta the measured KL must stay within (c / 2) a^2 sum profile^2, else
     NumericError (see LinkFunction).
     """
-    if N > s.n:
-        raise ValidationError(f"packing dimension {N} exceeds n={s.n}")
-    _vg_target(N)  # refuse N > 96 before the profile grows any factor
+    _check_integer(N, "packing dimension N", 1, s.n)
+    m = _vg_target(N)  # refuse N > 96 before the profile grows any factor
     link = sigmoid_link() if link is None else link
     profile = _head_profile(s, N)
     base = link.psi(np.zeros(s.n))
     delta = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
     lo, hi, bound_lo = 0.0, delta, 0.0
     while True:
-        bound = _classification_alpha_bound(profile, base, spec, N, delta, link)
+        bound = _classification_alpha_bound(profile, base, spec, N, delta, link, m)
         if bound <= _ALPHA_TARGET:
             lo, bound_lo = delta, bound
         else:
@@ -310,7 +309,7 @@ def calibrate_delta(
         else:
             delta = mid
     a = _bump_amplitude(lo, spec, N)
-    quadratic = _alpha(0.5 * link.kl_constant * a**2 * float(profile @ profile), _vg_target(N))
+    quadratic = _alpha(0.5 * link.kl_constant * a**2 * float(profile @ profile), m)
     if not bound_lo <= quadratic * (1.0 + 1e-12):
         raise NumericError(
             f"link {link.name!r}: worst-case KL (alpha {bound_lo:.6g}) exceeds its quadratic "
@@ -344,8 +343,7 @@ def packing_dimension(n: int, spec: SobolevSpec) -> int:
     A tiny slack guards against the float power landing a hair above an
     exact integer and inflating the ceiling.
     """
-    if _check_integer(n, "n") < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _check_integer(n, "n", 1, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     return int(math.ceil(n ** (spec.r / (2.0 * spec.beta + spec.r)) - 1e-9))
 
 
@@ -362,12 +360,13 @@ def fano_certificate(
     only for delta's profile, the one way it depends on the basis inside a
     repeated eigenvalue, and for Parseval's premise: each per-axis factor of
     the first N eigenvectors must pass ``spectral._check_orthonormal``
-    (else NumericError).  The recorded seed reproduces the packing.
+    (else NumericError).  The recorded seed reproduces the packing.  The
+    packing dimension must lie in [8, 96]; both modes check it before
+    anything is calibrated.
     """
     seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
-    if N < 8:
-        raise ValidationError(f"n too small for packing (N = {N} < 8)")
+    _vg_target(N)  # N in [8, 96], in both modes before any factor grows
     if isinstance(sigma_or_link, LinkFunction):
         mode = "classification"
         link = sigma_or_link

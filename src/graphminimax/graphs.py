@@ -122,18 +122,11 @@ def _finish_graph(n: int, edges: np.ndarray, build_seed=None, shape=None) -> Gra
 
 def _check_dims(dims, min_dim: int, what: str) -> list[int]:
     """dims as ints, each >= min_dim, with at most DEFAULT_DENSE_CAP**2 vertices in all."""
-    dims = [_check_integer(d, f"{what} dimension") for d in dims]
+    dims = [_check_integer(d, f"{what} dimension", lo=min_dim) for d in dims]
     if not dims:
         raise ValidationError(f"{what} needs at least one dimension")
-    for d in dims:
-        if d < min_dim:
-            raise ValidationError(f"{what} dimensions must be >= {min_dim}, got {d!r}")
-    n = math.prod(dims)
-    if n > DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"a {what} of {n} vertices is above the limit DEFAULT_DENSE_CAP**2 = "
-            f"{DEFAULT_DENSE_CAP**2}"
-        )
+    cap = DEFAULT_DENSE_CAP**2
+    _check_integer(math.prod(dims), f"a {what}'s vertex count", 1, cap, "DEFAULT_DENSE_CAP**2")
     return dims
 
 
@@ -151,9 +144,7 @@ def _lattice_edges(dims: list[int], wrap: bool) -> np.ndarray:
 
 def build_path(n: int) -> Graph:
     """Path graph on n vertices: edges {i, i+1} for i = 0..n-2 (the 1-axis grid)."""
-    if _check_integer(n, "path graph n") < 2:
-        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
-    return build_grid([n])
+    return build_grid([_check_integer(n, "path graph n", lo=2)])
 
 
 def build_grid(dims: list[int]) -> Graph:
@@ -204,17 +195,10 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     above ``DEFAULT_DENSE_CAP`` vertices, so a larger n raises
     ValidationError before any edge is drawn.
     """
-    n = _check_integer(n, "small-world n")
-    if n > DEFAULT_DENSE_CAP:
-        raise ValidationError(
-            f"small-world n={n} exceeds the dense Laplacian cap DEFAULT_DENSE_CAP = "
-            f"{DEFAULT_DENSE_CAP}"
-        )
-    k = _check_integer(k, "small-world k", "a positive even integer")
-    if k <= 0 or k % 2 != 0:
-        raise ValidationError(f"small-world k must be a positive even integer, got {k!r}")
-    if k >= n:
-        raise ValidationError(f"small-world needs k < n, got k={k}, n={n}")
+    n = _check_integer(n, "small-world n", 3, DEFAULT_DENSE_CAP, "DEFAULT_DENSE_CAP")
+    k = _check_integer(k, "small-world k", 2, n - 1)
+    if k % 2 != 0:
+        raise ValidationError(f"small-world k must be even, got {k}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"rewiring probability must be in [0, 1], got {p!r}")
     seed = _check_seed(seed)
@@ -321,8 +305,7 @@ def laplacian(g: Graph) -> np.ndarray:
     memory, so a dense solve's resident peak is LAPACK's copy plus L's
     written pages.  The pages are returned when the array is freed.
     """
-    if g.n > DEFAULT_DENSE_CAP:
-        raise ValidationError(f"n={g.n} exceeds the dense Laplacian cap {DEFAULT_DENSE_CAP}")
+    _check_integer(g.n, "a dense Laplacian's n", 1, DEFAULT_DENSE_CAP, "DEFAULT_DENSE_CAP")
     L = _lazy_zeros(g.n)
     u, v = g.edges.T
     L[u, v] = -1.0

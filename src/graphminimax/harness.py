@@ -60,10 +60,11 @@ class ExperimentSpec:
     family is "path", "grid:<d>", "torus:<d>", "ws:<k>,<p>" or
     "file:<path>" (the path may contain "{n}", substituted per size).  Every
     n must lie in [2, DEFAULT_DENSE_CAP**2], and for grid/torus families be
-    a perfect d-th power.  sigma is the regression noise level; for
-    classification estimators it sets the shrinkage plan's noise scale (0.5
-    matches the worst-case Bernoulli standard deviation).  Every field is
-    checked here, before any graph is built.
+    a perfect d-th power; reps must lie in [1, DEFAULT_DENSE_CAP**2].  sigma
+    is the regression noise level; for classification estimators it sets the
+    shrinkage plan's noise scale (0.5 matches the worst-case Bernoulli
+    standard deviation).  Every field is checked here, before any graph is
+    built.
     """
 
     family: str
@@ -77,19 +78,17 @@ class ExperimentSpec:
     fill: float = 1.0
 
     def __post_init__(self):
-        n_values = tuple(_check_integer(n, "each n in n_values") for n in self.n_values)
+        cap, limit = DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2"
+        n_values = tuple(
+            _check_integer(n, "each n in n_values", 2, cap, limit)
+            for n in self.n_values
+        )
         object.__setattr__(self, "n_values", n_values)
         if len(self.n_values) < 2:
             raise ValidationError("rate fitting needs at least two sizes in n_values")
         if any(b >= c for b, c in zip(self.n_values, self.n_values[1:])):
             raise ValidationError("n_values must be strictly increasing")
-        for n in n_values:
-            if not 2 <= n <= DEFAULT_DENSE_CAP**2:
-                raise ValidationError(
-                    f"n={n} is outside [2, DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}]"
-                )
-        if _check_integer(self.reps, "reps") < 1:
-            raise ValidationError(f"reps must be >= 1, got {self.reps}")
+        _check_integer(self.reps, "reps", 1, cap, limit)
         if self.estimator not in REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         if not 0.0 < self.fill <= 1.0:

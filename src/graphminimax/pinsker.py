@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError, _check_integer, _check_positive
+from .graphs import DEFAULT_DENSE_CAP
 from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, _axis_factors, _vertex_vector
 
@@ -92,10 +93,8 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     ValidationError otherwise.
     """
     _check_positive(epsilon, "epsilon")
-    N = _check_integer(N, "N")
     a = w.a
-    if not 1 <= N <= len(a):
-        raise ValidationError(f"N must be in [1, {len(a)}], got {N}")
+    N = _check_integer(N, "N", 1, len(a))
     head = a[:N]
     x = float(epsilon**2 * head.sum() / (w.R + epsilon**2 * np.sum(head**2)))
     if not 0.0 < x < 1.0 / a[0]:
@@ -183,9 +182,11 @@ def sup_risk_over_ellipsoid(l: np.ndarray, w: EllipsoidWeights, epsilon: float) 
 
 
 def projection_cutoff(n: int, beta: float, r: float) -> int:
-    """Rate-optimal truncation level m = round(n^(r/(2 beta + r))), in [1, n]."""
-    if _check_integer(n, "n") < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    """Rate-optimal truncation level m = round(n^(r/(2 beta + r))), in [1, n].
+
+    n must be an integer in [1, DEFAULT_DENSE_CAP**2], the largest graph the package builds.
+    """
+    n = _check_integer(n, "n", 1, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     SobolevSpec(beta=beta, Q=1.0, r=r)  # ValidationError naming beta or r, by SobolevSpec's rule
     return max(1, min(n, round(n ** (r / (2.0 * beta + r)))))
 
@@ -193,12 +194,9 @@ def projection_cutoff(n: int, beta: float, r: float) -> int:
 def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
     """Spectral truncation: keep the first m coefficients, zero the rest.
 
-    Reads only the first m eigenvectors.  m must be an integer (not a bool).
+    Reads only the first m eigenvectors.  m must be an integer (not a bool) in [1, n].
     """
-    m = _check_integer(m, "projection cutoff")
-    if not 1 <= m <= s.n:
-        raise ValidationError(f"projection cutoff must be in [1, {s.n}], got {m}")
-    return _shrink_head(s, y, np.ones(m))
+    return _shrink_head(s, y, np.ones(_check_integer(m, "projection cutoff", 1, s.n)))
 
 
 @dataclass(frozen=True)

@@ -167,10 +167,7 @@ def _checked_lambdas(g: Graph, lams: np.ndarray) -> np.ndarray:
 
 def _head_width(s: Spectrum, k) -> int:
     """k as a column count of s's head: an integer (not a bool) in [1, n]."""
-    k = _check_integer(k, "a head's column count k")
-    if not 1 <= k <= s.n:
-        raise ValidationError(f"a head needs 1 <= k <= n={s.n} columns, got {k}")
-    return k
+    return _check_integer(k, "a head's column count k", 1, s.n)
 
 
 def head_basis(s: Spectrum, k: int) -> np.ndarray:
@@ -190,11 +187,9 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     ``_axis_factors`` does.
     """
     k = _head_width(s, k)
-    if s._graph is not None and s.n * k > DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"a head of k={k} columns on n={s.n} vertices holds n*k = {s.n * k} values, "
-            f"above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
-        )
+    if s._graph is not None:
+        what = f"the value count n*k of a head of k={k} columns on n={s.n} vertices"
+        _check_integer(s.n * k, what, 1, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     factors = _axis_factors(s, k)
     if len(factors.vectors) == 1:
         return factors.vectors[0]
@@ -467,11 +462,8 @@ def _grown_factors(s: Spectrum, k: int) -> _AxisFactors:
         at = np.argsort(axis_order)[ks]
         used.append((axis_order[: at.max() + 1], at))
     values = sum(side * len(js) for side, (js, _) in zip(dims, used))
-    if values > DEFAULT_DENSE_CAP**2:
-        raise ValidationError(
-            f"the per-axis factors of a head of k={k} columns on n={s.n} vertices hold "
-            f"{values} values, above the limit DEFAULT_DENSE_CAP**2 = {DEFAULT_DENSE_CAP**2}"
-        )
+    what = f"the value count of the per-axis factors of a head of k={k} columns on n={s.n}"
+    _check_integer(values, what, 1, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     vectors = []
     for side, (js, _) in zip(dims, used):
         factor = (_path_vectors if kind == "grid" else _cycle_vectors)(side, js).T
@@ -539,8 +531,7 @@ def eigenvalues(g: Graph) -> Spectrum:
 
 def path_eigenvalues(n: int) -> np.ndarray:
     """Exact path Laplacian eigenvalues 4 sin^2(pi j / (2n)), j = 0..n-1."""
-    if _check_integer(n, "path graph n") < 2:
-        raise ValidationError(f"path graph needs n >= 2, got {n!r}")
+    n = _check_integer(n, "path graph n", 2, DEFAULT_DENSE_CAP**2, "DEFAULT_DENSE_CAP**2")
     return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
 
 
@@ -571,8 +562,7 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     because the right range is graph-dependent.  The line is ``_line_fit``'s,
     as in harness.fit_rate; a slope <= 0 raises NumericError.
     """
-    if _check_integer(i0, "i0") < 1:
-        raise ValidationError(f"i0 must be >= 1, got {i0}")
+    i0 = _check_integer(i0, "i0", lo=1)
     if not 0.0 < kappa <= 1.0:
         raise ValidationError(f"kappa must be in (0, 1], got {kappa}")
     hi = min(int(np.floor(kappa * s.n)), s.n - 1)

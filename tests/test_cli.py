@@ -8,6 +8,8 @@ import graphminimax as gm
 from graphminimax.cli import _build_parser, main
 from graphminimax.harness import _rep_seeds
 
+PACKING_LIMIT = "packing dimension N must be in [8, the greedy packing limit 8 log2(4096) = 96]"
+
 
 def run_cli(*args):
     return main(list(args))
@@ -237,7 +239,8 @@ class TestDenoiseCommand:
             "--sigma", "1", "--out", str(tmp_path / "fhat.csv"),
         )
         assert code == 1
-        assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "small-world n must be in [3, DEFAULT_DENSE_CAP = 8192], got 10000" in err
 
     def test_path_above_dense_cap_reads_the_dct_head(self, tmp_path):
         n = 10000
@@ -354,7 +357,20 @@ class TestSimulateCommand:
         assert code == 1
         err = capsys.readouterr().err
         limit = gm.DEFAULT_DENSE_CAP**2
-        assert err == f"error: n={bad} is outside [2, DEFAULT_DENSE_CAP**2 = {limit}]\n"
+        assert err == (
+            f"error: each n in n_values must be in [2, DEFAULT_DENSE_CAP**2 = {limit}], got {bad}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reps_above_the_limit(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--family", "path", "--n-list", "64,128", "--beta", "1", "--sigma", "1",
+            "--reps", str(10**15), "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        limit = gm.DEFAULT_DENSE_CAP**2
+        assert err == f"error: reps must be in [1, DEFAULT_DENSE_CAP**2 = {limit}], got {10**15}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -364,7 +380,8 @@ class TestFanoCommand:
             "fano", "--graph", "path:16", "--beta", "1", "--out", str(tmp_path / "c.csv")
         )
         assert code == 1
-        assert "n too small for packing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{PACKING_LIMIT}, got 3" in err
 
     def test_valid_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert.csv"
@@ -405,7 +422,8 @@ class TestFanoCommand:
             "--out", str(tmp_path / "cert.csv"),
         )
         assert code == 1
-        assert "exceeds the dense Laplacian cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "small-world n must be in [3, DEFAULT_DENSE_CAP = 8192], got 10000" in err
 
     def test_clf_mode_above_dense_cap_on_a_path(self, tmp_path, capsys):
         out = tmp_path / "cert.csv"
@@ -425,6 +443,18 @@ class TestFanoCommand:
         )
         assert code == 0
         assert "valid = true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["reg", "clf"])
+    def test_packing_dimension_too_large_for_a_float_target(self, mode, tmp_path, capsys):
+        # N = 35112 here, and 2^(N/8) overflows a float above N = 8192; N is
+        # compared with 96 first
+        code = run_cli(
+            "fano", "--graph", "path:100000", "--beta", "0.05", "--mode", mode,
+            "--out", str(tmp_path / "cert.csv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {PACKING_LIMIT}, got 35112\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_packing_limit_rejected_before_packing(self, tmp_path, capsys, monkeypatch):
         import time
@@ -447,7 +477,8 @@ class TestFanoCommand:
         assert time.perf_counter() - t0 < 5.0
         assert peak < 64 << 20
         assert code == 1
-        assert "N=128 exceeds the greedy packing limit 4096" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{PACKING_LIMIT}, got 128" in err
 
 
 class TestPriorDemoCommand:

@@ -61,12 +61,34 @@ def test_non_positive_and_non_numbers_are_refused(value):
         pytest.param(lambda: gm.build_grid([2.0, 3]),
                      "grid dimension must be an integer, got 2.0", id="grid dim 2.0"),
         pytest.param(
-            lambda: gm.projection_cutoff(-5, 1.0, 1.0), "n must be >= 1, got -5", id="cutoff n"
+            lambda: gm.projection_cutoff(-5, 1.0, 1.0),
+            r"n must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got -5",
+            id="cutoff n",
         ),
         pytest.param(
             lambda: gm.fano.packing_dimension(-8, gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)),
-            "n must be >= 1, got -8",
+            r"n must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got -8",
             id="packing n",
+        ),
+        pytest.param(
+            lambda: gm.vg_packing(10**6, 0),
+            r"packing dimension N must be in \[8, .* = 96\], got 1000000",
+            id="packing N 1e6",
+        ),
+        pytest.param(
+            lambda: gm.path_eigenvalues(10**15),
+            r"path graph n must be in \[2, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got 10{15}$",
+            id="path n 1e15",
+        ),
+        pytest.param(
+            lambda: gm.projection_cutoff(10**400, 1.0, 1.0),
+            r"n must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got 10{400}$",
+            id="cutoff n 1e400",
+        ),
+        pytest.param(
+            lambda: gm.fano.packing_dimension(10**400, gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)),
+            r"n must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got 10{400}$",
+            id="packing n 1e400",
         ),
         pytest.param(
             lambda: gm.fano_certificate(

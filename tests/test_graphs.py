@@ -225,10 +225,12 @@ def test_sizes_above_the_limits_are_refused_before_any_edge(monkeypatch):
     for spec in (f"path:{cap**2}", f"grid:{cap}x{cap}", f"torus:{cap}x{cap}", f"ws:{cap},4,0.1,1"):
         with pytest.raises(AssertionError, match="edges were drawn"):
             gm.parse_graph_spec(spec)
+    limit = r"vertex count must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\]"
     for spec in (f"path:{cap**2 + 1}", f"grid:{cap}x{cap + 1}", "torus:100000x100000x100000"):
-        with pytest.raises(ValidationError, match=r"above the limit DEFAULT_DENSE_CAP\*\*2 = "):
+        with pytest.raises(ValidationError, match=limit):
             gm.parse_graph_spec(spec)
-    with pytest.raises(ValidationError, match=r"n=8193 exceeds the dense Laplacian cap"):
+    message = r"small-world n must be in \[3, DEFAULT_DENSE_CAP = 8192\], got 8193"
+    with pytest.raises(ValidationError, match=message):
         gm.parse_graph_spec(f"ws:{cap + 1},4,0.1,1")
 
 
@@ -318,7 +320,8 @@ class TestLaplacian:
 
     def test_dense_cap(self):
         g = gm.build_path(gm.DEFAULT_DENSE_CAP + 1)
-        with pytest.raises(ValidationError, match="exceeds the dense Laplacian cap 8192"):
+        message = r"dense Laplacian's n must be in \[1, DEFAULT_DENSE_CAP = 8192\], got 8193"
+        with pytest.raises(ValidationError, match=message):
             gm.laplacian(g)
 
     def test_equals_the_zero_array_construction(self):

@@ -95,6 +95,15 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValidationError):
             small_spec(reps=0)
 
+    def test_reps_above_the_limit_are_refused_before_any_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
+        message = r"reps must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got 1000000000000000"
+        with pytest.raises(ValidationError, match=message):
+            small_spec(reps=10**15)
+
     def test_known_estimator(self):
         with pytest.raises(ValidationError):
             small_spec(estimator="ridge")
@@ -178,7 +187,8 @@ class TestExperimentSpecValidation:
             raise AssertionError("a graph spec was formed")
 
         monkeypatch.setattr(gm.harness, "_graph_spec", refuse)
-        message = f"n={bad} is outside [2, DEFAULT_DENSE_CAP**2 = {gm.DEFAULT_DENSE_CAP**2}]"
+        limit = gm.DEFAULT_DENSE_CAP**2
+        message = f"each n in n_values must be in [2, DEFAULT_DENSE_CAP**2 = {limit}], got {bad}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             small_spec(family=family, n_values=n_values)
 

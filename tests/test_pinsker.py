@@ -519,7 +519,8 @@ def test_regression_on_a_grid_beyond_the_head_limit():
     s = gm.eigendecompose(gm.build_grid([1024, 1024]))
     plan = gm.pinsker_plan(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, 2.0)), 0.5, s.n)
     assert plan.N == 1438 and s.n * plan.N > gm.DEFAULT_DENSE_CAP**2
-    with pytest.raises(ValidationError, match="above the limit"):
+    message = r"n\*k of a head of k=1438 columns on n=1048576 vertices must be in \[1, "
+    with pytest.raises(ValidationError, match=message):
         gm.head_basis(s, plan.N)
     # psi_2 (axis indices (1, 0)) is the first cosine along the first axis
     # and constant along the second; the estimate shrinks it by l_2 alone
