@@ -226,7 +226,7 @@ def _classification_alpha_bound(
     N: int,
     delta: float,
     link: LinkFunction,
-    m: int | None = None,
+    m: int,
 ) -> float:
     """Upper bound on the certificate's alpha, uniform over sign patterns.
 
@@ -238,12 +238,12 @@ def _classification_alpha_bound(
     Bernoulli divergence exactly at that amplitude bounds every pair.
     base is the base measure's link.psi(0) at every vertex.  Link values
     that round to 0 or 1 give inf; NaN still raises in bernoulli_kl.  m is the
-    packing target _vg_target(N), formed here if not given.
+    packing target _vg_target(N).
     """
     rho = link.psi(_bump_amplitude(delta, spec, N) * profile)
     if not np.all((rho > 0.0) & (rho < 1.0)) and np.all((rho >= 0.0) & (rho <= 1.0)):
         return math.inf
-    return _alpha(bernoulli_kl(rho, base), _vg_target(N) if m is None else m)
+    return _alpha(bernoulli_kl(rho, base), m)
 
 
 def _alpha(kl: float, m: int) -> float:
@@ -374,6 +374,8 @@ def fano_certificate(
     else:
         mode = "regression"
         sigma = _check_positive(sigma_or_link, "sigma")
+        if not 0.0 < sigma * sigma < math.inf:
+            raise ValidationError(f"sigma^2 must be positive and finite, got sigma={sigma!r}")
         delta = _gaussian_calibrated_delta(s, spec, N, sigma)
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)

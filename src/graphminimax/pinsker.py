@@ -116,12 +116,14 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
 def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     """Minimax linear shrinkage plan for noise level sigma on n vertices.
 
-    n sets the noise scale sigma / sqrt(n) and must be the number of
-    weights, one per eigenvalue; ValidationError otherwise.
+    n sets the noise scale eps = sigma / sqrt(n), whose square must be a
+    positive finite float, and must be the number of weights; ValidationError otherwise.
     """
-    _check_positive(sigma, "sigma")
+    noise = _check_positive(sigma, "sigma")  # a Python float: noise * noise overflows quietly
     if n != len(w.a):
         raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
+    if not 0.0 < noise * noise / n < np.inf:
+        raise ValidationError(f"sigma^2/n must be positive and finite, got sigma={sigma!r}, n={n}")
     epsilon = sigma / np.sqrt(n)
     N = cutoff_N(w, epsilon)
     x = solve_x(w, epsilon, N)
@@ -135,14 +137,15 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
 def _shrink_head(s: Spectrum, y: np.ndarray, l_head: np.ndarray) -> np.ndarray:
     """sum_{j<k} l_j <y, psi_j>_n psi_j with k = len(l_head).
 
-    Only the first k eigenvectors are applied, through their per-axis
-    factors (``_AxisFactors.shrink``): O(n k) on a path or an explicit
-    head, one matrix product per axis each way on a grid or torus, and no
-    n x k array there.  The result is a new array.  y's length is checked
-    before any factor is grown.
+    Only the first k eigenvectors are applied, through the two transforms
+    of their per-axis factors (``_AxisFactors.analyze`` and ``synthesize``):
+    O(n k) on a path or an explicit head, one matrix product per axis each
+    way on a grid or torus, and no n x k array there.  The result is a new
+    array.  y's length is checked before any factor is grown.
     """
     y = _vertex_vector(s, y, "signal")
-    return _axis_factors(s, len(l_head)).shrink(y, l_head, s.n)
+    factors = _axis_factors(s, len(l_head))
+    return factors.synthesize(l_head * (factors.analyze(y) / s.n))
 
 
 def estimate_regression(s: Spectrum, plan: ShrinkagePlan, y: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .spectral import Spectrum, gft_forward, gft_inverse
 
 @dataclass(frozen=True)
 class SobolevSpec:
-    """Smoothness ball parameters: exponent beta, radius Q, geometry r."""
+    """Smoothness ball parameters: exponent beta, radius Q (Q^2 positive and finite), geometry r."""
 
     beta: float
     Q: float
@@ -29,7 +29,9 @@ class SobolevSpec:
 
     def __post_init__(self):
         _check_positive(self.beta, "beta")
-        _check_positive(self.Q, "Q")
+        Q = _check_positive(self.Q, "Q")
+        if not 0.0 < Q * Q < math.inf:
+            raise ValidationError(f"Q^2 must be positive and finite, got Q={self.Q!r}")
         if not 1 <= self.r < math.inf:
             raise ValidationError(f"r must be >= 1 and finite, got {self.r!r}")
 
@@ -61,7 +63,15 @@ class EllipsoidWeights:
 
 
 def _spectral_weights_sq(s: Spectrum, spec: SobolevSpec) -> np.ndarray:
-    return 1.0 + s.n ** (2.0 * spec.beta / spec.r) * s.lambdas ** spec.beta
+    """a_j^2 = 1 + n^(2 beta / r) lambda_j^beta; ValidationError naming beta, r, n on overflow."""
+    try:
+        with np.errstate(over="raise"):
+            return 1.0 + s.n ** (2.0 * spec.beta / spec.r) * s.lambdas**spec.beta
+    except (OverflowError, FloatingPointError):
+        raise ValidationError(
+            f"beta={spec.beta!r} and r={spec.r!r} on n={s.n} vertices put the Sobolev "
+            "weights 1 + n^(2 beta / r) lambda_j^beta beyond the float range"
+        ) from None
 
 
 def sobolev_form(s: Spectrum, spec: SobolevSpec, f: np.ndarray) -> float:

@@ -81,6 +81,7 @@ class Spectrum:
     _factors: _AxisFactors | None = field(init=False, default=None, repr=False)
 
     def __init__(self, n: int, lambdas: np.ndarray, basis: np.ndarray | None = None):
+        n = _check_integer(n, "a spectrum's vertex count n", lo=1)
         # read-only views: the caller's arrays keep their own flags
         lambdas = np.asarray(lambdas).view()
         if lambdas.shape != (n,):
@@ -217,11 +218,11 @@ class _AxisFactors:
     spectrum's explicit basis) has its head as its factor,
     at = (arange(k),) and at[0] itself as ``flat``.
 
-    ``analyze``, ``shrink`` and ``synthesize`` apply the k columns through
-    one vertex -> core loop and one core -> vertex loop, one 2-D matrix
-    product per axis on a reshaped view, for any number of axes.
-    ``shrink`` runs both and weights the u_1 x ... x u_r core between them
-    through a mask, with no k-vector in between.
+    The two transforms, ``analyze`` and ``synthesize``, apply the k
+    columns through the u_1 x ... x u_r core, one 2-D matrix product per
+    axis on a reshaped view, for any number of axes; the estimators, the
+    GFT, the bump alternatives and the clf profile all go through them.
+    n and the core size are set once per view, in __post_init__.
 
     Prefix views of the _PREFIX_VIEWS column counts used last are kept,
     because callers ask for the same few k on every call and a view costs
@@ -232,6 +233,8 @@ class _AxisFactors:
     at: tuple[np.ndarray, ...]
     # The row-major index of each column's axis indices in the u_1 x ... x u_r core.
     flat: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False, repr=False)
+    _core_size: int = field(init=False, repr=False)
     # Prefix views by column count, least recently used first.
     _prefixes: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -239,10 +242,8 @@ class _AxisFactors:
         sizes = tuple(v.shape[1] for v in self.vectors)
         flat = self.at[0] if len(sizes) == 1 else np.ravel_multi_index(self.at, sizes)
         object.__setattr__(self, "flat", flat)
-
-    @property
-    def n(self) -> int:
-        return math.prod(v.shape[0] for v in self.vectors)
+        object.__setattr__(self, "n", math.prod(v.shape[0] for v in self.vectors))
+        object.__setattr__(self, "_core_size", math.prod(sizes))
 
     @property
     def k(self) -> int:
@@ -265,47 +266,24 @@ class _AxisFactors:
                 self._prefixes.pop(old, None)
         return view
 
-    def _to_core(self, y: np.ndarray) -> np.ndarray:
-        # vertex values -> u_1 x ... x u_r core: each product contracts the
-        # leading vertex axis and appends its column axis at the back
-        for v in self.vectors:
-            y = y.reshape(v.shape[0], -1).T @ v
-        return y
-
-    def _from_core(self, core: np.ndarray) -> np.ndarray:
-        # core -> vertex values: each product expands the leading core axis
-        # and cycles it to the back, so a block's rows end up in front
-        for v in self.vectors:
-            core = core.reshape(v.shape[1], -1).T @ v.T
-        return core
-
     def analyze(self, y: np.ndarray) -> np.ndarray:
         """sum_i y(i) psi_c(i) for every column c: (n,) -> (k,)."""
-        return self._to_core(y).ravel()[self.flat]
-
-    def shrink(self, y: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-        """synthesize(weights * (analyze(y) / n)) bit for bit: (n,) -> (n,).
-
-        The core that analyze's products leave is divided by n and
-        multiplied by a core mask holding weights[c] at flat[c] and 0
-        elsewhere, then expanded by synthesize's products.  The core holds
-        the same numbers in the same places as synthesize's, and zeros
-        elsewhere; a zero's sign could show only in an output entry whose
-        every term is zero.
-        """
-        core = self._to_core(y)
-        mask = np.zeros(core.size)
-        mask[self.flat] = weights
-        core /= n
-        core *= mask.reshape(core.shape)
-        return self._from_core(core).reshape(self.n)
+        # each product contracts the leading vertex axis and appends its
+        # column axis at the back
+        for v in self.vectors:
+            y = y.reshape(v.shape[0], -1).T @ v
+        return y.ravel()[self.flat]
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """sum_j c[..., j] psi_j: (k,) -> (n,), or a block of rows (B, k) -> (B, n)."""
-        rows = c.reshape(-1, self.k)
-        core = np.zeros((math.prod(v.shape[1] for v in self.vectors), len(rows)))
-        core[self.flat] = rows.T
-        return self._from_core(core).reshape(c.shape[:-1] + (self.n,))
+        # the core has c's leading shape, (U,) or (U, B); each product
+        # expands the leading core axis and cycles it to the back, so a
+        # block's rows end up in front
+        core = np.zeros((self._core_size,) + c.shape[:-1])
+        core[self.flat] = c.T
+        for v in self.vectors:
+            core = core.reshape(v.shape[1], -1).T @ v.T
+        return core.reshape(c.shape[:-1] + (self.n,))
 
 
 def _axis_factors(s: Spectrum, k: int) -> _AxisFactors:

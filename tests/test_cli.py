@@ -574,6 +574,54 @@ def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
 
 
+CLASSIFY = ["classify", "--graph", "path:64", "--obs", "obs.csv", "--beta", "1", "--out", "r.csv"]
+BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lambda_j^beta"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (DENOISE + ["--beta", "400", "--sigma", "1"], f"beta=400.0 and r=1.0 {BEYOND_FLOATS}"),
+        (SIMULATE + ["--beta", "1e300", "--sigma", "1"], f"beta=1e+300 and r=1.0 {BEYOND_FLOATS}"),
+        (FANO + ["--beta", "1", "--Q", "1e300"], "Q^2 must be positive and finite, got Q=1e+300"),
+        (PRIOR + ["--Q", "1e300"], "Q^2 must be positive and finite, got Q=1e+300"),
+        (SIMULATE + ["--beta", "1", "--Q", "1e300", "--sigma", "1"],
+         "Q^2 must be positive and finite, got Q=1e+300"),
+        (DENOISE + ["--Q", "1e-300", "--sigma", "1"],
+         "Q^2 must be positive and finite, got Q=1e-300"),
+        (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "1e-300"],
+         "sigma^2 must be positive and finite, got sigma=1e-300"),
+        (DENOISE + ["--sigma", "1e300"], "sigma^2/n must be positive and finite, got sigma=1e+300"),
+        (CLASSIFY + ["--sigma", "1e300"],
+         "sigma^2/n must be positive and finite, got sigma=1e+300"),
+        (SIMULATE + ["--beta", "1", "--sigma", "1e300"],
+         "sigma^2/n must be positive and finite, got sigma=1e+300"),
+        (DENOISE + ["--sigma", "1e-300"],
+         "sigma^2/n must be positive and finite, got sigma=1e-300"),
+    ],
+    ids=[
+        "denoise-beta", "simulate-beta", "fano-Q", "prior-demo-Q", "simulate-Q", "denoise-Q-tiny",
+        "fano-sigma-tiny", "denoise-sigma", "classify-sigma", "simulate-sigma",
+        "denoise-sigma-tiny",
+    ],
+)
+def test_parameters_beyond_the_float_range_are_refused(
+    args, message, tmp_path, monkeypatch, capsys
+):
+    # one error line naming the parameter: no OverflowError, ZeroDivisionError,
+    # empty cutoff, exit 2 or RuntimeWarning on the way
+    monkeypatch.chdir(tmp_path)
+    write_obs_csv(tmp_path / "obs.csv", np.zeros(64))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*args) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv"]
+
+
 @pytest.mark.parametrize(
     "model, message",
     [

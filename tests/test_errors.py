@@ -30,6 +30,11 @@ def test_non_positive_and_non_numbers_are_refused(value):
         _check_positive(value, "x")
 
 
+def _path64_weights():
+    s = gm.eigenvalues(gm.build_path(64))
+    return gm.ellipsoid_weights(s, gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -103,6 +108,54 @@ def test_non_positive_and_non_numbers_are_refused(value):
             ),
             "sigma must be positive and finite, got None",
             id="sigma None",
+        ),
+        pytest.param(
+            lambda: gm.SobolevSpec(beta=1.0, Q=1e300, r=1.0),
+            r"Q\^2 must be positive and finite, got Q=1e\+300$",
+            id="Q 1e300",
+        ),
+        pytest.param(
+            lambda: gm.SobolevSpec(beta=1.0, Q=1e-300, r=1.0),
+            r"Q\^2 must be positive and finite, got Q=1e-300$",
+            id="Q 1e-300",
+        ),
+        pytest.param(
+            lambda: gm.ellipsoid_weights(
+                gm.eigenvalues(gm.build_path(64)), gm.SobolevSpec(beta=400.0, Q=1.0, r=1.0)
+            ),
+            r"^beta=400.0 and r=1.0 on n=64 vertices put the Sobolev weights .* float range$",
+            id="beta 400",
+        ),
+        pytest.param(
+            lambda: gm.ellipsoid_weights(
+                gm.eigenvalues(gm.build_path(64)), gm.SobolevSpec(beta=1e300, Q=1.0, r=1.0)
+            ),
+            r"^beta=1e\+300 and r=1.0 on n=64 vertices",
+            id="beta 1e300",
+        ),
+        pytest.param(
+            lambda: gm.pinsker_plan(_path64_weights(), 1e300, 64),
+            r"sigma\^2/n must be positive and finite, got sigma=1e\+300, n=64$",
+            id="plan sigma 1e300",
+        ),
+        pytest.param(
+            lambda: gm.pinsker_plan(_path64_weights(), 1e-300, 64),
+            r"sigma\^2/n must be positive and finite, got sigma=1e-300, n=64$",
+            id="plan sigma 1e-300",
+        ),
+        pytest.param(
+            lambda: gm.fano_certificate(
+                gm.eigenvalues(gm.build_path(1024)), gm.SobolevSpec(1.0, 1.0, 1.0), 1e-300, 0
+            ),
+            r"sigma\^2 must be positive and finite, got sigma=1e-300$",
+            id="certificate sigma 1e-300",
+        ),
+        pytest.param(
+            lambda: gm.fano_certificate(
+                gm.eigenvalues(gm.build_path(1024)), gm.SobolevSpec(1.0, 1.0, 1.0), 1e300, 0
+            ),
+            r"sigma\^2 must be positive and finite, got sigma=1e\+300$",
+            id="certificate sigma 1e300",
         ),
     ],
 )

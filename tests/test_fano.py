@@ -386,7 +386,9 @@ class TestCalibrateDelta:
         base = link.psi(np.zeros(s.n))
 
         def bound(d):
-            return fano._classification_alpha_bound(profile, base, spec, N, d, link)
+            return fano._classification_alpha_bound(
+                profile, base, spec, N, d, link, fano._vg_target(N)
+            )
 
         assert bound(delta) <= 0.5 < bound(np.nextafter(delta, np.inf))
         cert = gm.fano_certificate(s, spec, link, seed=0)
