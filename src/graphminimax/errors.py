@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds,
-each with its range) and one positive-number rule (scales, radii, exponents)."""
+"""Exception types shared across the package, and its one integer rule (counts, sizes, seeds)
+and one real-number rule (scales, radii, exponents, probabilities), each with its range."""
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -38,14 +39,21 @@ def _check_integer(value, what: str, lo=-math.inf, hi=math.inf, limit: str = "")
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _check_positive(value, what: str) -> float:
-    """value as a float if it is a number in (0, inf); else ValidationError naming what."""
-    try:
-        if 0 < value < math.inf:
-            return float(value)
-    except (TypeError, ValueError):  # not one number: None, a string, an array
-        pass
-    raise ValidationError(f"{what} must be positive and finite, got {value!r}")
+def _check_real(value, what: str, lo=0, hi=math.inf, ends: str = "()") -> float:
+    """float(value) if value is a real number, not a bool, in lo..hi, ends its two brackets.
+
+    ends "(]" is lo < value <= hi.  Else ValidationError naming what: "must be a real number",
+    or the interval and the value; NaN and numbers beyond the float range are in no interval.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf if value > 0 else -math.inf
+        if (lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi):
+            return x
+        raise ValidationError(f"{what} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+    raise ValidationError(f"{what} must be a real number, got {value!r}")
 
 
 def _check_seed(seed) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_integer, _check_positive, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_real, _check_seed
 from .graphs import DEFAULT_DENSE_CAP
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
@@ -329,11 +329,13 @@ def _gaussian_calibrated_delta(
     """Regression analogue of calibrate_delta with exact Gaussian KL.
 
     The KL is delta^2 times its value at delta = 1, so the alpha <= 1/2
-    condition is closed-form in delta.
+    condition is closed-form in delta.  A sigma so small that the KL at
+    delta = 1 overflows is refused with ValidationError naming it.
     """
     m = _vg_target(N)
     kl_cap = _ALPHA_TARGET * math.log(m) * (m + 1.0) / m
-    delta_b = math.sqrt(kl_cap / _gaussian_kl(s.n, spec, N, 1.0, sigma))
+    kl_one = _gaussian_kl(s.n, spec, N, 1.0, sigma)
+    delta_b = math.sqrt(kl_cap / _check_real(kl_one, f"the KL at delta = 1 for sigma={sigma}"))
     return min(_sobolev_delta_cap(s, spec, N), delta_b) * (1.0 - 1e-9)
 
 
@@ -373,9 +375,8 @@ def fano_certificate(
         delta = calibrate_delta(s, spec, N, link)
     else:
         mode = "regression"
-        sigma = _check_positive(sigma_or_link, "sigma")
-        if not 0.0 < sigma * sigma < math.inf:
-            raise ValidationError(f"sigma^2 must be positive and finite, got sigma={sigma!r}")
+        sigma = _check_real(sigma_or_link, "sigma")
+        _check_real(sigma * sigma, f"sigma^2 for sigma={sigma}")
         delta = _gaussian_calibrated_delta(s, spec, N, sigma)
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)
@@ -423,8 +424,7 @@ def worst_case_prior_sample(
     (1 - delta_prior) factor.  The plan must have one weight per ellipsoid
     weight; ValidationError otherwise.
     """
-    if not 0.0 < delta_prior < 1.0:
-        raise ValidationError(f"delta_prior must be in (0, 1), got {delta_prior!r}")
+    _check_real(delta_prior, "delta_prior", hi=1)
     if len(plan.l) != len(w.a):
         raise ValidationError(f"plan has {len(plan.l)} weights for {len(w.a)} ellipsoid weights")
     v2 = np.zeros_like(w.a)

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _check_integer, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_real, _check_seed
 
 #: Largest vertex count for which a dense n x n array may be materialized:
 #: the Laplacian of ``laplacian`` and the eigenbasis ``eigendecompose`` solves
@@ -199,12 +199,11 @@ def build_small_world(n: int, k: int, p: float, seed: int) -> Graph:
     k = _check_integer(k, "small-world k", 2, n - 1)
     if k % 2 != 0:
         raise ValidationError(f"small-world k must be even, got {k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"rewiring probability must be in [0, 1], got {p!r}")
+    p = _check_real(p, "rewiring probability p", hi=1, ends="[]")
     seed = _check_seed(seed)
     for attempt in range(_WS_RETRY_BUDGET):
         used = seed + attempt
-        edges = _ws_edges(n, k, float(p), used)
+        edges = _ws_edges(n, k, p, used)
         if _connectivity_witness(n, edges) is None:
             return _finish_graph(n, edges, build_seed=used)
     raise NumericError(

@@ -38,9 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_integer, _check_seed
+from .errors import NumericError, ValidationError, _check_integer, _check_real, _check_seed
 from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
-from .pinsker import estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
+from .pinsker import (
+    _noise_scale, estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
+)
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball_coefficients
 from .spectral import _line_fit, eigendecompose, eigenvalues, geometry_r, gft_inverse
 
@@ -51,6 +53,9 @@ RESULTS_HEADER = "family,n,beta,Q,sigma,r_used,estimator,rep,seed,risk"
 AGGREGATE_HEADER = "family,estimator,beta,r_used,slope,stderr,theory_slope"
 
 _ZERO_RISK = 1e-12
+# replicates of one run, over all its sizes: each keeps a row in RateReport.rows and one in
+# the CSV text, about 0.5 kB at the peak, so a run at the cap stays under 1 GiB
+_REPLICATE_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,12 @@ class ExperimentSpec:
     family is "path", "grid:<d>", "torus:<d>", "ws:<k>,<p>" or
     "file:<path>" (the path may contain "{n}", substituted per size).  Every
     n must lie in [2, DEFAULT_DENSE_CAP**2], and for grid/torus families be
-    a perfect d-th power; reps must lie in [1, DEFAULT_DENSE_CAP**2].  sigma
-    is the regression noise level; for classification estimators it sets the
-    shrinkage plan's noise scale (0.5 matches the worst-case Bernoulli
-    standard deviation).  Every field is checked here, before any graph is
-    built.
+    a perfect d-th power; reps must be at least 1 and reps * len(n_values) at
+    most _REPLICATE_CAP = 2**20.  sigma is the regression noise level; for
+    classification estimators it sets the shrinkage plan's noise scale (0.5
+    matches the worst-case Bernoulli standard deviation).  A positive sigma
+    must keep sigma^2/n a positive finite float at every n.  Every field is
+    checked here, before any graph is built.
     """
 
     family: str
@@ -88,14 +94,15 @@ class ExperimentSpec:
             raise ValidationError("rate fitting needs at least two sizes in n_values")
         if any(b >= c for b, c in zip(self.n_values, self.n_values[1:])):
             raise ValidationError("n_values must be strictly increasing")
-        _check_integer(self.reps, "reps", 1, cap, limit)
+        total = _check_integer(self.reps, "reps", lo=1) * len(n_values)
+        _check_integer(total, "reps * len(n_values)", 1, _REPLICATE_CAP, "_REPLICATE_CAP")
         if self.estimator not in REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
-        if not 0.0 < self.fill <= 1.0:
-            raise ValidationError(f"fill must be in (0, 1], got {self.fill}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValidationError(f"sigma must be non-negative and finite, got {self.sigma}")
-        if self.estimator in CLASSIFICATION_ESTIMATORS and self.sigma == 0:
+        _check_real(self.fill, "fill", hi=1, ends="(]")
+        if _check_real(self.sigma, "sigma", ends="[)") > 0:
+            for n in n_values:  # whatever the estimator: it is the risk's noise scale too
+                _noise_scale(self.sigma, n)
+        elif self.estimator in CLASSIFICATION_ESTIMATORS:
             raise ValidationError("classification needs a positive plan noise scale sigma")
         SobolevSpec(beta=self.beta, Q=self.Q, r=1.0)  # r is fixed per n; this checks beta and Q
         _check_seed(self.seed)

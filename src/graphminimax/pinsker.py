@@ -18,12 +18,14 @@ self-consistent to tight tolerance.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _check_integer, _check_positive
+from .errors import NumericError, ValidationError, _check_integer, _check_real
 from .graphs import DEFAULT_DENSE_CAP
 from .sobolev import EllipsoidWeights, SobolevSpec
 from .spectral import Spectrum, _axis_factors, _vertex_vector
@@ -63,7 +65,7 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     closed-form root's active set.  The left side is non-decreasing in m,
     so a single scan (here vectorized via prefix sums) suffices.
     """
-    _check_positive(epsilon, "epsilon")
+    _check_real(epsilon, "epsilon")
     a = w.a
     s1 = np.cumsum(a)
     s2 = np.cumsum(a**2)
@@ -73,6 +75,12 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
 
 def _equation_lhs(a: np.ndarray, epsilon: float, x: float) -> float:
     return epsilon**2 / x * float(np.sum(a * np.maximum(1.0 - x * a, 0.0)))
+
+
+def _closed_form_root(w: EllipsoidWeights, epsilon: float, N: int) -> float:
+    """x = eps^2 sum_{j<N} a_j / (R + eps^2 sum_{j<N} a_j^2), unchecked."""
+    head = w.a[:N]
+    return float(epsilon**2 * head.sum() / (w.R + epsilon**2 * np.sum(head**2)))
 
 
 def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
@@ -92,11 +100,9 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     integer (not a bool) in [1, len(w.a)] and epsilon positive and finite;
     ValidationError otherwise.
     """
-    _check_positive(epsilon, "epsilon")
+    _check_real(epsilon, "epsilon")
     a = w.a
-    N = _check_integer(N, "N", 1, len(a))
-    head = a[:N]
-    x = float(epsilon**2 * head.sum() / (w.R + epsilon**2 * np.sum(head**2)))
+    x = _closed_form_root(w, epsilon, _check_integer(N, "N", 1, len(a)))
     if not 0.0 < x < 1.0 / a[0]:
         raise NumericError(f"internal inconsistency: root {x:.6e} outside (0, 1/a_0)")
     if abs(_equation_lhs(a, epsilon, x) - w.R) > _EQ_RTOL * w.R:
@@ -113,19 +119,29 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     return x
 
 
+def _noise_scale(sigma: float, n: int) -> float:
+    """eps = sigma / sqrt(n); ValidationError unless sigma and sigma^2/n are positive, finite."""
+    noise = _check_real(sigma, "sigma")  # a Python float: noise * noise overflows quietly
+    _check_real(noise * noise / n, f"sigma^2/n for sigma={noise}, n={n}")
+    return sigma / np.sqrt(n)
+
+
 def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     """Minimax linear shrinkage plan for noise level sigma on n vertices.
 
-    n sets the noise scale eps = sigma / sqrt(n), whose square must be a
-    positive finite float, and must be the number of weights; ValidationError otherwise.
+    n sets the noise scale eps = sigma / sqrt(n) (see ``_noise_scale``) and
+    must be the number of weights.  The closed-form root x must be a positive
+    normal float: a sigma too small against the radius Q = sqrt(R) puts it
+    among the subnormals or at 0, where (*) cannot be checked.
+    ValidationError otherwise.
     """
-    noise = _check_positive(sigma, "sigma")  # a Python float: noise * noise overflows quietly
     if n != len(w.a):
         raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
-    if not 0.0 < noise * noise / n < np.inf:
-        raise ValidationError(f"sigma^2/n must be positive and finite, got sigma={sigma!r}, n={n}")
-    epsilon = sigma / np.sqrt(n)
+    epsilon = _noise_scale(sigma, n)
     N = cutoff_N(w, epsilon)
+    root = _closed_form_root(w, epsilon, N)
+    what = f"the root x for sigma={sigma} and Q={math.sqrt(w.R)}"
+    _check_real(root, what, lo=sys.float_info.min, ends="[)")
     x = solve_x(w, epsilon, N)
     l = np.maximum(1.0 - x * w.a, 0.0)
     if np.any(l[N:] > 0.0) or l[N - 1] <= 0.0:

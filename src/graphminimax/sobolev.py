@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_positive, _check_seed
+from .errors import ValidationError, _check_real, _check_seed
 from .spectral import Spectrum, gft_forward, gft_inverse
 
 
@@ -28,12 +28,10 @@ class SobolevSpec:
     r: float
 
     def __post_init__(self):
-        _check_positive(self.beta, "beta")
-        Q = _check_positive(self.Q, "Q")
-        if not 0.0 < Q * Q < math.inf:
-            raise ValidationError(f"Q^2 must be positive and finite, got Q={self.Q!r}")
-        if not 1 <= self.r < math.inf:
-            raise ValidationError(f"r must be >= 1 and finite, got {self.r!r}")
+        _check_real(self.beta, "beta")
+        Q = _check_real(self.Q, "Q")
+        _check_real(Q * Q, f"Q^2 for Q={Q}")
+        _check_real(self.r, "r", lo=1, ends="[)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +49,7 @@ class EllipsoidWeights:
     R: float
 
     def __post_init__(self):
-        _check_positive(self.R, "R")
+        _check_real(self.R, "R")
         a = np.asarray(self.a)
         if a.ndim != 1 or not a.size or a[0] != 1.0:
             raise ValidationError(f"ellipsoid weights a must be 1-D with a[0] == 1, got {a!r}")
@@ -95,8 +93,7 @@ def sample_ball_coefficients(w: EllipsoidWeights, fill: float, seed: int) -> np.
     on the boundary of the ball of radius sqrt(fill) * Q.  Deterministic
     given the seed, a non-negative integer.
     """
-    if not 0.0 < fill <= 1.0:
-        raise ValidationError(f"fill must be in (0, 1], got {fill!r}")
+    _check_real(fill, "fill", hi=1, ends="(]")
     rng = np.random.default_rng(_check_seed(seed))
     g = rng.standard_normal(len(w.a))
     return np.sqrt(fill) * math.sqrt(w.R) * g / (w.a * np.linalg.norm(g))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._text import csv_text
-from .errors import NumericError, ValidationError, _check_integer
+from .errors import NumericError, ValidationError, _check_integer, _check_real
 from .graphs import DEFAULT_DENSE_CAP, Graph, apply_laplacian, build_path, laplacian
 
 _SIGN_EPS = 1e-12
@@ -541,8 +541,7 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     as in harness.fit_rate; a slope <= 0 raises NumericError.
     """
     i0 = _check_integer(i0, "i0", lo=1)
-    if not 0.0 < kappa <= 1.0:
-        raise ValidationError(f"kappa must be in (0, 1], got {kappa}")
+    kappa = _check_real(kappa, "kappa", hi=1, ends="(]")
     hi = min(int(np.floor(kappa * s.n)), s.n - 1)
     if i0 >= kappa * s.n or hi - i0 + 1 < 2:
         raise ValidationError(f"empty fitting range: i0={i0}, kappa={kappa}, n={s.n}")
@@ -558,7 +557,7 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
         r_hat=2.0 / slope,
         slope=slope,
         i0=int(i0),
-        kappa=float(kappa),
+        kappa=kappa,
         c1_hat=float(ratios.min()),
         c2_hat=float(ratios.max()),
         rss=rss,

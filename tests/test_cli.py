@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -369,8 +370,9 @@ class TestSimulateCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        limit = gm.DEFAULT_DENSE_CAP**2
-        assert err == f"error: reps must be in [1, DEFAULT_DENSE_CAP**2 = {limit}], got {10**15}\n"
+        limit, total = gm.harness._REPLICATE_CAP, 2 * 10**15
+        message = f"reps * len(n_values) must be in [1, _REPLICATE_CAP = {limit}], got {total}"
+        assert err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -550,15 +552,15 @@ SEED_MESSAGE = "seed must be a non-negative integer"
         (FANO + ["--beta", "1", "--seed", "-1"], SEED_MESSAGE),
         (PRIOR + ["--seed", "-1"], SEED_MESSAGE),
         (["spectrum", "--graph", "ws:64,4,0.1,-1", "--out", "s.csv"], SEED_MESSAGE),
-        (FANO + ["--beta", "1", "--Q", "inf"], "Q must be positive and finite"),
-        (FANO + ["--beta", "1", "--r", "inf"], "r must be >= 1 and finite"),
-        (SIMULATE + ["--beta", "inf", "--sigma", "1"], "beta must be positive and finite"),
-        (SIMULATE + ["--beta", "1", "--sigma", "nan"], "sigma must be non-negative and finite"),
-        (SIMULATE + ["--beta", "1", "--sigma", "inf"], "sigma must be non-negative and finite"),
-        (DENOISE + ["--sigma", "inf"], "sigma must be positive and finite"),
-        (PRIOR + ["--sigma", "inf"], "sigma must be positive and finite"),
+        (FANO + ["--beta", "1", "--Q", "inf"], "Q must be in (0, inf), got inf"),
+        (FANO + ["--beta", "1", "--r", "inf"], "r must be in [1, inf), got inf"),
+        (SIMULATE + ["--beta", "inf", "--sigma", "1"], "beta must be in (0, inf), got inf"),
+        (SIMULATE + ["--beta", "1", "--sigma", "nan"], "sigma must be in [0, inf), got nan"),
+        (SIMULATE + ["--beta", "1", "--sigma", "inf"], "sigma must be in [0, inf), got inf"),
+        (DENOISE + ["--sigma", "inf"], "sigma must be in (0, inf), got inf"),
+        (PRIOR + ["--sigma", "inf"], "sigma must be in (0, inf), got inf"),
         (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "inf"],
-         "sigma must be positive and finite"),
+         "sigma must be in (0, inf), got inf"),
     ],
 )
 def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
@@ -575,6 +577,8 @@ def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
 
 
 CLASSIFY = ["classify", "--graph", "path:64", "--obs", "obs.csv", "--beta", "1", "--out", "r.csv"]
+FANO_REG_4096 = ["fano", "--mode", "reg", "--graph", "path:4096", "--beta", "1", "--out", "c.csv"]
+MIN_NORMAL = sys.float_info.min
 BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lambda_j^beta"
 
 
@@ -583,26 +587,38 @@ BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lam
     [
         (DENOISE + ["--beta", "400", "--sigma", "1"], f"beta=400.0 and r=1.0 {BEYOND_FLOATS}"),
         (SIMULATE + ["--beta", "1e300", "--sigma", "1"], f"beta=1e+300 and r=1.0 {BEYOND_FLOATS}"),
-        (FANO + ["--beta", "1", "--Q", "1e300"], "Q^2 must be positive and finite, got Q=1e+300"),
-        (PRIOR + ["--Q", "1e300"], "Q^2 must be positive and finite, got Q=1e+300"),
+        (FANO + ["--beta", "1", "--Q", "1e300"], "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
+        (PRIOR + ["--Q", "1e300"], "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
         (SIMULATE + ["--beta", "1", "--Q", "1e300", "--sigma", "1"],
-         "Q^2 must be positive and finite, got Q=1e+300"),
+         "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
         (DENOISE + ["--Q", "1e-300", "--sigma", "1"],
-         "Q^2 must be positive and finite, got Q=1e-300"),
+         "Q^2 for Q=1e-300 must be in (0, inf), got 0.0"),
         (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "1e-300"],
-         "sigma^2 must be positive and finite, got sigma=1e-300"),
-        (DENOISE + ["--sigma", "1e300"], "sigma^2/n must be positive and finite, got sigma=1e+300"),
+         "sigma^2 for sigma=1e-300 must be in (0, inf), got 0.0"),
+        (DENOISE + ["--sigma", "1e300"],
+         "sigma^2/n for sigma=1e+300, n=64 must be in (0, inf), got inf"),
         (CLASSIFY + ["--sigma", "1e300"],
-         "sigma^2/n must be positive and finite, got sigma=1e+300"),
+         "sigma^2/n for sigma=1e+300, n=64 must be in (0, inf), got inf"),
         (SIMULATE + ["--beta", "1", "--sigma", "1e300"],
-         "sigma^2/n must be positive and finite, got sigma=1e+300"),
+         "sigma^2/n for sigma=1e+300, n=64 must be in (0, inf), got inf"),
         (DENOISE + ["--sigma", "1e-300"],
-         "sigma^2/n must be positive and finite, got sigma=1e-300"),
+         "sigma^2/n for sigma=1e-300, n=64 must be in (0, inf), got 0.0"),
+        (SIMULATE + ["--beta", "1", "--sigma", "1e300", "--estimator", "projection"],
+         "sigma^2/n for sigma=1e+300, n=64 must be in (0, inf), got inf"),
+        (DENOISE + ["--sigma", "1e-160"],
+         f"the root x for sigma=1e-160 and Q=1.0 must be in [{MIN_NORMAL}, inf), got 8.1465e-319"),
+        (DENOISE + ["--sigma", "1e-100", "--Q", "1e150"],
+         f"the root x for sigma=1e-100 and Q=1e+150 must be in [{MIN_NORMAL}, inf), got 0.0"),
+        (FANO_REG_4096 + ["--sigma", "1e-160"],
+         "the KL at delta = 1 for sigma=1e-160 must be in (0, inf), got inf"),
+        (FANO_REG_4096 + ["--sigma", "1.5e-154"],
+         "the KL at delta = 1 for sigma=1.5e-154 must be in (0, inf), got inf"),
     ],
     ids=[
         "denoise-beta", "simulate-beta", "fano-Q", "prior-demo-Q", "simulate-Q", "denoise-Q-tiny",
         "fano-sigma-tiny", "denoise-sigma", "classify-sigma", "simulate-sigma",
-        "denoise-sigma-tiny",
+        "denoise-sigma-tiny", "simulate-projection-sigma", "denoise-root-subnormal",
+        "denoise-root-zero", "fano-kl-overflow", "fano-kl-overflow-normal-sigma-squared",
     ],
 )
 def test_parameters_beyond_the_float_range_are_refused(
@@ -625,8 +641,8 @@ def test_parameters_beyond_the_float_range_are_refused(
 @pytest.mark.parametrize(
     "model, message",
     [
-        (["--beta", "-1"], "beta must be positive and finite, got -1.0"),
-        (["--beta", "1", "--Q", "nan"], "Q must be positive and finite, got nan"),
+        (["--beta", "-1"], "beta must be in (0, inf), got -1.0"),
+        (["--beta", "1", "--Q", "nan"], "Q must be in (0, inf), got nan"),
     ],
     ids=["beta-negative", "Q-nan"],
 )

@@ -100,9 +100,26 @@ class TestExperimentSpecValidation:
             raise AssertionError("a graph was built")
 
         monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
-        message = r"reps must be in \[1, DEFAULT_DENSE_CAP\*\*2 = 67108864\], got 1000000000000000"
+        message = (
+            r"reps \* len\(n_values\) must be in \[1, _REPLICATE_CAP = 1048576\], "
+            "got 2000000000000000"
+        )
         with pytest.raises(ValidationError, match=message):
             small_spec(reps=10**15)
+
+    @pytest.mark.parametrize("n_values", [(64, 128), (64, 128, 256)])
+    def test_replicates_over_all_sizes_are_bounded_before_any_graph(self, n_values, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
+        cap = gm.harness._REPLICATE_CAP
+        most = cap // len(n_values)
+        assert small_spec(n_values=n_values, reps=most).reps == most
+        total = (most + 1) * len(n_values)
+        message = f"reps * len(n_values) must be in [1, _REPLICATE_CAP = {cap}], got {total}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            small_spec(n_values=n_values, reps=most + 1)
 
     def test_known_estimator(self):
         with pytest.raises(ValidationError):
@@ -120,7 +137,7 @@ class TestExperimentSpecValidation:
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
     def test_sigma_non_negative_and_finite(self, sigma):
-        with pytest.raises(ValidationError, match="sigma must be non-negative and finite"):
+        with pytest.raises(ValidationError, match=r"sigma must be in \[0, inf\), got "):
             small_spec(sigma=sigma)
 
     def test_classification_needs_positive_sigma_at_construction(self, monkeypatch):
@@ -146,11 +163,11 @@ class TestExperimentSpecValidation:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("beta", -1.0, "beta must be positive and finite"),
-            ("beta", float("nan"), "beta must be positive and finite"),
-            ("beta", float("inf"), "beta must be positive and finite"),
-            ("Q", float("nan"), "Q must be positive and finite"),
-            ("Q", 0.0, "Q must be positive and finite"),
+            ("beta", -1.0, r"beta must be in \(0, inf\), got "),
+            ("beta", float("nan"), r"beta must be in \(0, inf\), got "),
+            ("beta", float("inf"), r"beta must be in \(0, inf\), got "),
+            ("Q", float("nan"), r"Q must be in \(0, inf\), got "),
+            ("Q", 0.0, r"Q must be in \(0, inf\), got "),
         ],
     )
     def test_beta_and_q_are_checked_before_any_graph(self, field, value, message, monkeypatch):

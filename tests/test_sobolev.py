@@ -145,7 +145,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_spec_needs_finite_values(field, bad):
     values = {"beta": 1.0, "Q": 1.0, "r": 1.0, field: bad}
-    with pytest.raises(ValidationError, match=f"{field} must be .* finite"):
+    with pytest.raises(ValidationError, match=rf"{field} must be in .*, inf\), got {bad}$"):
         gm.SobolevSpec(**values)
 
 
