@@ -27,20 +27,14 @@ from .fano import certificate_csv_text, fano_certificate, worst_case_prior_sampl
 from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
 from .harness import (
     CLASSIFICATION_ESTIMATORS,
-    REGRESSION_ESTIMATORS,
     ExperimentSpec,
     aggregate_csv_text,
     results_csv_text,
     run_experiment,
 )
 from .pinsker import (
-    estimate_classification,
-    estimate_regression,
-    linear_risk,
-    pinsker_plan,
-    projection_cutoff,
-    projection_estimate,
-    sigmoid_link,
+    REGRESSION_ESTIMATORS, _noise_scale, _shrink_head, estimate_classification, linear_risk,
+    pinsker_plan, regression_weights, sigmoid_link,
 )
 from .sobolev import SobolevSpec, ellipsoid_weights
 from .spectral import eigendecompose, eigenvalues, fit_geometry, geometry_r, spectrum_csv_text
@@ -133,14 +127,10 @@ def _cmd_fit_r(args) -> int:
 def _cmd_denoise(args) -> int:
     s, ball = _model(args, eigendecompose)
     y = _read_observation_csv(args.obs, s.n)
-    if args.estimator == "pinsker":
-        plan = pinsker_plan(ellipsoid_weights(s, ball), args.sigma, s.n)
-        fhat = estimate_regression(s, plan, y)
-        _print_values(N=plan.N, x=plan.x, S=plan.S)
-    else:
-        m = projection_cutoff(s.n, args.beta, ball.r)
-        fhat = projection_estimate(s, y, m)
-        _print_values(m=m)
+    _noise_scale(args.sigma, s.n)  # every estimator's sigma; the rule admits its noiseless limit 0
+    l, printed = regression_weights(args.estimator, s, ball, args.sigma)
+    fhat = _shrink_head(s, y, np.trim_zeros(l, "b"))  # the eigenvectors up to the last weight
+    _print_values(**printed)
     _write_text(args.out, _signal_csv_text(fhat, "f_hat"))
     return 0
 

@@ -318,25 +318,10 @@ def calibrate_delta(
     return lo
 
 
-def _gaussian_kl(n: int, spec: SobolevSpec, N: int, delta: float, sigma: float) -> float:
-    """Exact KL(P_theta, P_0) = n ||f_theta||_n^2 / (2 sigma^2), the same for every theta."""
-    return n * _bump_amplitude(delta, spec, N) ** 2 * N / (2.0 * sigma**2)
-
-
-def _gaussian_calibrated_delta(
-    s: Spectrum, spec: SobolevSpec, N: int, sigma: float
-) -> float:
-    """Regression analogue of calibrate_delta with exact Gaussian KL.
-
-    The KL is delta^2 times its value at delta = 1, so the alpha <= 1/2
-    condition is closed-form in delta.  A sigma so small that the KL at
-    delta = 1 overflows is refused with ValidationError naming it.
-    """
-    m = _vg_target(N)
-    kl_cap = _ALPHA_TARGET * math.log(m) * (m + 1.0) / m
-    kl_one = _gaussian_kl(s.n, spec, N, 1.0, sigma)
-    delta_b = math.sqrt(kl_cap / _check_real(kl_one, f"the KL at delta = 1 for sigma={sigma}"))
-    return min(_sobolev_delta_cap(s, spec, N), delta_b) * (1.0 - 1e-9)
+def _kl_per_alternative(kappa: float, n: int, spec: SobolevSpec, N: int, delta: float) -> float:
+    """kappa n a^2 N: the Gaussian KL(P_theta, P_0) when kappa = 1/(2 sigma^2), exactly, and
+    the bound on the Bernoulli KL when kappa = c/2 for the link's constant c."""
+    return kappa * n * _bump_amplitude(delta, spec, N) ** 2 * N
 
 
 def packing_dimension(n: int, spec: SobolevSpec) -> int:
@@ -356,7 +341,8 @@ def fano_certificate(
 
     Pass a LinkFunction for the classification (Bernoulli) certificate or a
     positive noise level sigma for the regression (Gaussian) analogue.
-    Every field but delta is a closed form of the module docstring, the
+    Every field but delta is a closed form of the module docstring, and
+    both modes take the per-alternative KL from ``_kl_per_alternative``, the
     Bernoulli KL through its bound.  So a regression certificate reads
     eigenvalues only, and a classification certificate reads eigenvectors
     only for delta's profile, the one way it depends on the basis inside a
@@ -368,28 +354,25 @@ def fano_certificate(
     """
     seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
-    _vg_target(N)  # N in [8, 96], in both modes before any factor grows
+    m = _vg_target(N)  # N in [8, 96], in both modes before any factor grows
     if isinstance(sigma_or_link, LinkFunction):
-        mode = "classification"
-        link = sigma_or_link
-        delta = calibrate_delta(s, spec, N, link)
+        mode, kappa = "classification", 0.5 * sigma_or_link.kl_constant
+        delta = calibrate_delta(s, spec, N, sigma_or_link)
+        for v in _axis_factors(s, N).vectors:
+            _check_orthonormal(v, f"first {N} eigenvectors")
     else:
-        mode = "regression"
-        sigma = _check_real(sigma_or_link, "sigma")
-        _check_real(sigma * sigma, f"sigma^2 for sigma={sigma}")
-        delta = _gaussian_calibrated_delta(s, spec, N, sigma)
+        mode, sigma = "regression", _check_real(sigma_or_link, "sigma")
+        kappa = 0.5 / _check_real(sigma * sigma, f"sigma^2 for sigma={sigma}")
+        # alpha is delta^2 times its value at delta = 1, so alpha <= 1/2 solves for delta
+        kl_one = _kl_per_alternative(kappa, s.n, spec, N, 1.0)
+        what = f"the KL at delta = 1 for sigma={sigma}"
+        delta_b = math.sqrt(_ALPHA_TARGET / _alpha(_check_real(kl_one, what), m))
+        delta = min(_sobolev_delta_cap(s, spec, N), delta_b) * (1.0 - 1e-9)
     pack = vg_packing(N, seed)
     a = _bump_amplitude(delta, spec, N)
     separation_min = a * math.sqrt(min(N, 4 * pack.min_hamming))
     sobolev_max = a**2 * float(np.sum(_spectral_weights_sq(s, spec)[:N]))
-
-    if mode == "classification":
-        for v in _axis_factors(s, N).vectors:
-            _check_orthonormal(v, f"first {N} eigenvectors")
-        kl_total = pack.M * 0.5 * link.kl_constant * s.n * a**2 * N
-    else:
-        kl_total = pack.M * _gaussian_kl(s.n, spec, N, delta, sigma)
-    kl_budget = kl_total / (pack.M + 1)
+    kl_budget = pack.M * _kl_per_alternative(kappa, s.n, spec, N, delta) / (pack.M + 1)
     alpha = kl_budget / math.log(pack.M)
     fano_bound = (math.log(pack.M + 1) - math.log(2.0)) / math.log(pack.M) - alpha
 

@@ -41,12 +41,12 @@ from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_real, _check_seed
 from .graphs import DEFAULT_DENSE_CAP, parse_graph_spec
 from .pinsker import (
-    _noise_scale, estimate_classification, pinsker_plan, projection_cutoff, sigmoid_link
+    REGRESSION_ESTIMATORS, _noise_scale, estimate_classification, pinsker_plan,
+    regression_weights, sigmoid_link,
 )
 from .sobolev import SobolevSpec, ellipsoid_weights, sample_ball_coefficients
 from .spectral import _line_fit, eigendecompose, eigenvalues, geometry_r, gft_inverse
 
-REGRESSION_ESTIMATORS = ("pinsker", "projection")
 CLASSIFICATION_ESTIMATORS = ("classification-direct", "classification-link")
 
 RESULTS_HEADER = "family,n,beta,Q,sigma,r_used,estimator,rep,seed,risk"
@@ -198,14 +198,12 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
                     stacklevel=2,
                 )
                 warned = True
-            w = ellipsoid_weights(s, SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used))
-            if spec.estimator == "projection":
-                l = (np.arange(n) < projection_cutoff(n, spec.beta, r_used)).astype(float)
-            elif spec.sigma > 0:  # always so for classification
+            ball = SobolevSpec(beta=spec.beta, Q=spec.Q, r=r_used)
+            w = ellipsoid_weights(s, ball)
+            if classify:
                 plan = pinsker_plan(w, spec.sigma, n)
-                l = plan.l
-            else:  # pinsker in the noiseless limit is the identity
-                l = np.ones(n)
+            else:
+                l = regression_weights(spec.estimator, s, ball, spec.sigma)[0]
             epsilon = spec.sigma / np.sqrt(n)
             risks = np.empty(spec.reps)
             for rep in range(spec.reps):

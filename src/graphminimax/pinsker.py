@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError, _check_integer, _check_real
 from .graphs import DEFAULT_DENSE_CAP
-from .sobolev import EllipsoidWeights, SobolevSpec
+from .sobolev import EllipsoidWeights, SobolevSpec, ellipsoid_weights
 from .spectral import Spectrum, _axis_factors, _vertex_vector
 
 _EQ_RTOL = 1e-8
@@ -77,10 +77,11 @@ def _equation_lhs(a: np.ndarray, epsilon: float, x: float) -> float:
     return epsilon**2 / x * float(np.sum(a * np.maximum(1.0 - x * a, 0.0)))
 
 
-def _closed_form_root(w: EllipsoidWeights, epsilon: float, N: int) -> float:
-    """x = eps^2 sum_{j<N} a_j / (R + eps^2 sum_{j<N} a_j^2), unchecked."""
+def _closed_form_root(w: EllipsoidWeights, epsilon: float, N: int) -> tuple[float, float]:
+    """Numerator eps^2 sum_{j<N} a_j and root x = numerator / (R + eps^2 sum_{j<N} a_j^2)."""
     head = w.a[:N]
-    return float(epsilon**2 * head.sum() / (w.R + epsilon**2 * np.sum(head**2)))
+    top = float(epsilon**2 * head.sum())
+    return top, float(top / (w.R + epsilon**2 * np.sum(head**2)))
 
 
 def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
@@ -102,7 +103,7 @@ def solve_x(w: EllipsoidWeights, epsilon: float, N: int) -> float:
     """
     _check_real(epsilon, "epsilon")
     a = w.a
-    x = _closed_form_root(w, epsilon, _check_integer(N, "N", 1, len(a)))
+    x = _closed_form_root(w, epsilon, _check_integer(N, "N", 1, len(a)))[1]
     if not 0.0 < x < 1.0 / a[0]:
         raise NumericError(f"internal inconsistency: root {x:.6e} outside (0, 1/a_0)")
     if abs(_equation_lhs(a, epsilon, x) - w.R) > _EQ_RTOL * w.R:
@@ -130,18 +131,22 @@ def pinsker_plan(w: EllipsoidWeights, sigma: float, n: int) -> ShrinkagePlan:
     """Minimax linear shrinkage plan for noise level sigma on n vertices.
 
     n sets the noise scale eps = sigma / sqrt(n) (see ``_noise_scale``) and
-    must be the number of weights.  The closed-form root x must be a positive
-    normal float: a sigma too small against the radius Q = sqrt(R) puts it
-    among the subnormals or at 0, where (*) cannot be checked.
-    ValidationError otherwise.
+    must be the number of weights.  Against the radius Q = sqrt(R), a sigma
+    so large that the signal share R/(R + eps^2), l_0 on a one-term support,
+    is below 1e-8 leaves l_0 fewer digits than (*) is checked to, and one so
+    small that the root x or its numerator eps^2 sum_{j<N} a_j is not a
+    positive normal float leaves (*) unchecked too.  ValidationError for both.
     """
     if n != len(w.a):
         raise ValidationError(f"n={n} does not match the {len(w.a)} ellipsoid weights")
     epsilon = _noise_scale(sigma, n)
+    at = f"for sigma={sigma} and Q={math.sqrt(w.R)}"
+    share = 1.0 / (1.0 + float(epsilon) * float(epsilon) / w.R)  # Python floats: inf, no warning
+    _check_real(share, f"the signal share R/(R + eps^2) {at}", lo=_EQ_RTOL, hi=1, ends="[]")
     N = cutoff_N(w, epsilon)
-    root = _closed_form_root(w, epsilon, N)
-    what = f"the root x for sigma={sigma} and Q={math.sqrt(w.R)}"
-    _check_real(root, what, lo=sys.float_info.min, ends="[)")
+    top, root = _closed_form_root(w, epsilon, N)
+    for value, name in ((root, "the root x"), (top, "the numerator eps^2 sum_(j<N) a_j of x")):
+        _check_real(value, f"{name} {at}", lo=sys.float_info.min, ends="[)")
     x = solve_x(w, epsilon, N)
     l = np.maximum(1.0 - x * w.a, 0.0)
     if np.any(l[N:] > 0.0) or l[N - 1] <= 0.0:
@@ -216,6 +221,27 @@ def projection_estimate(s: Spectrum, y: np.ndarray, m: int) -> np.ndarray:
     Reads only the first m eigenvectors.  m must be an integer (not a bool) in [1, n].
     """
     return _shrink_head(s, y, np.ones(_check_integer(m, "projection cutoff", 1, s.n)))
+
+
+REGRESSION_ESTIMATORS = ("pinsker", "projection")
+
+
+def regression_weights(estimator: str, s: Spectrum, spec: SobolevSpec, sigma: float):
+    """Weight l_j per coefficient of a regression estimator, and the numbers denoise prints.
+
+    "pinsker": pinsker_plan's l with its N, x and S; at sigma = 0, the noiseless limit, the
+    identity with N = n and x = S = 0.  "projection": 1_{j<m} for m = projection_cutoff(n,
+    beta, r), with m; it reads neither sigma nor the ellipsoid weights of spec.
+    """
+    if estimator == "projection":
+        m = projection_cutoff(s.n, spec.beta, spec.r)
+        return (np.arange(s.n) < m).astype(float), {"m": m}
+    if estimator != "pinsker":
+        raise ValidationError(f"unknown regression estimator {estimator!r}")
+    if sigma == 0:
+        return np.ones(s.n), {"N": s.n, "x": 0.0, "S": 0.0}
+    plan = pinsker_plan(ellipsoid_weights(s, spec), sigma, s.n)
+    return plan.l, {"N": plan.N, "x": plan.x, "S": plan.S}
 
 
 @dataclass(frozen=True)

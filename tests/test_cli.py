@@ -200,13 +200,14 @@ class TestDenoiseCommand:
         assert code == 0
         assert "m = " in capsys.readouterr().out
 
-    def test_matches_harness_risk_for_same_seed(self, tmp_path):
+    @pytest.mark.parametrize("estimator", ["pinsker", "projection"])
+    def test_matches_harness_risk_for_same_seed(self, estimator, tmp_path):
         # regenerate the harness replicate (n=64, rep 0) in vertex space as
         # y = gft_inverse(c + eps * zeta) and denoise it through the CLI: the
         # realized risk must match the recorded coefficient-space harness row
         spec = gm.ExperimentSpec(
             family="path", n_values=(64, 128), beta=1.0, Q=1.0, sigma=1.0,
-            estimator="pinsker", reps=1, seed=9,
+            estimator=estimator, reps=1, seed=9,
         )
         report = gm.run_experiment(spec)
         row = report.rows[0]
@@ -223,12 +224,24 @@ class TestDenoiseCommand:
         out = tmp_path / "fhat.csv"
         code = run_cli(
             "denoise", "--graph", "path:64", "--obs", str(obs), "--beta", "1",
-            "--Q", "1", "--sigma", "1", "--out", str(out),
+            "--Q", "1", "--sigma", "1", "--estimator", estimator, "--out", str(out),
         )
         assert code == 0
         fhat = np.array([float(l.split(",")[1]) for l in out.read_text().strip().split("\n")[1:]])
         risk = float(np.mean((fhat - f) ** 2))
         assert abs(risk - row[4]) < 1e-9 * row[4]
+
+    def test_projection_builds_no_ellipsoid_weights(self, tmp_path, capsys):
+        # at beta = 400 the Sobolev weights of path 64 overflow; the projection rule
+        # needs only the cutoff m = round(64^(1/801)) = 1
+        obs = tmp_path / "obs.csv"
+        write_obs_csv(obs, np.zeros(64))
+        code = run_cli(
+            "denoise", "--estimator", "projection", "--graph", "path:64", "--obs", str(obs),
+            "--beta", "400", "--sigma", "1", "--out", str(tmp_path / "fhat.csv"),
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "m = 1\n"
 
     def test_eigenvectors_above_dense_cap_rejected(self, tmp_path, capsys):
         # a graph without shape has no closed form; its dense eigh needs n <= the cap
@@ -561,6 +574,10 @@ SEED_MESSAGE = "seed must be a non-negative integer"
         (PRIOR + ["--sigma", "inf"], "sigma must be in (0, inf), got inf"),
         (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "inf"],
          "sigma must be in (0, inf), got inf"),
+        (DENOISE + ["--estimator", "projection", "--sigma", "nan"],
+         "sigma must be in (0, inf), got nan"),
+        (DENOISE + ["--estimator", "projection", "--sigma", "0"],
+         "sigma must be in (0, inf), got 0.0"),
     ],
 )
 def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
@@ -579,6 +596,7 @@ def test_bad_seed_or_non_finite_parameter_is_a_validation_error(
 CLASSIFY = ["classify", "--graph", "path:64", "--obs", "obs.csv", "--beta", "1", "--out", "r.csv"]
 FANO_REG_4096 = ["fano", "--mode", "reg", "--graph", "path:4096", "--beta", "1", "--out", "c.csv"]
 MIN_NORMAL = sys.float_info.min
+SHARE = "must be in [1e-08, 1], got "
 BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lambda_j^beta"
 
 
@@ -613,12 +631,24 @@ BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lam
          "the KL at delta = 1 for sigma=1e-160 must be in (0, inf), got inf"),
         (FANO_REG_4096 + ["--sigma", "1.5e-154"],
          "the KL at delta = 1 for sigma=1.5e-154 must be in (0, inf), got inf"),
+        (DENOISE + ["--estimator", "projection", "--sigma", "1e300"],
+         "sigma^2/n for sigma=1e+300, n=64 must be in (0, inf), got inf"),
+        (DENOISE + ["--sigma", "1e6"],
+         f"the signal share R/(R + eps^2) for sigma=1000000.0 and Q=1.0 {SHARE}"),
+        (DENOISE + ["--sigma", "1e154"],
+         f"the signal share R/(R + eps^2) for sigma=1e+154 and Q=1.0 {SHARE}"),
+        (DENOISE + ["--Q", "1e-160", "--sigma", "1"], f"and Q=9.99994433575849e-161 {SHARE}"),
+        (DENOISE + ["--Q", "1e-50", "--sigma", "1e-160"],
+         "the numerator eps^2 sum_(j<N) a_j of x for sigma=1e-160 and Q=1e-50 "
+         f"must be in [{MIN_NORMAL}, inf), got 8.1465e-319"),
     ],
     ids=[
         "denoise-beta", "simulate-beta", "fano-Q", "prior-demo-Q", "simulate-Q", "denoise-Q-tiny",
         "fano-sigma-tiny", "denoise-sigma", "classify-sigma", "simulate-sigma",
         "denoise-sigma-tiny", "simulate-projection-sigma", "denoise-root-subnormal",
         "denoise-root-zero", "fano-kl-overflow", "fano-kl-overflow-normal-sigma-squared",
+        "denoise-projection-sigma", "denoise-sigma-large", "denoise-sigma-large-overflow",
+        "denoise-Q-subnormal", "denoise-root-numerator-subnormal",
     ],
 )
 def test_parameters_beyond_the_float_range_are_refused(

@@ -172,6 +172,25 @@ class TestPinskerPlan:
         with pytest.raises(ValidationError, match="n=4096 .* 64 ellipsoid weights"):
             gm.pinsker_plan(w, 1.0, 4096)
 
+    @pytest.mark.parametrize("Q", [1.0, 1e-10, 1e-50, 1e-160])
+    def test_every_sigma_gives_a_plan_or_a_validation_error(self, Q):
+        # sigma large against Q leaves l_0 too few digits for the equation check, and
+        # sigma small against Q makes the root or its numerator subnormal: each is refused
+        # by name, with no NumericError and no RuntimeWarning on the way
+        s = gm.path_spectrum_closed_form(64)
+        w = gm.ellipsoid_weights(s, gm.SobolevSpec(beta=1.0, Q=Q, r=1.0))
+        planned = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for sigma in np.logspace(-200, 160, 361):
+                try:
+                    gm.pinsker_plan(w, float(sigma), 64)
+                    planned += 1
+                except ValidationError:
+                    pass
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+        assert planned > 100 or Q == 1e-160  # Q^2 = 1e-320 is subnormal: every sigma is refused
+
 
 class TestEstimateRegression:
     def test_near_identity_plan_recovers_data(self):
@@ -351,6 +370,19 @@ class TestProjection:
         for (n, mp, _), (_, mj, _) in zip(rp.per_n, rj.per_n):
             assert mj <= 4.0 * mp  # both rate-optimal; constants differ
             assert mp <= 1.1 * mj  # the minimax plan is never materially worse
+
+
+def test_regression_weights_per_estimator():
+    s = gm.path_spectrum_closed_form(64)
+    l, printed = pinsker.regression_weights("projection", s, BALL, 1.0)
+    assert printed == {"m": 4} and np.array_equal(l, np.arange(64) < 4)
+    _, _, plan = path_plan(64)
+    l, printed = pinsker.regression_weights("pinsker", s, BALL, 1.0)
+    assert np.array_equal(l, plan.l) and printed == {"N": plan.N, "x": plan.x, "S": plan.S}
+    l, printed = pinsker.regression_weights("pinsker", s, BALL, 0.0)
+    assert np.array_equal(l, np.ones(64)) and printed == {"N": 64, "x": 0.0, "S": 0.0}
+    with pytest.raises(ValidationError, match="unknown regression estimator 'tikhonov'"):
+        pinsker.regression_weights("tikhonov", s, BALL, 1.0)
 
 
 class TestSigmoidLink:
