@@ -16,6 +16,7 @@ All floating-point output uses 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -115,12 +116,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_fit_r(args) -> int:
     g = parse_graph_spec(args.graph)
     s = eigenvalues(g)
-    fit = fit_geometry(s, i0=args.i0, kappa=args.kappa)
-    _print_values(
-        r_hat=fit.r_hat, slope=fit.slope, c1_hat=fit.c1_hat, c2_hat=fit.c2_hat, rss=fit.rss
-    )
-    if args.graph.startswith("ws:"):
-        print("note: compare with r = 1.4, the value reported for a small-world graph")
+    _print_values(**dataclasses.asdict(fit_geometry(s, i0=args.i0, kappa=args.kappa)))
     return 0
 
 

@@ -69,7 +69,8 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
     a = w.a
     s1 = np.cumsum(a)
     s2 = np.cumsum(a**2)
-    gap = epsilon**2 * (a * s1 - s2)  # gap[m-1] is the sum for support size m
+    with np.errstate(over="ignore"):  # an inf gap is rightly not below R
+        gap = epsilon**2 * (a * s1 - s2)  # gap[m-1] is the sum for support size m
     return int(np.count_nonzero(gap < w.R))
 
 

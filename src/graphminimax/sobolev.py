@@ -11,6 +11,7 @@ lambda_j^beta, which is what the shrinkage estimator consumes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,10 @@ from .spectral import Spectrum, gft_forward, gft_inverse
 
 @dataclass(frozen=True)
 class SobolevSpec:
-    """Smoothness ball parameters: exponent beta, radius Q (Q^2 positive and finite), geometry r."""
+    """Smoothness ball parameters: exponent beta, radius Q, geometry r.
+
+    Q^2 must be a normal float, so that a refusal naming Q = sqrt(R) names the Q given.
+    """
 
     beta: float
     Q: float
@@ -30,7 +34,7 @@ class SobolevSpec:
     def __post_init__(self):
         _check_real(self.beta, "beta")
         Q = _check_real(self.Q, "Q")
-        _check_real(Q * Q, f"Q^2 for Q={Q}")
+        _check_real(Q * Q, f"Q^2 for Q={Q}", lo=sys.float_info.min, ends="[)")
         _check_real(self.r, "r", lo=1, ends="[)")
 
 

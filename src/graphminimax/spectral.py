@@ -116,13 +116,12 @@ class GeometryFit:
     ``slope`` is the log-log OLS slope (equal to 2/r_hat), ``c1_hat`` and
     ``c2_hat`` are the empirical envelope constants min/max of
     lambda_i / (i/n)^slope over the fitted range, and ``rss`` is the
-    residual sum of squares of the line fit.
+    residual sum of squares of the line fit.  ``fit-r`` prints these five
+    fields in this order; they depend on the eigenvalues only.
     """
 
     r_hat: float
     slope: float
-    i0: int
-    kappa: float
     c1_hat: float
     c2_hat: float
     rss: float
@@ -556,8 +555,6 @@ def fit_geometry(s: Spectrum, i0: int = 5, kappa: float = 0.5) -> GeometryFit:
     return GeometryFit(
         r_hat=2.0 / slope,
         slope=slope,
-        i0=int(i0),
-        kappa=kappa,
         c1_hat=float(ratios.min()),
         c2_hat=float(ratios.max()),
         rss=rss,

@@ -118,9 +118,18 @@ class TestFitRCommand:
         assert 0.9 <= r_hat <= 1.1
         assert "c1_hat" in out and "c2_hat" in out
 
-    def test_small_world_prints_reference_note(self, capsys):
+    def test_small_world_prints_what_its_edge_list_prints(self, tmp_path, capsys):
+        # the printed fit depends on the eigenvalues, not on how the graph is spelled
+        g = gm.build_small_world(200, 4, 0.1, 3)
+        edges = tmp_path / "ws.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
         assert run_cli("fit-r", "--graph", "ws:200,4,0.1,3") == 0
-        assert "1.4" in capsys.readouterr().out
+        spelled = capsys.readouterr().out
+        assert run_cli("fit-r", "--graph", f"file:{edges}") == 0
+        assert capsys.readouterr().out == spelled
+        keys = [line.split(" = ")[0] for line in spelled.splitlines()]
+        assert keys == ["r_hat", "slope", "c1_hat", "c2_hat", "rss"]
+        assert spelled.count(" = ") == spelled.count("\n") == 5
 
     def test_bad_range(self):
         assert run_cli("fit-r", "--graph", "path:64", "--i0", "0") == 1
@@ -142,6 +151,20 @@ class TestDenoiseCommand:
         assert np.max(np.abs(fhat - y)) < 1e-6
         printed = capsys.readouterr().out
         assert "N = " in printed and "x = " in printed and "S = " in printed
+
+    def test_cutoff_gap_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
+        # the gap eps^2 sum_{j<m} a_j (a_{m-1} - a_j) overflows from m = 2 on: an inf gap is
+        # not below R, so N = 1, and no RuntimeWarning on the way
+        obs = tmp_path / "obs.csv"
+        write_obs_csv(obs, np.zeros(64))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "denoise", "--graph", "path:64", "--obs", str(obs), "--beta", "1",
+                "--Q", "1e153", "--sigma", "8e153", "--out", str(tmp_path / "fhat.csv"),
+            )
+        assert code == 0 and not caught
+        assert capsys.readouterr().out.startswith("N = 1\n")
 
     def test_constant_observations_stay_constant(self, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -597,6 +620,7 @@ CLASSIFY = ["classify", "--graph", "path:64", "--obs", "obs.csv", "--beta", "1",
 FANO_REG_4096 = ["fano", "--mode", "reg", "--graph", "path:4096", "--beta", "1", "--out", "c.csv"]
 MIN_NORMAL = sys.float_info.min
 SHARE = "must be in [1e-08, 1], got "
+Q_SQUARED = f"must be in [{MIN_NORMAL}, inf), "
 BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lambda_j^beta"
 
 
@@ -605,12 +629,11 @@ BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lam
     [
         (DENOISE + ["--beta", "400", "--sigma", "1"], f"beta=400.0 and r=1.0 {BEYOND_FLOATS}"),
         (SIMULATE + ["--beta", "1e300", "--sigma", "1"], f"beta=1e+300 and r=1.0 {BEYOND_FLOATS}"),
-        (FANO + ["--beta", "1", "--Q", "1e300"], "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
-        (PRIOR + ["--Q", "1e300"], "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
+        (FANO + ["--beta", "1", "--Q", "1e300"], f"Q^2 for Q=1e+300 {Q_SQUARED}got inf"),
+        (PRIOR + ["--Q", "1e300"], f"Q^2 for Q=1e+300 {Q_SQUARED}got inf"),
         (SIMULATE + ["--beta", "1", "--Q", "1e300", "--sigma", "1"],
-         "Q^2 for Q=1e+300 must be in (0, inf), got inf"),
-        (DENOISE + ["--Q", "1e-300", "--sigma", "1"],
-         "Q^2 for Q=1e-300 must be in (0, inf), got 0.0"),
+         f"Q^2 for Q=1e+300 {Q_SQUARED}got inf"),
+        (DENOISE + ["--Q", "1e-300", "--sigma", "1"], f"Q^2 for Q=1e-300 {Q_SQUARED}got 0.0"),
         (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "1e-300"],
          "sigma^2 for sigma=1e-300 must be in (0, inf), got 0.0"),
         (DENOISE + ["--sigma", "1e300"],
@@ -637,7 +660,7 @@ BEYOND_FLOATS = "on n=64 vertices put the Sobolev weights 1 + n^(2 beta / r) lam
          f"the signal share R/(R + eps^2) for sigma=1000000.0 and Q=1.0 {SHARE}"),
         (DENOISE + ["--sigma", "1e154"],
          f"the signal share R/(R + eps^2) for sigma=1e+154 and Q=1.0 {SHARE}"),
-        (DENOISE + ["--Q", "1e-160", "--sigma", "1"], f"and Q=9.99994433575849e-161 {SHARE}"),
+        (DENOISE + ["--Q", "1e-160", "--sigma", "1"], f"Q^2 for Q=1e-160 {Q_SQUARED}got 1e-320"),
         (DENOISE + ["--Q", "1e-50", "--sigma", "1e-160"],
          "the numerator eps^2 sum_(j<N) a_j of x for sigma=1e-160 and Q=1e-50 "
          f"must be in [{MIN_NORMAL}, inf), got 8.1465e-319"),

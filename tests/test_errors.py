@@ -159,12 +159,12 @@ def _path64_weights():
         ),
         pytest.param(
             lambda: gm.SobolevSpec(beta=1.0, Q=1e300, r=1.0),
-            r"Q\^2 for Q=1e\+300 must be in \(0, inf\), got inf$",
+            r"Q\^2 for Q=1e\+300 must be in \[2.2250738585072014e-308, inf\), got inf$",
             id="Q 1e300",
         ),
         pytest.param(
             lambda: gm.SobolevSpec(beta=1.0, Q=1e-300, r=1.0),
-            r"Q\^2 for Q=1e-300 must be in \(0, inf\), got 0.0$",
+            r"Q\^2 for Q=1e-300 must be in \[2.2250738585072014e-308, inf\), got 0.0$",
             id="Q 1e-300",
         ),
         pytest.param(

@@ -177,8 +177,9 @@ class TestPinskerPlan:
         # sigma large against Q leaves l_0 too few digits for the equation check, and
         # sigma small against Q makes the root or its numerator subnormal: each is refused
         # by name, with no NumericError and no RuntimeWarning on the way
+        # (SobolevSpec refuses Q = 1e-160 itself, so the weights carry R = Q^2 directly)
         s = gm.path_spectrum_closed_form(64)
-        w = gm.ellipsoid_weights(s, gm.SobolevSpec(beta=1.0, Q=Q, r=1.0))
+        w = gm.EllipsoidWeights(gm.ellipsoid_weights(s, gm.SobolevSpec(1.0, 1.0, 1.0)).a, Q * Q)
         planned = 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,11 +1,17 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphminimax as gm
 from graphminimax.errors import ValidationError
 
 
 BALL = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
+PATH8 = gm.path_spectrum_closed_form(8)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +145,26 @@ def test_spec_validation():
         gm.SobolevSpec(beta=1.0, Q=0.0, r=1.0)
     with pytest.raises(ValidationError):
         gm.SobolevSpec(beta=1.0, Q=1.0, r=0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(Q=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(Q=1e-160)  # Q^2 = 1e-320 is subnormal
+@example(Q=1.4916681462400412e-154)  # the largest Q with a subnormal Q^2
+@example(Q=1.4916681462400413e-154)  # the smallest Q with a normal Q^2
+@example(Q=1.3407807929942596e154)  # the largest Q with a finite Q^2
+@example(Q=1.3407807929942597e154)  # Q^2 overflows
+def test_q_is_its_squared_radius_root(Q):
+    # a spec is taken exactly when Q^2 is a normal float, and then sqrt(R) gives
+    # back the Q that was passed, which the plan's refusals name
+    normal = sys.float_info.min <= Q * Q < math.inf
+    try:
+        spec = gm.SobolevSpec(beta=1.0, Q=Q, r=1.0)
+    except ValidationError as exc:
+        assert not normal and str(exc).startswith(f"Q^2 for Q={Q} must be in [")
+    else:
+        assert normal
+        assert math.sqrt(gm.ellipsoid_weights(PATH8, spec).R) == Q
 
 
 @pytest.mark.parametrize("field", ["beta", "Q", "r"])
