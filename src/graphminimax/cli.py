@@ -123,7 +123,7 @@ def _cmd_fit_r(args) -> int:
 def _cmd_denoise(args) -> int:
     s, ball = _model(args, eigendecompose)
     y = _read_observation_csv(args.obs, s.n)
-    _noise_scale(args.sigma, s.n)  # every estimator's sigma; the rule admits its noiseless limit 0
+    _noise_scale(args.sigma, s.n)  # checked here: projection reads no sigma
     l, printed = regression_weights(args.estimator, s, ball, args.sigma)
     fhat = _shrink_head(s, y, np.trim_zeros(l, "b"))  # the eigenvectors up to the last weight
     _print_values(**printed)
@@ -160,8 +160,6 @@ def _cmd_simulate(args) -> int:
     report = run_experiment(spec)
     _write_text(f"{args.out_prefix}_results.csv", results_csv_text(report))
     _write_text(f"{args.out_prefix}_aggregate.csv", aggregate_csv_text(report))
-    if report.note:
-        print(f"note: {report.note}")
     _print_values(slope=report.slope, stderr=report.slope_stderr, theory_slope=report.theory_slope)
     return 0
 

@@ -52,7 +52,6 @@ CLASSIFICATION_ESTIMATORS = ("classification-direct", "classification-link")
 RESULTS_HEADER = "family,n,beta,Q,sigma,r_used,estimator,rep,seed,risk"
 AGGREGATE_HEADER = "family,estimator,beta,r_used,slope,stderr,theory_slope"
 
-_ZERO_RISK = 1e-12
 # replicates of one run, over all its sizes: each keeps a row in RateReport.rows and one in
 # the CSV text, about 0.5 kB at the peak, so a run at the cap stays under 1 GiB
 _REPLICATE_CAP = 2**20
@@ -68,8 +67,8 @@ class ExperimentSpec:
     a perfect d-th power; reps must be at least 1 and reps * len(n_values) at
     most _REPLICATE_CAP = 2**20.  sigma is the regression noise level; for
     classification estimators it sets the shrinkage plan's noise scale (0.5
-    matches the worst-case Bernoulli standard deviation).  A positive sigma
-    must keep sigma^2/n a positive finite float at every n.  Every field is
+    matches the worst-case Bernoulli standard deviation).  sigma must keep
+    sigma and sigma^2/n positive finite floats at every n.  Every field is
     checked here, before any graph is built.
     """
 
@@ -99,11 +98,8 @@ class ExperimentSpec:
         if self.estimator not in REGRESSION_ESTIMATORS + CLASSIFICATION_ESTIMATORS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         _check_real(self.fill, "fill", hi=1, ends="(]")
-        if _check_real(self.sigma, "sigma", ends="[)") > 0:
-            for n in n_values:  # whatever the estimator: it is the risk's noise scale too
-                _noise_scale(self.sigma, n)
-        elif self.estimator in CLASSIFICATION_ESTIMATORS:
-            raise ValidationError("classification needs a positive plan noise scale sigma")
+        for n in n_values:  # whatever the estimator: it is the risk's noise scale too
+            _noise_scale(self.sigma, n)
         SobolevSpec(beta=self.beta, Q=self.Q, r=1.0)  # r is fixed per n; this checks beta and Q
         _check_seed(self.seed)
         for n in self.n_values:
@@ -121,7 +117,6 @@ class RateReport:
     slope: float
     slope_stderr: float
     theory_slope: float
-    note: str = ""
 
 
 def _graph_spec(family: str, n: int, seed: int) -> str:
@@ -204,7 +199,7 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
                 plan = pinsker_plan(w, spec.sigma, n)
             else:
                 l = regression_weights(spec.estimator, s, ball, spec.sigma)[0]
-            epsilon = spec.sigma / np.sqrt(n)
+            epsilon = _noise_scale(spec.sigma, n)
             risks = np.empty(spec.reps)
             for rep in range(spec.reps):
                 ball_seed, noise_seed = _rep_seeds(spec.seed, n, rep)
@@ -225,12 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
             raise type(exc)(f"{exc} (family={spec.family}, n={n})") from exc
         sem = float(risks.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0
         per_n.append((n, float(risks.mean()), sem))
-    note = ""
-    if all(mean < _ZERO_RISK for _, mean, _ in per_n):
-        note = "degenerate: zero risk"
-        slope, stderr = math.nan, math.nan
-    else:
-        slope, stderr = fit_rate([p[0] for p in per_n], [p[1] for p in per_n])
+    slope, stderr = fit_rate([p[0] for p in per_n], [p[1] for p in per_n])
     return RateReport(
         spec=spec,
         rows=tuple(rows),
@@ -239,7 +229,6 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
         slope=slope,
         slope_stderr=stderr,
         theory_slope=-2.0 * spec.beta / (2.0 * spec.beta + r_used),
-        note=note,
     )
 
 

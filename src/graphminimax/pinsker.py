@@ -62,15 +62,16 @@ def cutoff_N(w: EllipsoidWeights, epsilon: float) -> int:
 
     i.e. the pivot weight is the top weight of the candidate support
     {0..m-1}, which makes the m = 1 term exactly zero and matches the
-    closed-form root's active set.  The left side is non-decreasing in m,
-    so a single scan (here vectorized via prefix sums) suffices.
+    closed-form root's active set.  From m to m + 1 the left side grows by
+    eps^2 (a_m - a_{m-1}) sum_{j<m} a_j >= 0, so it is non-decreasing in m
+    and is formed here as the running sum of those increments, in which no
+    two large terms cancel.
     """
     _check_real(epsilon, "epsilon")
     a = w.a
-    s1 = np.cumsum(a)
-    s2 = np.cumsum(a**2)
     with np.errstate(over="ignore"):  # an inf gap is rightly not below R
-        gap = epsilon**2 * (a * s1 - s2)  # gap[m-1] is the sum for support size m
+        # gap[m-1] is the sum for support size m
+        gap = epsilon**2 * np.concatenate(([0.0], np.cumsum(np.diff(a) * np.cumsum(a)[:-1])))
     return int(np.count_nonzero(gap < w.R))
 
 
@@ -230,17 +231,15 @@ REGRESSION_ESTIMATORS = ("pinsker", "projection")
 def regression_weights(estimator: str, s: Spectrum, spec: SobolevSpec, sigma: float):
     """Weight l_j per coefficient of a regression estimator, and the numbers denoise prints.
 
-    "pinsker": pinsker_plan's l with its N, x and S; at sigma = 0, the noiseless limit, the
-    identity with N = n and x = S = 0.  "projection": 1_{j<m} for m = projection_cutoff(n,
-    beta, r), with m; it reads neither sigma nor the ellipsoid weights of spec.
+    "pinsker": pinsker_plan's l with its N, x and S.  "projection": 1_{j<m} for
+    m = projection_cutoff(n, beta, r), with m; it reads neither sigma nor the ellipsoid
+    weights of spec.
     """
     if estimator == "projection":
         m = projection_cutoff(s.n, spec.beta, spec.r)
         return (np.arange(s.n) < m).astype(float), {"m": m}
     if estimator != "pinsker":
         raise ValidationError(f"unknown regression estimator {estimator!r}")
-    if sigma == 0:
-        return np.ones(s.n), {"N": s.n, "x": 0.0, "S": 0.0}
     plan = pinsker_plan(ellipsoid_weights(s, spec), sigma, s.n)
     return plan.l, {"N": plan.N, "x": plan.x, "S": plan.S}
 

@@ -166,6 +166,21 @@ class TestDenoiseCommand:
         assert code == 0 and not caught
         assert capsys.readouterr().out.startswith("N = 1\n")
 
+    @pytest.mark.parametrize("beta", ["36", "73.1"])
+    def test_steep_weights_keep_one_coefficient(self, beta, tmp_path, capsys):
+        # a_1 = 7.9e17 at beta = 36: the m = 2 gap is about 1e16 against R = 1, so N = 1;
+        # at beta = 73.1 the squared weights overflow, and no RuntimeWarning is raised
+        obs = tmp_path / "obs.csv"
+        write_obs_csv(obs, np.zeros(64))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "denoise", "--graph", "path:64", "--obs", str(obs), "--beta", beta,
+                "--sigma", "1", "--out", str(tmp_path / "fhat.csv"),
+            )
+        assert code == 0 and not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().out.startswith("N = 1\n")
+
     def test_constant_observations_stay_constant(self, tmp_path):
         obs = tmp_path / "obs.csv"
         write_obs_csv(obs, np.full(32, 2.0))
@@ -591,8 +606,9 @@ SEED_MESSAGE = "seed must be a non-negative integer"
         (FANO + ["--beta", "1", "--Q", "inf"], "Q must be in (0, inf), got inf"),
         (FANO + ["--beta", "1", "--r", "inf"], "r must be in [1, inf), got inf"),
         (SIMULATE + ["--beta", "inf", "--sigma", "1"], "beta must be in (0, inf), got inf"),
-        (SIMULATE + ["--beta", "1", "--sigma", "nan"], "sigma must be in [0, inf), got nan"),
-        (SIMULATE + ["--beta", "1", "--sigma", "inf"], "sigma must be in [0, inf), got inf"),
+        (SIMULATE + ["--beta", "1", "--sigma", "nan"], "sigma must be in (0, inf), got nan"),
+        (SIMULATE + ["--beta", "1", "--sigma", "inf"], "sigma must be in (0, inf), got inf"),
+        (SIMULATE + ["--beta", "1", "--sigma", "0"], "sigma must be in (0, inf), got 0.0"),
         (DENOISE + ["--sigma", "inf"], "sigma must be in (0, inf), got inf"),
         (PRIOR + ["--sigma", "inf"], "sigma must be in (0, inf), got inf"),
         (FANO + ["--beta", "1", "--mode", "reg", "--sigma", "inf"],

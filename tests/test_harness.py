@@ -137,19 +137,19 @@ class TestExperimentSpecValidation:
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
     def test_sigma_non_negative_and_finite(self, sigma):
-        with pytest.raises(ValidationError, match=r"sigma must be in \[0, inf\), got "):
+        with pytest.raises(ValidationError, match=r"sigma must be in \(0, inf\), got "):
             small_spec(sigma=sigma)
 
     def test_classification_needs_positive_sigma_at_construction(self, monkeypatch):
+        # every estimator, regression ones too: the model's noise level is positive
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was built")
 
         monkeypatch.setattr(gm.harness, "parse_graph_spec", refuse)
-        for estimator in ("classification-direct", "classification-link"):
-            with pytest.raises(ValidationError, match="positive plan noise scale sigma"):
+        message = re.escape("sigma must be in (0, inf), got 0.0")
+        for estimator in ("pinsker", "projection", "classification-direct", "classification-link"):
+            with pytest.raises(ValidationError, match=message):
                 small_spec(estimator=estimator, sigma=0.0)
-        monkeypatch.undo()
-        assert small_spec(estimator="pinsker", sigma=0.0).sigma == 0.0
 
     def test_seed_non_negative(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
@@ -231,11 +231,13 @@ class TestRegressionRunner:
         assert gm.results_csv_text(r1) == gm.results_csv_text(r2)
         assert gm.aggregate_csv_text(r1) == gm.aggregate_csv_text(r2)
 
-    def test_zero_noise_flags_degenerate(self):
-        report = gm.run_experiment(small_spec(sigma=0.0))
-        assert report.note == "degenerate: zero risk"
-        assert all(row[4] < 1e-12 for row in report.rows)
-        assert math.isnan(report.slope)
+    def test_tiny_noise_gets_its_fitted_slope(self):
+        # mean risks near 1e-14 are positive, so they are fitted like any others
+        report = gm.run_experiment(small_spec(n_values=(64, 128, 256), sigma=1e-7))
+        assert all(0.0 < mean < 1e-12 for _, mean, _ in report.per_n)
+        slope, stderr = gm.fit_rate([p[0] for p in report.per_n], [p[1] for p in report.per_n])
+        assert math.isfinite(report.slope)
+        assert (report.slope, report.slope_stderr) == (slope, stderr)
 
     def test_mean_risk_decreases_with_n(self):
         # monotone sanity; tolerate at most one adjacent bump within 1 sem
@@ -282,9 +284,7 @@ class TestCoefficientSpaceOracle:
         "family,n_values,dims",
         [("path", (32, 64), None), ("grid:2", (16, 64), [8, 8])],
     )
-    @pytest.mark.parametrize(
-        "estimator,sigma", [("pinsker", 1.0), ("projection", 1.0), ("pinsker", 0.0)]
-    )
+    @pytest.mark.parametrize("estimator,sigma", [("pinsker", 1.0), ("projection", 1.0)])
     def test_replicate_risk_matches_vertex_space(self, family, n_values, dims, estimator, sigma):
         spec = small_spec(family=family, n_values=n_values, estimator=estimator,
                           sigma=sigma, reps=3, seed=11, fill=0.8)
@@ -302,16 +302,11 @@ class TestCoefficientSpaceOracle:
             y = f + gm.gft_inverse(s, sigma / np.sqrt(64) * zeta)
             if estimator == "projection":
                 fhat = gm.projection_estimate(s, y, gm.projection_cutoff(64, 1.0, r))
-            elif sigma > 0:
+            else:
                 plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), sigma, 64)
                 fhat = gm.estimate_regression(s, plan, y)
-            else:  # the noiseless Pinsker estimate is the identity
-                fhat = gm.projection_estimate(s, y, 64)
             vertex = float(np.mean((fhat - f) ** 2))
-            if sigma > 0:
-                assert abs(risk - vertex) <= 1e-9 * vertex
-            else:
-                assert risk == 0.0 and vertex < 1e-20
+            assert abs(risk - vertex) <= 1e-9 * vertex
 
 
 class TestClassificationRunner:

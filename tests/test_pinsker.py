@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ class TestCutoff:
                 if val < w.R:
                     best = m
             assert gm.cutoff_N(w, eps) == best
+
+    @pytest.mark.parametrize("beta", [36.0, 40.0, 48.0, 72.0, 73.1])
+    def test_steep_weights_match_the_exact_count(self, beta):
+        # path 64 with a_1 near 1e18 and beyond: the gap at m = 2 is eps^2 a_0 (a_1 - a_0),
+        # far above R, but as a difference of two prefix sums near a_1^2 it cancels to 0
+        s = gm.path_spectrum_closed_form(64)
+        w = gm.ellipsoid_weights(s, gm.SobolevSpec(beta=beta, Q=1.0, r=1.0))
+        eps = 1.0 / math.sqrt(64)
+        a = [Fraction(v) for v in w.a.tolist()]
+        exact = max(
+            m for m in range(1, 65)
+            if Fraction(eps) ** 2 * sum(aj * (a[m - 1] - aj) for aj in a[:m]) < Fraction(w.R)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gm.cutoff_N(w, eps) == exact == 1
 
     def test_growth_matches_expected_order(self):
         # N should scale like n^(r/(2 beta + r)) = n^(1/3) here
@@ -380,8 +397,8 @@ def test_regression_weights_per_estimator():
     _, _, plan = path_plan(64)
     l, printed = pinsker.regression_weights("pinsker", s, BALL, 1.0)
     assert np.array_equal(l, plan.l) and printed == {"N": plan.N, "x": plan.x, "S": plan.S}
-    l, printed = pinsker.regression_weights("pinsker", s, BALL, 0.0)
-    assert np.array_equal(l, np.ones(64)) and printed == {"N": 64, "x": 0.0, "S": 0.0}
+    with pytest.raises(ValidationError, match=r"sigma must be in \(0, inf\), got 0.0"):
+        pinsker.regression_weights("pinsker", s, BALL, 0.0)
     with pytest.raises(ValidationError, match="unknown regression estimator 'tikhonov'"):
         pinsker.regression_weights("tikhonov", s, BALL, 1.0)
 

@@ -57,26 +57,6 @@ def test_simulate_text():
     )
 
 
-def test_degenerate_simulate_text():
-    spec = gm.ExperimentSpec(
-        family="path", n_values=(16, 32), beta=1.5, Q=2.0, sigma=0.0,
-        estimator="pinsker", reps=2, seed=7,
-    )
-    report = gm.run_experiment(spec)
-    assert report.note == "degenerate: zero risk"
-    assert gm.results_csv_text(report) == (
-        "family,n,beta,Q,sigma,r_used,estimator,rep,seed,risk\n"
-        "path,16,1.5,2,0,1,pinsker,0,373774695227710623,0\n"
-        "path,16,1.5,2,0,1,pinsker,1,8008372675937977445,0\n"
-        "path,32,1.5,2,0,1,pinsker,0,17049459464353840455,0\n"
-        "path,32,1.5,2,0,1,pinsker,1,17690959118469525720,0\n"
-    )
-    assert gm.aggregate_csv_text(report) == (
-        "family,estimator,beta,r_used,slope,stderr,theory_slope\n"
-        "path,pinsker,1.5,1,nan,nan,-0.75\n"
-    )
-
-
 def test_signal_text():
     values = np.array([0.1, -2.5e-13, 1 / 3, 1e20, -0.0, 123456789012345.0])
     assert _signal_csv_text(values, "f_hat") == (
