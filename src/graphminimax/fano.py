@@ -21,11 +21,13 @@ vectors.  With c = link.kl_constant, phi(t) = KL(Bern(psi(t)) || Bern(psi(0)))
 
     Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N.
 
-Only the calibration of delta measures the Bernoulli KL, at the worst-case
-vertex amplitudes a sum_{j<N} |psi_j|.  On a product basis |psi_j| is the
-product of per-axis |factor| entries, so that profile is one synthesis of N
-ones through the absolute values of the first N eigenvectors' per-axis
-factors (``spectral._axis_factors``).
+Both modes therefore take delta from one rule: the largest value with the
+alternatives in the ball and alpha <= 1/2 for this KL.  The Bernoulli KL is
+measured only to test the link's constant c, at the worst-case vertex
+amplitudes a sum_{j<N} |psi_j|.  On a product basis |psi_j| is the product
+of per-axis |factor| entries, so that profile is one synthesis of N ones
+through the absolute values of the first N eigenvectors' per-axis factors
+(``spectral._axis_factors``).
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 from ._text import csv_text
 from .errors import NumericError, ValidationError, _check_integer, _check_real, _check_seed
 from .graphs import DEFAULT_DENSE_CAP
-from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities, sigmoid_link
+from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
 from .spectral import Spectrum, _AxisFactors, _axis_factors, _check_orthonormal
 
@@ -173,7 +175,8 @@ def hard_alternatives(
     Row 0 is the zero base point; row j >= 1 is the signal with eigenbasis
     coefficients a * theta^(j) on the first N coordinates (a as in the module
     docstring), synthesized in one block from the first N columns' factors.
-    This is the vertex-space reference for fano_certificate.
+    This is the vertex-space reference for fano_certificate, which builds
+    no vertex values of its alternatives.
     """
     _check_integer(pack.N, "packing dimension N", 1, s.n)
     coeffs = np.zeros((pack.M + 1, pack.N))
@@ -213,41 +216,8 @@ def kl_link_bound_check(
     return kl, bound, kl <= bound + 1e-12
 
 
-def _sobolev_delta_cap(s: Spectrum, spec: SobolevSpec, N: int) -> float:
-    """Largest delta keeping every alternative inside the smoothness ball."""
-    total = float(np.sum(_spectral_weights_sq(s, spec)[:N]))
-    return spec.Q * N ** ((2.0 * spec.beta + spec.r) / (2.0 * spec.r)) / math.sqrt(total)
-
-
-def _classification_alpha_bound(
-    profile: np.ndarray,
-    base: np.ndarray,
-    spec: SobolevSpec,
-    N: int,
-    delta: float,
-    link: LinkFunction,
-    m: int,
-) -> float:
-    """Upper bound on the certificate's alpha, uniform over sign patterns.
-
-    For a link with Psi(-t) = 1 - Psi(t), such as the sigmoid and its
-    rescalings sigmoid(c t), the divergence of Bernoulli(Psi(f)) from the
-    base measure Bernoulli(Psi(0)) depends on |f| only and grows with it.
-    Per vertex |f_theta(i)| is at most the worst-case sign alignment
-    a * profile(i), profile(i) = sum_{j<N} |psi_j(i)|, so evaluating the
-    Bernoulli divergence exactly at that amplitude bounds every pair.
-    base is the base measure's link.psi(0) at every vertex.  Link values
-    that round to 0 or 1 give inf; NaN still raises in bernoulli_kl.  m is the
-    packing target _vg_target(N).
-    """
-    rho = link.psi(_bump_amplitude(delta, spec, N) * profile)
-    if not np.all((rho > 0.0) & (rho < 1.0)) and np.all((rho >= 0.0) & (rho <= 1.0)):
-        return math.inf
-    return _alpha(bernoulli_kl(rho, base), m)
-
-
 def _alpha(kl: float, m: int) -> float:
-    """alpha of a per-alternative KL at packing target m."""
+    """alpha of a per-alternative KL with m alternatives."""
     return (m / (m + 1.0)) * kl / math.log(m)
 
 
@@ -265,57 +235,21 @@ def _head_profile(s: Spectrum, N: int) -> np.ndarray:
     return absolute.synthesize(np.ones(N))
 
 
-def calibrate_delta(
-    s: Spectrum, spec: SobolevSpec, N: int, link: LinkFunction | None = None
-) -> float:
-    """Largest bump amplitude passing both certificate conditions.
+def _check_link_constant(s: Spectrum, link: LinkFunction, a: float, N: int) -> None:
+    """NumericError unless the link's KL stays within (c / 2) t^2 up to amplitude a profile.
 
-    Condition (a): the common Sobolev form of the alternatives stays within
-    Q^2; its solution delta_a is closed-form.  Condition (b): the worst-case
-    vertex KL (the given link, sigmoid if None) gives alpha <= 1/2; enforced
-    below delta_a when needed.  The search keeps bound(lo) <= 1/2 <
-    bound(hi) and stops, like a bisection, once the midpoint rounds to lo or
-    hi, so it returns a 100-step bisection's delta while the bound grows with
-    delta.  It probes at the root delta sqrt(1/2 / bound(delta)) of the
-    quadratic model through the last probe (phi(t) ~ c t^2 / 2), else at
-    the midpoint: about 10 bound evaluations, not 55.  A probe whose link
-    values round to 0 or 1 counts as above the target.  At the returned
-    delta the measured KL must stay within (c / 2) a^2 sum profile^2, else
-    NumericError (see LinkFunction).
+    Every alternative's |f_theta(i)| is at most a * profile(i), the worst-case
+    sign alignment, so measuring the Bernoulli KL there tests the constant c
+    the certificate's KL bound rests on, at the amplitudes it is used at.
     """
-    _check_integer(N, "packing dimension N", 1, s.n)
-    m = _vg_target(N)  # refuse N > 96 before the profile grows any factor
-    link = sigmoid_link() if link is None else link
     profile = _head_profile(s, N)
-    base = link.psi(np.zeros(s.n))
-    delta = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-    lo, hi, bound_lo = 0.0, delta, 0.0
-    while True:
-        bound = _classification_alpha_bound(profile, base, spec, N, delta, link, m)
-        if bound <= _ALPHA_TARGET:
-            lo, bound_lo = delta, bound
-        else:
-            hi = delta
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        root = delta * math.sqrt(_ALPHA_TARGET / bound) if bound > 0.0 else hi
-        if lo < root < hi:
-            delta = root
-        elif (root <= lo) == (delta == lo):
-            # the root rounds onto or past the last probe, whose bound is 1/2
-            # to rounding: the threshold is next to it
-            delta = math.nextafter(delta, hi if delta == lo else lo)
-        else:
-            delta = mid
-    a = _bump_amplitude(lo, spec, N)
-    quadratic = _alpha(0.5 * link.kl_constant * a**2 * float(profile @ profile), m)
-    if not bound_lo <= quadratic * (1.0 + 1e-12):
+    measured = bernoulli_kl(link.psi(a * profile), link.psi(np.zeros(s.n)))
+    quadratic = 0.5 * link.kl_constant * a**2 * float(profile @ profile)
+    if not measured <= quadratic * (1.0 + 1e-12):
         raise NumericError(
-            f"link {link.name!r}: worst-case KL (alpha {bound_lo:.6g}) exceeds its quadratic "
-            f"bound (alpha {quadratic:.6g}); sup_dpsi * sup_ratio is not a KL constant"
+            f"link {link.name!r}: worst-case KL {measured:.6g} exceeds its quadratic "
+            f"bound {quadratic:.6g}; sup_dpsi * sup_ratio is not a KL constant"
         )
-    return lo
 
 
 def _kl_per_alternative(kappa: float, n: int, spec: SobolevSpec, N: int, delta: float) -> float:
@@ -341,37 +275,45 @@ def fano_certificate(
 
     Pass a LinkFunction for the classification (Bernoulli) certificate or a
     positive noise level sigma for the regression (Gaussian) analogue.
-    Every field but delta is a closed form of the module docstring, and
-    both modes take the per-alternative KL from ``_kl_per_alternative``, the
-    Bernoulli KL through its bound.  So a regression certificate reads
-    eigenvalues only, and a classification certificate reads eigenvectors
-    only for delta's profile, the one way it depends on the basis inside a
-    repeated eigenvalue, and for Parseval's premise: each per-axis factor of
-    the first N eigenvectors must pass ``spectral._check_orthonormal``
-    (else NumericError).  The recorded seed reproduces the packing.  The
-    packing dimension must lie in [8, 96]; both modes check it before
-    anything is calibrated.
+    Both modes take the per-alternative KL kappa n a^2 N from
+    ``_kl_per_alternative``: kappa = 1/(2 sigma^2), or c/2 for a link with
+    KL constant c, whose Bernoulli KL it bounds.  delta is the largest value
+    that keeps the alternatives in the ball and alpha <= 1/2 at the
+    packing's actual M, times (1 - 1e-9); every other field is a closed form
+    of the module docstring.  So the two modes share one rule, and a link
+    certificate equals the regression certificate at sigma = 1/sqrt(c) in
+    every field but mode.  A regression certificate reads eigenvalues only.
+    A classification certificate reads the first N eigenvectors to check
+    Parseval's premise (each per-axis factor must pass
+    ``spectral._check_orthonormal``) and the link's constant at the
+    worst-case vertex amplitudes (``_check_link_constant``); either failure
+    is a NumericError.  The recorded seed reproduces the packing.  The
+    packing dimension must lie in [8, 96]; both modes check it before any
+    packing or factor is built.
     """
     seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
-    m = _vg_target(N)  # N in [8, 96], in both modes before any factor grows
+    _vg_target(N)  # N in [8, 96], in both modes before any packing or factor
     if isinstance(sigma_or_link, LinkFunction):
         mode, kappa = "classification", 0.5 * sigma_or_link.kl_constant
-        delta = calibrate_delta(s, spec, N, sigma_or_link)
-        for v in _axis_factors(s, N).vectors:
-            _check_orthonormal(v, f"first {N} eigenvectors")
+        what = f"the KL at delta = 1 for link {sigma_or_link.name!r}"
     else:
         mode, sigma = "regression", _check_real(sigma_or_link, "sigma")
         kappa = 0.5 / _check_real(sigma * sigma, f"sigma^2 for sigma={sigma}")
-        # alpha is delta^2 times its value at delta = 1, so alpha <= 1/2 solves for delta
-        kl_one = _kl_per_alternative(kappa, s.n, spec, N, 1.0)
         what = f"the KL at delta = 1 for sigma={sigma}"
-        delta_b = math.sqrt(_ALPHA_TARGET / _alpha(_check_real(kl_one, what), m))
-        delta = min(_sobolev_delta_cap(s, spec, N), delta_b) * (1.0 - 1e-9)
     pack = vg_packing(N, seed)
+    weights = float(np.sum(_spectral_weights_sq(s, spec)[:N]))  # the Sobolev form at a = 1
+    cap = spec.Q * N ** ((2.0 * spec.beta + spec.r) / (2.0 * spec.r)) / math.sqrt(weights)
+    # alpha is delta^2 times its value at delta = 1, so alpha <= 1/2 solves for delta
+    kl_one = _check_real(_kl_per_alternative(kappa, s.n, spec, N, 1.0), what)
+    delta = min(cap, math.sqrt(_ALPHA_TARGET / _alpha(kl_one, pack.M))) * (1.0 - 1e-9)
     a = _bump_amplitude(delta, spec, N)
+    if mode == "classification":
+        for v in _axis_factors(s, N).vectors:
+            _check_orthonormal(v, f"first {N} eigenvectors")
+        _check_link_constant(s, sigma_or_link, a, N)
     separation_min = a * math.sqrt(min(N, 4 * pack.min_hamming))
-    sobolev_max = a**2 * float(np.sum(_spectral_weights_sq(s, spec)[:N]))
+    sobolev_max = a**2 * weights
     kl_budget = pack.M * _kl_per_alternative(kappa, s.n, spec, N, delta) / (pack.M + 1)
     alpha = kl_budget / math.log(pack.M)
     fano_bound = (math.log(pack.M + 1) - math.log(2.0)) / math.log(pack.M) - alpha

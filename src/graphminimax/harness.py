@@ -18,13 +18,15 @@ grids and tori, an eigenvalues-only solve for small-world and file graphs.
 Because the eigenbasis is orthonormal under <.,.>_n, the observations of a
 target with coefficients c are exactly Z_j = c_j + eps * zeta_j with
 eps = sigma / sqrt(n), and the risk of a linear estimator with weights l is
-exactly sum_j (l_j Z_j - c_j)^2.  The zeta_j are iid N(0, 1), drawn per
-(seed, n, rep), so they are equal in law to iid N(0, sigma^2) noise at the
-vertices.  Classification replicates need per-vertex labels and stay in
-vertex space.  On paths, grids and tori the truth's inverse GFT applies one
-full factor per axis (d_a x d_a; on a path the n x n basis) and the
-estimators the factors of their first N eigenvectors; other graphs use a
-full eigendecomposition.
+exactly sum_j (l_j Z_j - c_j)^2.  It is scored as the equal sum_j ((l_j - 1)
+c_j + l_j eps zeta_j)^2, in which no eps zeta_j is rounded away against c_j,
+however small sigma is.  The zeta_j are iid N(0, 1), drawn per (seed, n,
+rep), so they are equal in law to iid N(0, sigma^2) noise at the vertices.
+Classification replicates need per-vertex labels and stay in vertex space.
+On paths, grids and tori the truth's inverse GFT applies one full factor
+per axis (d_a x d_a; on a path the n x n basis) and the estimators the
+factors of their first N eigenvectors; other graphs use a full
+eigendecomposition.
 
 Reproducibility contract: every replicate derives its RNG streams from
 (master seed, n, rep) only, so identical specs produce bit-identical CSVs.
@@ -199,6 +201,7 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
                 plan = pinsker_plan(w, spec.sigma, n)
             else:
                 l = regression_weights(spec.estimator, s, ball, spec.sigma)[0]
+                shrink = l - 1.0
             epsilon = _noise_scale(spec.sigma, n)
             risks = np.empty(spec.reps)
             for rep in range(spec.reps):
@@ -213,8 +216,9 @@ def run_experiment(spec: ExperimentSpec) -> RateReport:
                     )
                     risks[rep] = np.mean((rho_hat - rho) ** 2)
                 else:
-                    z = c + epsilon * noise.standard_normal(n)
-                    risks[rep] = np.sum((l * z - c) ** 2)
+                    # l (c + eps zeta) - c, with no c + eps zeta that rounds eps zeta away
+                    error = shrink * c + l * (epsilon * noise.standard_normal(n))
+                    risks[rep] = np.sum(error**2)
                 rows.append((n, r_used, rep, ball_seed, float(risks[rep])))
         except (ValidationError, NumericError) as exc:
             raise type(exc)(f"{exc} (family={spec.family}, n={n})") from exc

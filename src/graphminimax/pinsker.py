@@ -251,8 +251,8 @@ class LinkFunction:
     sup_dpsi bounds |Psi'| and sup_ratio bounds |Psi' / (Psi (1 - Psi))|;
     their product is the constant c in the divergence bound
     K(P_Psi(v1), P_Psi(v2)) <= n c ||v1 - v2||_n^2.  Both must be true
-    suprema: certificates take their Bernoulli KL from c alone, and
-    calibrate_delta raises NumericError where it sees otherwise.
+    suprema: certificates take their Bernoulli KL and delta from c alone,
+    and fano_certificate raises NumericError where it sees otherwise.
     """
 
     name: str

@@ -489,7 +489,8 @@ class TestFanoCommand:
         assert fields[0] == "20000" and fields[12] == "true"
 
     def test_clf_mode_with_a_large_radius(self, tmp_path, capsys):
-        # the first calibration probe rounds the sigmoid to 1 at some vertex
+        # at the ball's cap the sigmoid would round to 1 at some vertex; the KL
+        # condition keeps delta below it
         code = run_cli(
             "fano", "--graph", "path:2048", "--beta", "1", "--Q", "200", "--mode", "clf",
             "--out", str(tmp_path / "cert.csv"),

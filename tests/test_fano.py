@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import graphminimax as gm
 from graphminimax.errors import NumericError, ValidationError
 from graphminimax import fano
-from graphminimax.fano import PackingSet, _bump_amplitude, _sobolev_delta_cap, _vg_target
+from graphminimax.fano import (
+    PackingSet, _alpha, _bump_amplitude, _kl_per_alternative, _vg_target,
+)
 
 
 BALL = gm.SobolevSpec(beta=1.0, Q=1.0, r=1.0)
@@ -46,28 +48,6 @@ def assert_same_packing(p, ref):
     assert p.thetas.tobytes() == thetas.tobytes()
 
 
-def reference_calibrate(s, spec, N, link, profile):
-    """100 bisection steps at the given profile, recomputing the base measure at every step."""
-    m = _vg_target(N)
-
-    def alpha_bound(delta):
-        amps = _bump_amplitude(delta, spec, N) * profile
-        worst = gm.bernoulli_kl(link.psi(amps), link.psi(np.zeros(s.n)))
-        return (m / (m + 1.0)) * worst / math.log(m)
-
-    delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-    if alpha_bound(delta_a) <= 0.5:
-        return delta_a
-    lo, hi = 0.0, delta_a
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if alpha_bound(mid) <= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def steep_link():
     """psi(t) = sigmoid(4t), a link whose KL constant is 16 times the sigmoid's."""
     sig = gm.sigmoid_link()
@@ -78,32 +58,6 @@ def steep_link():
         sup_dpsi=1.0,
         sup_ratio=4.0,
     )
-
-
-def bisection_cases():
-    """The four beta = Q = 1 cases, then both links on each graph at its
-    smallest and largest beta with N in [8, 96], and at Q = 0.3 and 2."""
-    sigmoid, steep = gm.sigmoid_link(), steep_link()
-    cases = [
-        pytest.param(eig, r, 1.0, 1.0, link, id=f"{eig}-{r}-link{i}")
-        for i, (eig, r, link) in enumerate(
-            [("path2048_eig", 1.0, sigmoid), ("grid32_eig", 2.0, sigmoid),
-             ("ws512_eig", 2.0, sigmoid), ("path2048_eig", 1.0, steep)]
-        )
-    ]
-    betas = {"path2048_eig": (0.55, 1.0), "grid32_eig": (0.55, 2.0), "grid48_eig": (0.75, 2.0),
-             "torus16_eig": (0.55, 1.5), "ws512_eig": (0.55, 2.0)}
-    for eig, pair in betas.items():
-        r = 1.0 if eig.startswith("path") else 2.0
-        for beta in pair:
-            for Q in (0.3, 2.0):
-                for link in (sigmoid, steep):
-                    case_id = f"{eig}-{beta}-{Q}-{link.name}"
-                    cases.append(pytest.param(eig, r, beta, Q, link, id=case_id))
-    return cases
-
-
-BISECTION_CASES = bisection_cases()
 
 
 def pairwise_disagreements(thetas):
@@ -126,16 +80,28 @@ def grid48_eig():
     return gm.eigendecompose(gm.build_grid([48, 48]))
 
 
-def assert_closed_form_bounds(got, measured):
-    """The closed-form Bernoulli KL is an upper bound within 1e-3 of the measured sum."""
-    assert measured <= got <= measured * (1.0 + 1e-3)
+def sobolev_cap(s, spec, N):
+    """The largest delta with a^2 sum_{j<N} a_j^2 <= Q^2, from the closed-form weights."""
+    head = np.sum(1.0 + (s.n ** (2.0 / spec.r) * s.lambdas[:N]) ** spec.beta)
+    return spec.Q * N ** ((2.0 * spec.beta + spec.r) / (2.0 * spec.r)) / math.sqrt(head)
+
+
+def quartic_remainder(values):
+    """sum_i f(i)^4 / 64 per row: phi(t) >= t^2/8 - t^4/64 for the sigmoid, so the closed
+    form sum_i f(i)^2 / 8 lies at most this far above the measured Bernoulli KL."""
+    return np.sum(np.asarray(values) ** 4, axis=-1) / 64.0
+
+
+def assert_closed_form_bounds(got, measured, remainder):
+    """The closed-form Bernoulli KL bounds the measured sum from above, by at most remainder."""
+    assert measured <= got <= measured + remainder
 
 
 def assert_kl_budget_is_the_per_row_sum(s, ball, seed):
     """The certificate's KL budget against bernoulli_kl on each row of all M x n values.
 
     The values come from the explicit head; the budget's closed form bounds
-    their sum from above, within 1e-3.
+    their sum from above, within the rows' quartic remainder.
     """
     link = gm.sigmoid_link()
     cert = gm.fano_certificate(s, ball, link, seed=seed)
@@ -143,12 +109,14 @@ def assert_kl_budget_is_the_per_row_sum(s, ball, seed):
     values = _bump_amplitude(cert.delta, ball, cert.N) * pack.thetas @ gm.head_basis(s, cert.N).T
     base = link.psi(np.zeros(s.n))
     want = sum(gm.bernoulli_kl(link.psi(f), base) for f in values) / (pack.M + 1)
-    assert_closed_form_bounds(cert.kl_budget, want)
+    remainder = quartic_remainder(values).sum() / (pack.M + 1)
+    assert_closed_form_bounds(cert.kl_budget, want, remainder)
     return cert
 
 
 def vertex_space_fields(s, ball, how, cert):
-    """The certificate's fields recomputed from the hard_alternatives rows."""
+    """The certificate's fields recomputed from the hard_alternatives rows, and the kl_budget's
+    quartic remainder (0 for regression, whose KL is exact)."""
     pack = gm.vg_packing(cert.N, cert.seed)
     alts = gm.hard_alternatives(s, ball, cert.delta, pack)
     gram = alts @ alts.T / s.n
@@ -157,11 +125,13 @@ def vertex_space_fields(s, ball, how, cert):
     if how == "clf":
         link = gm.sigmoid_link()
         kls = [gm.bernoulli_kl(link.psi(f), link.psi(alts[0])) for f in alts[1:]]
+        remainder = quartic_remainder(alts[1:]).sum() / (pack.M + 1)
     else:
         kls = [s.n * np.mean(f**2) / (2.0 * how**2) for f in alts[1:]]
+        remainder = 0.0
     kl_budget = sum(kls) / (pack.M + 1)
     alpha = kl_budget / math.log(pack.M)
-    return {
+    fields = {
         "M": pack.M,
         "separation_min": math.sqrt(dist2[~np.eye(pack.M + 1, dtype=bool)].min()),
         "sobolev_max": max(gm.sobolev_form(s, ball, f) for f in alts),
@@ -169,6 +139,7 @@ def vertex_space_fields(s, ball, how, cert):
         "alpha": alpha,
         "fano_bound": (math.log(pack.M + 1) - math.log(2.0)) / math.log(pack.M) - alpha,
     }
+    return fields, remainder
 
 
 class TestVgPacking:
@@ -313,86 +284,51 @@ class TestHardAlternatives:
             gm.hard_alternatives(s, BALL, 0.1, pack)
 
 
-class TestCalibrateDelta:
-    def test_closed_form_cap_when_kl_slack(self):
+class TestCertificateDelta:
+    @pytest.mark.parametrize("how", ["clf", 1.0])
+    def test_closed_form_cap_when_kl_slack(self, how):
         # a tiny radius makes the smoothness condition the binding one
         s = gm.path_spectrum_closed_form(4096)
         spec = gm.SobolevSpec(beta=1.0, Q=0.05, r=1.0)
         N = 16
         head = np.sum(1.0 + 4096.0 ** 2 * s.lambdas[:N])
         delta_a = spec.Q * N ** 1.5 / math.sqrt(head)
-        got = gm.calibrate_delta(s, spec, N)
-        assert got == pytest.approx(delta_a * (1.0 - 1e-9), rel=1e-12)
+        cert = gm.fano_certificate(s, spec, gm.sigmoid_link() if how == "clf" else how, seed=0)
+        assert cert.N == N
+        assert cert.delta == pytest.approx(delta_a * (1.0 - 1e-9), rel=1e-12)
 
     def test_returned_delta_satisfies_both_conditions(self):
         s = gm.path_spectrum_closed_form(4096)
+        link = gm.sigmoid_link()
         for Q in (0.05, 1.0, 5.0):
             spec = gm.SobolevSpec(beta=1.0, Q=Q, r=1.0)
-            N = 16
-            delta = gm.calibrate_delta(s, spec, N)
+            cert = gm.fano_certificate(s, spec, link, seed=0)
+            N, delta = cert.N, cert.delta
             head = np.sum(1.0 + 4096.0 ** 2 * s.lambdas[:N])
             assert delta**2 * N ** (-3.0) * head <= Q**2
-            link = gm.sigmoid_link()
-            amps = delta * N ** (-1.5) * np.abs(s.basis[:, :N]).sum(axis=1)
-            worst = gm.bernoulli_kl(link.psi(amps), np.full(4096, 0.5))
-            m = _vg_target(N)
-            assert (m / (m + 1.0)) * worst / math.log(m) <= 0.5 + 1e-9
-
-    @pytest.mark.parametrize("eig, r, beta, Q, link", BISECTION_CASES)
-    def test_equals_hundred_step_bisection(self, eig, r, beta, Q, link, request):
-        s = request.getfixturevalue(eig)
-        spec = gm.SobolevSpec(beta=beta, Q=Q, r=r)
-        N = fano.packing_dimension(s.n, spec)
-        want = reference_calibrate(s, spec, N, link, fano._head_profile(s, N))
-        if (beta, Q) == (1.0, 1.0):
-            # the KL condition binds, so the search really ran
-            assert want < _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-        assert gm.calibrate_delta(s, spec, N, link) == want
-        # the explicit head's row sum adds the terms in another order
-        row_sum = np.abs(s.basis[:, :N]).sum(axis=1)
-        assert reference_calibrate(s, spec, N, link, row_sum) == pytest.approx(
-            want, rel=1e-14, abs=0.0
-        )
-
-    @pytest.mark.parametrize("eig, r", [("path2048_eig", 1.0), ("grid48_eig", 2.0)])
-    def test_bisection_stops_at_its_fixed_point(self, eig, r, request, monkeypatch):
-        s = request.getfixturevalue(eig)
-        spec = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
-        N = fano.packing_dimension(s.n, spec)
-        calls = []
-        bound = fano._classification_alpha_bound
-        monkeypatch.setattr(
-            fano, "_classification_alpha_bound", lambda *a: calls.append(a) or bound(*a)
-        )
-        gm.calibrate_delta(s, spec, N)
-        assert len(calls) <= 16
+            assert cert.sobolev_max <= Q**2 and cert.alpha <= 0.5
+            # Fano's condition on the measured KL of the alternatives themselves
+            alts = gm.hard_alternatives(s, spec, delta, gm.vg_packing(N, cert.seed))
+            kls = [gm.bernoulli_kl(link.psi(f), np.full(4096, 0.5)) for f in alts[1:]]
+            assert np.mean(kls) * cert.M / (cert.M + 1.0) / math.log(cert.M) <= cert.alpha
 
     @pytest.mark.parametrize(
         "eig, r, beta, Q",
         [("path2048_eig", 1.0, 1.0, 200.0), ("grid48_eig", 2.0, 1.0, 100.0),
          ("path2048_eig", 1.0, 0.6, 50.0)],
     )
-    def test_saturated_probe_counts_as_above_the_target(self, eig, r, beta, Q, request):
-        # at delta_a the sigmoid rounds to 1 at some vertex, which bernoulli_kl
-        # rejects; such a probe is above the target and the search halves
+    def test_a_cap_that_saturates_the_link_is_not_reached(self, eig, r, beta, Q, request):
+        # at the Sobolev cap the sigmoid rounds to 1 at some vertex, which
+        # bernoulli_kl rejects; the KL condition binds well below it
         s = request.getfixturevalue(eig)
         spec = gm.SobolevSpec(beta=beta, Q=Q, r=r)
         N = fano.packing_dimension(s.n, spec)
         link = gm.sigmoid_link()
         profile = fano._head_profile(s, N)
-        delta_a = _sobolev_delta_cap(s, spec, N) * (1.0 - 1e-9)
-        assert link.psi(_bump_amplitude(delta_a, spec, N) * profile).max() == 1.0
-        delta = gm.calibrate_delta(s, spec, N, link)
-        base = link.psi(np.zeros(s.n))
-
-        def bound(d):
-            return fano._classification_alpha_bound(
-                profile, base, spec, N, d, link, fano._vg_target(N)
-            )
-
-        assert bound(delta) <= 0.5 < bound(np.nextafter(delta, np.inf))
+        cap = sobolev_cap(s, spec, N)
+        assert link.psi(_bump_amplitude(cap, spec, N) * profile).max() == 1.0
         cert = gm.fano_certificate(s, spec, link, seed=0)
-        assert cert.valid and cert.delta == delta
+        assert cert.valid and cert.alpha <= 0.5 and cert.delta < cap
 
     def test_link_constant_that_is_not_a_supremum_is_rejected(self, path2048_eig):
         # sigmoid(4t) with sup_ratio 1 instead of 4 claims a KL constant of 1,
@@ -400,7 +336,7 @@ class TestCalibrateDelta:
         steep = steep_link()
         wrong = dataclasses.replace(steep, name="wrong constant", sup_ratio=1.0)
         with pytest.raises(NumericError, match="'wrong constant'"):
-            gm.calibrate_delta(path2048_eig, BALL, 13, wrong)
+            gm.fano_certificate(path2048_eig, BALL, wrong, seed=3)
 
     @pytest.mark.parametrize("eig", ["path2048_eig", "grid48_eig", "ws512_eig"])
     @pytest.mark.parametrize("N", [8, 37, 96])
@@ -503,7 +439,8 @@ def test_closed_form_bounds_every_alternatives_vertex_sum(graph, r):
     alts = gm.hard_alternatives(s, ball, cert.delta, gm.vg_packing(cert.N, cert.seed))
     closed = cert.kl_budget * (cert.M + 1) / cert.M
     for f in alts[1:]:
-        assert_closed_form_bounds(closed, gm.bernoulli_kl(link.psi(f), link.psi(alts[0])))
+        measured = gm.bernoulli_kl(link.psi(f), link.psi(alts[0]))
+        assert_closed_form_bounds(closed, measured, quartic_remainder(f))
 
 
 class TestKlLinkBound:
@@ -539,7 +476,9 @@ class TestFanoCertificate:
         assert cert.mode == "classification"
         assert cert.N == 13 and cert.M >= 3
         assert cert.alpha <= 0.5
-        assert cert.fano_bound >= 0.4
+        # on the risk scale the bound is 3.6 times the 1.5407e-4 that a delta
+        # searched for on the worst-case vertex KL gave
+        assert cert.separation_min**2 * cert.fano_bound >= 3.5 * 1.5407e-4
         assert cert.sobolev_max <= BALL.Q**2
         # separation is bounded below by the norm identity at the minimum
         # disagreement of the packing
@@ -550,17 +489,45 @@ class TestFanoCertificate:
         assert cert.separation_min >= min(floor, base_floor) - 1e-12
 
     def test_calibrates_with_the_certificates_link(self):
-        # psi(t) = sigmoid(4t) leaves the KL bound at a sigmoid-calibrated
-        # delta far above the 1/2 target (alpha 0.735 when calibrated with the
-        # sigmoid); calibrating with the link itself keeps alpha <= 1/2
-        sig = gm.sigmoid_link()
-        steep = steep_link()
+        # psi(t) = sigmoid(4t) has 16 times the sigmoid's KL constant, so at the
+        # sigmoid's delta its KL bound gives alpha far above the 1/2 target;
+        # the certificate calibrates delta on the link's own constant
         s = gm.path_spectrum_closed_form(2048)
-        cert = gm.fano_certificate(s, BALL, steep, seed=3)
+        sigmoid = gm.fano_certificate(s, BALL, gm.sigmoid_link(), seed=3)
+        cert = gm.fano_certificate(s, BALL, steep_link(), seed=3)
         assert cert.valid and cert.alpha <= 0.5
-        sigmoid_delta = gm.calibrate_delta(s, BALL, cert.N)
-        assert cert.delta == gm.calibrate_delta(s, BALL, cert.N, steep) < sigmoid_delta
-        assert gm.calibrate_delta(s, BALL, cert.N, sig) == sigmoid_delta
+        assert cert.delta < sigmoid.delta
+        kappa = 0.5 * steep_link().kl_constant
+        assert _alpha(_kl_per_alternative(kappa, s.n, BALL, cert.N, sigmoid.delta), cert.M) > 0.5
+
+    @pytest.mark.parametrize(
+        "eig, r",
+        [("path2048_eig", 1.0), ("grid48_eig", 2.0), ("torus16_eig", 2.0), ("ws512_eig", 2.0)],
+    )
+    @pytest.mark.parametrize("link, sigma", [(gm.sigmoid_link(), 2.0), (steep_link(), 0.5)])
+    def test_link_certificate_is_the_regression_certificate_at_sigma_one_over_sqrt_c(
+        self, eig, r, link, sigma, request
+    ):
+        # kappa = c/2 for the link and 1/(2 sigma^2) for the noise coincide, and
+        # both modes take delta and every field from kappa by one rule
+        s = request.getfixturevalue(eig)
+        ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        assert 0.5 * link.kl_constant == 0.5 / sigma**2
+        cert = gm.fano_certificate(s, ball, link, seed=3)
+        reg = gm.fano_certificate(s, ball, sigma, seed=3)
+        assert cert.mode == "classification" and cert.valid and cert.alpha <= 0.5
+        assert dataclasses.replace(cert, mode="regression") == reg
+
+    def test_separation_has_the_minimax_slope(self):
+        # ||f_theta - f_theta'||_n^2 at the closest pair, fitted over path
+        # 512...16384, against -2 beta / (2 beta + r) = -2/3
+        ns = [512 * 2**k for k in range(6)]
+        seps = [
+            gm.fano_certificate(gm.eigendecompose(gm.build_path(n)), BALL, gm.sigmoid_link(), 3)
+            for n in ns
+        ]
+        slope = gm.fit_rate(ns, [c.separation_min**2 for c in seps])[0]
+        assert abs(slope + 2.0 / 3.0) <= 0.05
 
     def test_regression_certificate(self):
         s = gm.path_spectrum_closed_form(2048)
@@ -596,11 +563,11 @@ class TestFanoCertificate:
             with pytest.raises(ValidationError, match=r"sigma must be in \(0, inf\), got "):
                 gm.fano_certificate(s, BALL, bad, seed=0)
 
-    def test_rejects_a_negative_seed_before_calibrating(self, monkeypatch):
+    def test_rejects_a_negative_seed_before_packing(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("calibrated before checking the seed")
+            raise AssertionError("packed before checking the seed")
 
-        monkeypatch.setattr(fano, "calibrate_delta", refuse)
+        monkeypatch.setattr(fano, "vg_packing", refuse)
         s = gm.path_spectrum_closed_form(1024)
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             gm.fano_certificate(s, BALL, gm.sigmoid_link(), seed=-1)
@@ -616,12 +583,16 @@ class TestFanoCertificate:
         link_or_sigma = gm.sigmoid_link() if how == "clf" else how
         cert = gm.fano_certificate(s, ball, link_or_sigma, seed=3)
         assert cert.valid
-        for name, want in vertex_space_fields(s, ball, how, cert).items():
+        want_fields, remainder = vertex_space_fields(s, ball, how, cert)
+        alpha_remainder = remainder / math.log(cert.M)
+        for name, want in want_fields.items():
             got = getattr(cert, name)
-            if how == "clf" and name in ("kl_budget", "alpha"):
-                assert_closed_form_bounds(got, want)
+            if how == "clf" and name == "kl_budget":
+                assert_closed_form_bounds(got, want, remainder)
+            elif how == "clf" and name == "alpha":
+                assert_closed_form_bounds(got, want, alpha_remainder)
             elif how == "clf" and name == "fano_bound":
-                assert want * (1.0 - 1e-3) <= got <= want
+                assert want - alpha_remainder <= got <= want
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
 
@@ -631,7 +602,7 @@ class TestFanoCertificate:
     )
     def test_kl_budget_is_the_per_row_sum(self, eig, r, request):
         # the closed-form budget bounds what bernoulli_kl gives per row of the
-        # whole M x n value matrix of the explicit head, within 1e-3
+        # whole M x n value matrix of the explicit head, within its quartic remainder
         s = request.getfixturevalue(eig)
         assert_kl_budget_is_the_per_row_sum(s, gm.SobolevSpec(beta=1.0, Q=1.0, r=r), 3)
 

@@ -239,6 +239,15 @@ class TestRegressionRunner:
         assert math.isfinite(report.slope)
         assert (report.slope, report.slope_stderr) == (slope, stderr)
 
+    @pytest.mark.parametrize("sigma", [1e-16, 1e-20, 1e-30, 1e-100])
+    def test_noise_far_below_the_truth_keeps_its_slope(self, sigma):
+        # l (c + eps zeta) - c loses eps zeta once it is below half an ulp of c;
+        # scored as (l - 1) c + l eps zeta, each size keeps its noise at any sigma
+        sizes = (64, 128, 256)
+        want = gm.run_experiment(small_spec(n_values=sizes, sigma=1e-9)).slope
+        got = gm.run_experiment(small_spec(n_values=sizes, sigma=sigma)).slope
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
     def test_mean_risk_decreases_with_n(self):
         # monotone sanity; tolerate at most one adjacent bump within 1 sem
         spec = small_spec(n_values=(256, 512, 1024, 2048), reps=20, seed=7)

@@ -543,7 +543,7 @@ def test_estimators_read_only_their_head_columns():
 
 
 def test_grid_estimators_and_certificates_form_no_head(refuse_product_rows):
-    # on grid 48^2 they apply per-axis factors, the clf calibration's profile
+    # on grid 48^2 they apply per-axis factors, the clf link check's profile
     # too: no product column is expanded
     s = gm.eigendecompose(gm.build_grid([48, 48]))
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)

@@ -684,7 +684,6 @@ class TestEigenvalues:
             lambda: gm.projection_estimate(s, y, 4),
             lambda: gm.estimate_classification(s, plan, y),
             lambda: gm.hard_alternatives(s, ball, 0.1, pack),
-            lambda: gm.calibrate_delta(s, ball, 8),
             lambda: gm.fano_certificate(s, ball, gm.sigmoid_link(), seed=0),
         ]
         for consume in consumers:

@@ -13,10 +13,11 @@ from graphminimax.cli import _signal_csv_text, main
 CERT_HEADER = (
     "n,beta,r,Q,N,M,delta,separation_min,sobolev_max,kl_budget,alpha,fano_bound,valid,seed\n"
 )
-# kl_budget, alpha and fano_bound come from the closed-form Bernoulli KL bound
+# kl_budget, alpha and fano_bound come from the closed-form Bernoulli KL bound, which for
+# the sigmoid (c = 1/4) is the Gaussian KL at sigma = 2: the two rows are the same text
 CLF_CERT = (
-    CERT_HEADER + "512,1,1,1,8,2,0.276435072279,0.0345543840349,0.207398722129,"
-    "0.0509442327908,0.0734969920091,0.511465508712,true,3\n"
+    CERT_HEADER + "512,1,1,1,8,2,0.607001974974,0.0758752468717,0.999999998,"
+    "0.245634265081,0.354375336105,0.230587164616,true,3\n"
 )
 REG_CERT = (
     CERT_HEADER + "512,1,1,1,8,2,0.36050672129,0.0450633401612,0.352733350108,"
@@ -34,6 +35,7 @@ def test_certificate_text_with_integer_beta():
     ball = gm.SobolevSpec(beta=1, Q=1.0, r=1.0)
     assert gm.certificate_csv_text(gm.fano_certificate(s, ball, gm.sigmoid_link(), 3)) == CLF_CERT
     assert gm.certificate_csv_text(gm.fano_certificate(s, ball, 1.0, 3)) == REG_CERT
+    assert gm.certificate_csv_text(gm.fano_certificate(s, ball, 2.0, 3)) == CLF_CERT
 
 
 def test_simulate_text():
@@ -69,7 +71,7 @@ def test_report_lines(tmp_path, capsys):
     argv = ["fano", "--graph", "path:512", "--beta", "1", "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out == (
-        "valid = true\nM = 2\nalpha = 0.0734969920091\nfano_bound = 0.511465508712\n"
+        "valid = true\nM = 2\nalpha = 0.354375336105\nfano_bound = 0.230587164616\n"
     )
     assert out.read_text() == CLF_CERT
 
