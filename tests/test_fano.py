@@ -60,6 +60,32 @@ def steep_link():
     )
 
 
+def delta_cases():
+    """The four beta = Q = 1 cases, then both links on each graph at its
+    smallest and largest beta with N in [8, 96], and at Q = 0.3 and 2."""
+    sigmoid, steep = gm.sigmoid_link(), steep_link()
+    cases = [
+        pytest.param(eig, r, 1.0, 1.0, link, id=f"{eig}-{r}-link{i}")
+        for i, (eig, r, link) in enumerate(
+            [("path2048_eig", 1.0, sigmoid), ("grid32_eig", 2.0, sigmoid),
+             ("ws512_eig", 2.0, sigmoid), ("path2048_eig", 1.0, steep)]
+        )
+    ]
+    betas = {"path2048_eig": (0.55, 1.0), "grid32_eig": (0.55, 2.0), "grid48_eig": (0.75, 2.0),
+             "torus16_eig": (0.55, 1.5), "ws512_eig": (0.55, 2.0)}
+    for eig, pair in betas.items():
+        r = 1.0 if eig.startswith("path") else 2.0
+        for beta in pair:
+            for Q in (0.3, 2.0):
+                for link in (sigmoid, steep):
+                    case_id = f"{eig}-{beta}-{Q}-{link.name}"
+                    cases.append(pytest.param(eig, r, beta, Q, link, id=case_id))
+    return cases
+
+
+DELTA_CASES = delta_cases()
+
+
 def pairwise_disagreements(thetas):
     gram = thetas @ thetas.T
     return (thetas.shape[1] - gram) // 2
@@ -329,6 +355,42 @@ class TestCertificateDelta:
         assert link.psi(_bump_amplitude(cap, spec, N) * profile).max() == 1.0
         cert = gm.fano_certificate(s, spec, link, seed=0)
         assert cert.valid and cert.alpha <= 0.5 and cert.delta < cap
+
+    @pytest.mark.parametrize("eig, r, beta, Q, link", DELTA_CASES)
+    def test_delta_is_the_largest_within_both_conditions(self, eig, r, beta, Q, link, request):
+        # delta = min(Sobolev cap, the delta with alpha = 1/2 at the packing's
+        # actual M) * (1 - 1e-9), from the eigenvalues and kappa = c/2 alone
+        s = request.getfixturevalue(eig)
+        spec = gm.SobolevSpec(beta=beta, Q=Q, r=r)
+        N = fano.packing_dimension(s.n, spec)
+        m = gm.vg_packing(N, 3).M
+        kl_per_delta_sq = 0.5 * link.kl_constant * s.n * N ** (-2.0 * beta / r)
+        kl_delta = math.sqrt(0.5 * math.log(m) * (m + 1.0) / m / kl_per_delta_sq)
+        want = min(sobolev_cap(s, spec, N), kl_delta) * (1.0 - 1e-9)
+        cert = gm.fano_certificate(s, spec, link, seed=3)
+        assert cert.valid and cert.M == m
+        assert cert.delta == pytest.approx(want, rel=1e-12, abs=0.0)
+        # both conditions hold, and the binding one is tight up to the (1 - 1e-9) margin
+        assert cert.sobolev_max <= Q**2 and cert.alpha <= 0.5
+        tight = max(cert.sobolev_max / Q**2, cert.alpha / 0.5)
+        assert tight == pytest.approx((1.0 - 1e-9) ** 2, rel=1e-12, abs=0.0)
+        # and the link certificate is the regression one at sigma = 1/sqrt(c)
+        reg = gm.fano_certificate(s, spec, 1.0 / math.sqrt(link.kl_constant), seed=3)
+        assert dataclasses.replace(cert, mode="regression") == reg
+
+    @pytest.mark.parametrize("eig, r", [("path2048_eig", 1.0), ("grid48_eig", 2.0)])
+    def test_link_check_measures_one_bernoulli_kl(self, eig, r, request, monkeypatch):
+        # delta is a closed form; the Bernoulli KL is measured once, to test the
+        # link's constant, and never in regression mode
+        s = request.getfixturevalue(eig)
+        spec = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
+        calls = []
+        kl = fano.bernoulli_kl
+        monkeypatch.setattr(fano, "bernoulli_kl", lambda *a: calls.append(a) or kl(*a))
+        gm.fano_certificate(s, spec, 1.0, seed=3)
+        assert calls == []
+        gm.fano_certificate(s, spec, gm.sigmoid_link(), seed=3)
+        assert len(calls) == 1
 
     def test_link_constant_that_is_not_a_supremum_is_rejected(self, path2048_eig):
         # sigmoid(4t) with sup_ratio 1 instead of 4 claims a KL constant of 1,
