@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fano(args) -> int:
-    s, ball = _model(args, eigenvalues if args.mode == "reg" else eigendecompose)
+    s, ball = _model(args, eigenvalues)
     sigma_or_link = sigmoid_link() if args.mode == "clf" else args.sigma
     cert = fano_certificate(s, ball, sigma_or_link, args.seed)
     _write_text(args.out, certificate_csv_text(cert))

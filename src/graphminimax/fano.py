@@ -22,12 +22,10 @@ vectors.  With c = link.kl_constant, phi(t) = KL(Bern(psi(t)) || Bern(psi(0)))
     Bernoulli KL(P_theta, P_0) <= (c / 2) n a^2 N.
 
 Both modes therefore take delta from one rule: the largest value with the
-alternatives in the ball and alpha <= 1/2 for this KL.  The Bernoulli KL is
-measured only to test the link's constant c, at the worst-case vertex
-amplitudes a sum_{j<N} |psi_j|.  On a product basis |psi_j| is the product
-of per-axis |factor| entries, so that profile is one synthesis of N ones
-through the absolute values of the first N eigenvectors' per-axis factors
-(``spectral._axis_factors``).
+alternatives in the ball and alpha <= 1/2 for this KL, and both read the
+eigenvalues alone.  Parseval needs an orthonormal eigenbasis, which
+eigendecompose checks where it makes one; the link's bound is a property
+of the link alone, tested pointwise by ``_check_kl_constant``.
 """
 from __future__ import annotations
 
@@ -41,7 +39,7 @@ from .errors import NumericError, ValidationError, _check_integer, _check_real, 
 from .graphs import DEFAULT_DENSE_CAP
 from .pinsker import LinkFunction, ShrinkagePlan, require_probabilities
 from .sobolev import EllipsoidWeights, SobolevSpec, _spectral_weights_sq
-from .spectral import Spectrum, _AxisFactors, _axis_factors, _check_orthonormal
+from .spectral import Spectrum, _axis_factors
 
 _ALPHA_TARGET = 0.5
 _PACKING_ATTEMPT_FACTOR = 1000
@@ -50,6 +48,8 @@ _PACKING_DIMENSION_CAP = 96
 # Candidates drawn per rng call and compared per pair of matrix products.
 _PACKING_BLOCK = 64
 _PROBABILITY_MESSAGE = "probabilities must lie strictly inside (0, 1)"
+# Points at which _check_kl_constant tests a link: |t| <= T in steps of T/512, 0 among them.
+_KL_GRID_POINTS = 1025
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,21 +184,24 @@ def hard_alternatives(
     return _axis_factors(s, pack.N).synthesize(coeffs)
 
 
-def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """KL divergence between products of Bernoulli distributions.
-
-    Computes sum_i [ rho1 log(rho1/rho2) + (1 - rho1) log((1-rho1)/(1-rho2)) ],
-    which is non-negative and zero iff the probability vectors coincide.
-    """
+def _bernoulli_kl_terms(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """The per-coordinate terms of bernoulli_kl, after its checks of rho1 and rho2."""
     rho1 = np.atleast_1d(np.asarray(rho1, dtype=float))
     rho2 = np.atleast_1d(np.asarray(rho2, dtype=float))
     if rho1.shape != rho2.shape:
         raise ValidationError("probability vectors have different lengths")
     for rho in (rho1, rho2):
         require_probabilities(rho, _PROBABILITY_MESSAGE)
-    return float(
-        np.sum(rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2)))
-    )
+    return rho1 * np.log(rho1 / rho2) + (1.0 - rho1) * np.log((1.0 - rho1) / (1.0 - rho2))
+
+
+def bernoulli_kl(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """KL divergence between products of Bernoulli distributions.
+
+    Computes sum_i [ rho1 log(rho1/rho2) + (1 - rho1) log((1-rho1)/(1-rho2)) ],
+    which is non-negative and zero iff the probability vectors coincide.
+    """
+    return float(np.sum(_bernoulli_kl_terms(rho1, rho2)))
 
 
 def kl_link_bound_check(
@@ -221,34 +224,24 @@ def _alpha(kl: float, m: int) -> float:
     return (m / (m + 1.0)) * kl / math.log(m)
 
 
-def _head_profile(s: Spectrum, N: int) -> np.ndarray:
-    """profile(i) = sum_{j<N} |psi_j(i)|, in one pass through the per-axis factors.
+def _check_kl_constant(link: LinkFunction) -> None:
+    """NumericError unless phi(t) = KL(Bern(psi(t)) || Bern(psi(0))) <= (c / 2) t^2.
 
-    On a product basis |psi_c(i)| is the product over the axes of the
-    |factor| entries, so the profile is the synthesis of N ones through the
-    factors' absolute values.  Beside O(n), it holds only those |factor|
-    copies; it agrees with np.abs(head).sum(axis=1) to rounding, not bit
-    for bit, since the terms are added in another order.
+    c = link.kl_constant > 0.  The bound is tested at _KL_GRID_POINTS evenly
+    spaced t in [-T, T], T^2 = 2 max(-log q, -log(1 - q)) / c with q = psi(0);
+    past T it holds for every link, as no KL to Bern(q) exceeds
+    max(log 1/q, log 1/(1 - q)).  A psi outside (0, 1) raises ValidationError.
     """
-    factors = _axis_factors(s, N)
-    absolute = _AxisFactors(tuple(np.abs(v) for v in factors.vectors), factors.at)
-    return absolute.synthesize(np.ones(N))
-
-
-def _check_link_constant(s: Spectrum, link: LinkFunction, a: float, N: int) -> None:
-    """NumericError unless the link's KL stays within (c / 2) t^2 up to amplitude a profile.
-
-    Every alternative's |f_theta(i)| is at most a * profile(i), the worst-case
-    sign alignment, so measuring the Bernoulli KL there tests the constant c
-    the certificate's KL bound rests on, at the amplitudes it is used at.
-    """
-    profile = _head_profile(s, N)
-    measured = bernoulli_kl(link.psi(a * profile), link.psi(np.zeros(s.n)))
-    quadratic = 0.5 * link.kl_constant * a**2 * float(profile @ profile)
-    if not measured <= quadratic * (1.0 + 1e-12):
+    q = link.psi(np.zeros(1))
+    require_probabilities(q, _PROBABILITY_MESSAGE)
+    reach = -2.0 * math.log(min(q[0], 1.0 - q[0])) / link.kl_constant
+    t = math.sqrt(reach) * np.linspace(-1.0, 1.0, _KL_GRID_POINTS)
+    excess = _bernoulli_kl_terms(link.psi(t), np.broadcast_to(q, t.shape))
+    excess -= 0.5 * link.kl_constant * t * t * (1.0 + 1e-12)
+    if not np.all(excess <= 0.0):
         raise NumericError(
-            f"link {link.name!r}: worst-case KL {measured:.6g} exceeds its quadratic "
-            f"bound {quadratic:.6g}; sup_dpsi * sup_ratio is not a KL constant"
+            f"link {link.name!r}: its KL exceeds (c / 2) t^2 at t = {t[np.argmax(excess)]:.6g}; "
+            "sup_dpsi * sup_ratio is not a KL constant"
         )
 
 
@@ -282,18 +275,16 @@ def fano_certificate(
     packing's actual M, times (1 - 1e-9); every other field is a closed form
     of the module docstring.  So the two modes share one rule, and a link
     certificate equals the regression certificate at sigma = 1/sqrt(c) in
-    every field but mode.  A regression certificate reads eigenvalues only.
-    A classification certificate reads the first N eigenvectors to check
-    Parseval's premise (each per-axis factor must pass
-    ``spectral._check_orthonormal``) and the link's constant at the
-    worst-case vertex amplitudes (``_check_link_constant``); either failure
-    is a NumericError.  The recorded seed reproduces the packing.  The
-    packing dimension must lie in [8, 96]; both modes check it before any
-    packing or factor is built.
+    every field but mode.  Both modes read the eigenvalues alone, so an
+    eigenvalues-only spectrum serves them.  A link's constant must bound its
+    KL, which ``_check_kl_constant`` tests on the link alone; a NumericError
+    otherwise.  The recorded seed reproduces the packing.  The packing
+    dimension must lie in [8, 96]; both modes check it before any packing
+    is built.
     """
     seed = _check_seed(seed)
     N = packing_dimension(s.n, spec)
-    _vg_target(N)  # N in [8, 96], in both modes before any packing or factor
+    _vg_target(N)  # N in [8, 96], in both modes before any packing
     if isinstance(sigma_or_link, LinkFunction):
         mode, kappa = "classification", 0.5 * sigma_or_link.kl_constant
         what = f"the KL at delta = 1 for link {sigma_or_link.name!r}"
@@ -306,12 +297,10 @@ def fano_certificate(
     cap = spec.Q * N ** ((2.0 * spec.beta + spec.r) / (2.0 * spec.r)) / math.sqrt(weights)
     # alpha is delta^2 times its value at delta = 1, so alpha <= 1/2 solves for delta
     kl_one = _check_real(_kl_per_alternative(kappa, s.n, spec, N, 1.0), what)
+    if mode == "classification":
+        _check_kl_constant(sigma_or_link)
     delta = min(cap, math.sqrt(_ALPHA_TARGET / _alpha(kl_one, pack.M))) * (1.0 - 1e-9)
     a = _bump_amplitude(delta, spec, N)
-    if mode == "classification":
-        for v in _axis_factors(s, N).vectors:
-            _check_orthonormal(v, f"first {N} eigenvectors")
-        _check_link_constant(s, sigma_or_link, a, N)
     separation_min = a * math.sqrt(min(N, 4 * pack.min_hamming))
     sobolev_max = a**2 * weights
     kl_budget = pack.M * _kl_per_alternative(kappa, s.n, spec, N, delta) / (pack.M + 1)

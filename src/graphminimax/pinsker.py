@@ -252,7 +252,8 @@ class LinkFunction:
     their product is the constant c in the divergence bound
     K(P_Psi(v1), P_Psi(v2)) <= n c ||v1 - v2||_n^2.  Both must be true
     suprema: certificates take their Bernoulli KL and delta from c alone,
-    and fano_certificate raises NumericError where it sees otherwise.
+    and fano_certificate raises NumericError when the KL of psi(t) to
+    psi(0) exceeds c t^2 / 2 at a point it tests.
     """
 
     name: str

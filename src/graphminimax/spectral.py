@@ -22,8 +22,8 @@ _RESIDUAL_TOL = 1e-8
 _RESIDUAL_CHUNK = 256
 _ORTHONORMAL_TOL = 1e-10
 _MOMENT_RTOL = 1e-10
-# Prefix views an _AxisFactors keeps; the warm estimators and certificates
-# use about three column counts per spectrum.
+# Prefix views an _AxisFactors keeps; the warm estimators use a few column
+# counts per spectrum.
 _PREFIX_VIEWS = 4
 
 
@@ -50,8 +50,8 @@ class Spectrum:
     eigenvalues), built whole on each growth.  Every other spectrum holds
     all n eigenvectors or none: eigh's basis, or a basis passed here as an
     (n, n) array, kept as one column-major, read-only factor.  The
-    estimators, the certificates, the GFT and ``sup_norm_bound`` apply the
-    factors by one product per axis, on one axis as on several, and hold
+    estimators, the bump alternatives, the GFT and ``sup_norm_bound`` apply
+    the factors by one product per axis, on one axis as on several, and hold
     no n x k array beside them; on a path or an explicit basis the single
     factor is the head itself.
 
@@ -174,14 +174,15 @@ def head_basis(s: Spectrum, k: int) -> np.ndarray:
     """The first k eigenvectors of s as an n x k column-major, read-only array.
 
     This is the reader for callers that need the columns themselves, such
-    as ``s.basis`` and explicit comparisons; the estimators, certificates,
-    GFT and ``sup_norm_bound`` apply ``_axis_factors`` instead.  On a path
-    or an explicit basis it returns a view of the single factor.  On a grid
-    or torus it expands the k columns from the per-axis factors on every
-    call, one broadcast product per axis (the only place product columns
-    are formed), keeps none of them, and checks every column's residual as
-    eigendecompose describes; ``head_basis(s, k)`` is ``s.basis[:, :k]``
-    bit for bit.  A path, grid or torus head may hold at most
+    as ``s.basis`` and explicit comparisons; the estimators, the bump
+    alternatives, the GFT and ``sup_norm_bound`` apply ``_axis_factors``
+    instead.  On a path or an explicit basis it returns a view of the
+    single factor.  On a grid or torus it expands the k columns from the
+    per-axis factors on every call, one broadcast product per axis (the
+    only place product columns are formed), keeps none of them, and checks
+    every column's residual as eigendecompose describes;
+    ``head_basis(s, k)`` is ``s.basis[:, :k]`` bit for bit.  A path, grid
+    or torus head may hold at most
     ``DEFAULT_DENSE_CAP**2`` values: a larger n k raises ValidationError
     before anything is allocated.  Every other case raises as
     ``_axis_factors`` does.
@@ -220,7 +221,7 @@ class _AxisFactors:
     The two transforms, ``analyze`` and ``synthesize``, apply the k
     columns through the u_1 x ... x u_r core, one 2-D matrix product per
     axis on a reshaped view, for any number of axes; the estimators, the
-    GFT, the bump alternatives and the clf profile all go through them.
+    GFT and the bump alternatives all go through them.
     n and the core size are set once per view, in __post_init__.
 
     Prefix views of the _PREFIX_VIEWS column counts used last are kept,
@@ -321,7 +322,10 @@ def eigendecompose(g: Graph) -> Spectrum:
     basis inside a repeated eigenvalue is that fixed product basis.  Any
     other graph gets a dense ``eigh`` of all n columns here, kept as a
     single factor; n above the dense cap raises ValidationError (from
-    ``laplacian``) before anything is allocated.
+    ``laplacian``) before anything is allocated.  That basis must also pass
+    ``_check_orthonormal``: its Gram matrix under <.,.>_n is the identity
+    to 1e-10 in every entry (an O(n^3) product, a few percent of the
+    ``eigh``), the premise of every Parseval identity the package uses.
 
     The eigenvalues pass the moment, null-eigenvalue and connectivity
     checks of ``_checked_lambdas``.  Every column that is formed must pass
@@ -338,6 +342,7 @@ def eigendecompose(g: Graph) -> Spectrum:
     lams = _checked_lambdas(g, lams)
     basis = _fix_signs(vecs * np.sqrt(g.n))
     _check_residual(g, lams, basis)
+    _check_orthonormal(basis, f"the eigenbasis of {g.n} vertices")
     return Spectrum(n=g.n, lambdas=lams, basis=basis)
 
 

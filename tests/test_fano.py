@@ -350,7 +350,7 @@ class TestCertificateDelta:
         spec = gm.SobolevSpec(beta=beta, Q=Q, r=r)
         N = fano.packing_dimension(s.n, spec)
         link = gm.sigmoid_link()
-        profile = fano._head_profile(s, N)
+        profile = np.abs(s.basis[:, :N]).sum(axis=1)  # bounds every |f_theta| / a
         cap = sobolev_cap(s, spec, N)
         assert link.psi(_bump_amplitude(cap, spec, N) * profile).max() == 1.0
         cert = gm.fano_certificate(s, spec, link, seed=0)
@@ -378,20 +378,6 @@ class TestCertificateDelta:
         reg = gm.fano_certificate(s, spec, 1.0 / math.sqrt(link.kl_constant), seed=3)
         assert dataclasses.replace(cert, mode="regression") == reg
 
-    @pytest.mark.parametrize("eig, r", [("path2048_eig", 1.0), ("grid48_eig", 2.0)])
-    def test_link_check_measures_one_bernoulli_kl(self, eig, r, request, monkeypatch):
-        # delta is a closed form; the Bernoulli KL is measured once, to test the
-        # link's constant, and never in regression mode
-        s = request.getfixturevalue(eig)
-        spec = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
-        calls = []
-        kl = fano.bernoulli_kl
-        monkeypatch.setattr(fano, "bernoulli_kl", lambda *a: calls.append(a) or kl(*a))
-        gm.fano_certificate(s, spec, 1.0, seed=3)
-        assert calls == []
-        gm.fano_certificate(s, spec, gm.sigmoid_link(), seed=3)
-        assert len(calls) == 1
-
     def test_link_constant_that_is_not_a_supremum_is_rejected(self, path2048_eig):
         # sigmoid(4t) with sup_ratio 1 instead of 4 claims a KL constant of 1,
         # below the 16 / 2 t^2 its divergence grows like
@@ -400,14 +386,27 @@ class TestCertificateDelta:
         with pytest.raises(NumericError, match="'wrong constant'"):
             gm.fano_certificate(path2048_eig, BALL, wrong, seed=3)
 
-    @pytest.mark.parametrize("eig", ["path2048_eig", "grid48_eig", "ws512_eig"])
-    @pytest.mark.parametrize("N", [8, 37, 96])
-    def test_head_profile_is_the_old_row_sum(self, eig, N, request):
-        s = request.getfixturevalue(eig)
-        # one synthesis through the |factors| adds the terms in another order
-        # than the row sum, so they agree to N roundings
-        want = np.abs(s.basis[:, :N]).sum(axis=1)
-        assert np.all(np.abs(fano._head_profile(s, N) - want) <= N * 2.2e-16 * want)
+    @pytest.mark.parametrize("sup_ratio", [0.0, -1.0, math.nan, math.inf])
+    def test_a_constant_that_is_not_positive_and_finite_is_a_validation_error(
+        self, sup_ratio, path2048_eig
+    ):
+        # refused by the KL's range check, before the link check divides by c
+        bad = dataclasses.replace(gm.sigmoid_link(), sup_ratio=sup_ratio)
+        with pytest.raises(ValidationError, match="the KL at delta = 1 for link 'sigmoid'"):
+            gm.fano_certificate(path2048_eig, BALL, bad, seed=3)
+
+    def test_a_constant_that_fails_only_near_zero_is_rejected(self, path2048_eig):
+        # phi(t) = t^2/8 - t^4/64 + O(t^6) for the sigmoid, so a claimed
+        # constant of 0.2499 fails its bound only for |t| < 0.057: the link
+        # check's grid must resolve that band, whatever amplitude a
+        # certificate reaches
+        low = dataclasses.replace(gm.sigmoid_link(), name="just below", sup_dpsi=0.2499)
+        t = np.linspace(-0.2, 0.2, 4001)
+        phi = fano._bernoulli_kl_terms(low.psi(t), np.full(t.shape, 0.5))
+        fails = np.abs(t[phi > 0.5 * low.kl_constant * t * t])
+        assert 0.056 < fails.max() < 0.057
+        with pytest.raises(NumericError, match="'just below'"):
+            gm.fano_certificate(path2048_eig, BALL, low, seed=3)
 
 
 class TestBernoulliKl:
@@ -677,12 +676,10 @@ class TestFanoCertificate:
         assert cert.M == M and cert.valid
 
     def test_classification_memory_stays_below_the_value_matrix(self):
-        # grid 64^2: M x n values would be 256 x 4096 doubles = 8 MiB; beside
-        # its resident n x N head (N = 64, 2 MiB, built first) the
-        # certificate holds at most 1.5 MiB more
-        s = gm.eigendecompose(gm.build_grid([64, 64]))
+        # grid 64^2: M x n values would be 256 x 4096 doubles = 8 MiB; the
+        # certificate reads the eigenvalues alone and holds at most 1.5 MiB
+        s = gm.eigenvalues(gm.build_grid([64, 64]))
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
-        assert gm.head_basis(s, 64).nbytes == 2 * 2**20  # resident, not traced
         gm.vg_packing(8, seed=0)  # its first call imports numpy.random
         tracemalloc.start()
         try:
@@ -693,10 +690,19 @@ class TestFanoCertificate:
         assert cert.valid and cert.N == 64 and cert.M == 256
         assert peak <= 1.5 * 2**20
 
-    def test_non_orthonormal_basis_rejected(self, path2048_eig):
-        bad = dataclasses.replace(path2048_eig, basis=path2048_eig.basis * (1.0 + 1e-8))
+    def test_non_orthonormal_basis_rejected(self, monkeypatch):
+        # Parseval's premise is checked where an explicit basis is made: eigh
+        # vectors scaled by 1 + 1e-8 keep their residual within 1e-8 but
+        # their Gram matrix is 2e-8 off the identity
+        eigh = np.linalg.eigh
+
+        def scaled(a):
+            lams, vecs = eigh(a)
+            return lams, vecs * (1.0 + 1e-8)
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
         with pytest.raises(NumericError, match="not orthonormal"):
-            gm.fano_certificate(bad, BALL, gm.sigmoid_link(), seed=3)
+            gm.eigendecompose(gm.build_small_world(128, 4, 0.1, seed=1))
 
     @pytest.mark.parametrize(
         "eig, graph, r",
@@ -706,16 +712,16 @@ class TestFanoCertificate:
             ("torus16_eig", "torus:16x16", 2.0),
         ],
     )
-    def test_regression_needs_eigenvalues_only(self, eig, graph, r, request):
+    def test_certificates_need_eigenvalues_only(self, eig, graph, r, request):
         s = request.getfixturevalue(eig)
         ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=r)
-        for sigma in (1.0, 0.3):
-            full = gm.fano_certificate(s, ball, sigma, seed=3)
-            no_basis = gm.fano_certificate(dataclasses.replace(s, basis=None), ball, sigma, seed=3)
-            assert gm.certificate_csv_text(no_basis) == gm.certificate_csv_text(full)
+        for how in (1.0, 0.3, gm.sigmoid_link()):
+            full = gm.fano_certificate(s, ball, how, seed=3)
+            no_basis = gm.fano_certificate(dataclasses.replace(s, basis=None), ball, how, seed=3)
+            assert no_basis == full
             # eigenvalues() is the exact closed form, while eigh rounds the small
             # eigenvalues by about 1e-15 absolute: agreement to 1e-10, not bitwise
-            closed = gm.fano_certificate(gm.eigenvalues(gm.parse_graph_spec(graph)), ball, sigma, 3)
+            closed = gm.fano_certificate(gm.eigenvalues(gm.parse_graph_spec(graph)), ball, how, 3)
             for name in ("delta", "separation_min", "sobolev_max", "kl_budget", "alpha"):
                 want = getattr(full, name)
                 assert getattr(closed, name) == pytest.approx(want, rel=1e-10, abs=0.0), name

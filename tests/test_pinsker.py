@@ -543,8 +543,8 @@ def test_estimators_read_only_their_head_columns():
 
 
 def test_grid_estimators_and_certificates_form_no_head(refuse_product_rows):
-    # on grid 48^2 they apply per-axis factors, the clf link check's profile
-    # too: no product column is expanded
+    # on grid 48^2 the estimators apply per-axis factors and the certificates
+    # read the eigenvalues alone: no product column is expanded
     s = gm.eigendecompose(gm.build_grid([48, 48]))
     ball = gm.SobolevSpec(beta=1.0, Q=1.0, r=2.0)
     plan = gm.pinsker_plan(gm.ellipsoid_weights(s, ball), 0.5, s.n)
