@@ -488,10 +488,11 @@ class TestFanoCommand:
         fields = out.read_text().split("\n")[1].split(",")
         assert fields[0] == "20000" and fields[12] == "true"
 
-    def test_clf_mode_beyond_the_factor_cap_is_the_sigma_2_certificate(self, tmp_path):
+    @pytest.mark.parametrize("n, beta", [(884736, "1"), (4000000, "2")])
+    def test_clf_mode_beyond_the_factor_cap_is_the_sigma_2_certificate(self, n, beta, tmp_path):
         # path 884736 has N = 96: a head of 96 columns would exceed 8192^2
         # values, but both modes read the eigenvalues alone
-        args = ["fano", "--graph", "path:884736", "--beta", "1"]
+        args = ["fano", "--graph", f"path:{n}", "--beta", beta]
         assert run_cli(*args, "--mode", "clf", "--out", str(tmp_path / "clf.csv")) == 0
         reg = ("--mode", "reg", "--sigma", "2", "--out", str(tmp_path / "reg.csv"))
         assert run_cli(*args, *reg) == 0

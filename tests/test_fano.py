@@ -408,6 +408,31 @@ class TestCertificateDelta:
         with pytest.raises(NumericError, match="'just below'"):
             gm.fano_certificate(path2048_eig, BALL, low, seed=3)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.25, 0.0), (30.0, 1.0), (1.0, 2.0), (0.5, -5.0)])
+    def test_true_constants_pass_the_link_check(self, a, b, path2048_eig):
+        # psi(t) = sigmoid(a t + b): the Bernoulli KL is the Bregman divergence
+        # of log(1 + e^x), whose curvature is at most 1/4, so c = a^2 / 4 holds
+        # for every shift b, and T stretches with max(-log q, -log(1 - q))
+        sig = gm.sigmoid_link()
+        link = gm.LinkFunction(
+            name=f"sigmoid({a} t + {b})",
+            psi=lambda t: sig.psi(a * np.asarray(t, dtype=float) + b),
+            psi_inv=lambda p: (sig.psi_inv(p) - b) / a,
+            sup_dpsi=a / 4.0,
+            sup_ratio=a,
+        )
+        assert fano._check_kl_constant(link) is None
+        cert = gm.fano_certificate(path2048_eig, BALL, link, seed=3)
+        reg = gm.fano_certificate(path2048_eig, BALL, 1.0 / math.sqrt(link.kl_constant), seed=3)
+        assert dataclasses.replace(cert, mode="regression") == reg
+
+    def test_a_link_that_saturates_at_zero_is_a_validation_error(self, path2048_eig):
+        # psi(0) = 1 leaves no Bernoulli KL to bound: the link check refuses it
+        # before it takes log(min(q, 1 - q))
+        flat = dataclasses.replace(gm.sigmoid_link(), name="flat", psi=lambda t: np.ones(np.shape(t)))
+        with pytest.raises(ValidationError, match="strictly inside"):
+            gm.fano_certificate(path2048_eig, BALL, flat, seed=3)
+
 
 class TestBernoulliKl:
     def test_identical_inputs_give_zero(self):
@@ -464,6 +489,28 @@ class TestBernoulliKl:
             gm.bernoulli_kl(np.array([np.nan, 0.3]), np.array([0.5, 0.5]))
         with pytest.raises(ValidationError, match="strictly inside"):
             gm.bernoulli_kl(np.array([0.5, 0.3]), np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("case", ["random", "edges"])
+    def test_is_the_sum_of_its_per_coordinate_terms(self, case):
+        # each term is the KL of its own coordinate, and bernoulli_kl is
+        # their np.sum, bit for bit
+        rng = np.random.default_rng(32)
+        if case == "random":
+            r1, r2 = rng.uniform(0.001, 0.999, (2, 1024))
+        else:
+            tiny = np.array([1e-300, 1e-200, 1e-17, 1e-9, 0.5, 1 - 1e-9, 1 - 2**-53])
+            r1, r2 = (a.ravel() for a in np.meshgrid(tiny, tiny))
+        terms = fano._bernoulli_kl_terms(r1, r2)
+        assert terms.shape == r1.shape
+        for i in range(0, len(r1), 7):
+            assert terms[i] == gm.bernoulli_kl(r1[i : i + 1], r2[i : i + 1])
+        assert gm.bernoulli_kl(r1, r2).hex() == float(np.sum(terms)).hex()
+
+    def test_terms_keep_the_domain_checks(self):
+        with pytest.raises(ValidationError, match="different lengths"):
+            fano._bernoulli_kl_terms(np.array([0.5, 0.5]), np.array([0.5]))
+        with pytest.raises(ValidationError, match="strictly inside"):
+            fano._bernoulli_kl_terms(np.array([0.5]), np.array([np.nan]))
 
     def test_certificate_kernel_rejects_nan(self):
         # a link that is undefined away from 0 reaches the kernel's own check

@@ -75,6 +75,40 @@ class TestEigendecompose:
         g = gm.build_torus([4, 4])
         assert_matches_eigh_oracle(gm.eigendecompose(g), g)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [gm.build_small_world(128, 4, 0.1, seed=1), dataclasses.replace(gm.build_path(96))],
+        ids=["ws128", "path96-shapeless"],
+    )
+    def test_eigh_basis_passes_one_gram_check(self, graph, monkeypatch):
+        # Parseval's premise is checked once, on the whole n x n eigh basis
+        from graphminimax import spectral
+
+        seen = []
+        check = spectral._check_orthonormal
+        monkeypatch.setattr(
+            spectral, "_check_orthonormal", lambda v, what: seen.append((v, what)) or check(v, what)
+        )
+        s = gm.eigendecompose(graph)
+        assert len(seen) == 1 and np.array_equal(seen[0][0], s.basis)
+        assert seen[0][1] == f"the eigenbasis of {graph.n} vertices"
+        gram = s.basis.T @ s.basis / s.n
+        assert np.abs(gram - np.eye(s.n)).max() <= 1e-10
+
+    def test_lattice_checks_its_axis_factors_only(self, monkeypatch):
+        # a grid makes no n x n basis: its per-axis factors pass the check when
+        # a head is grown from them
+        from graphminimax import spectral
+
+        seen = []
+        check = spectral._check_orthonormal
+        monkeypatch.setattr(
+            spectral, "_check_orthonormal", lambda v, what: seen.append((v.shape, what)) or check(v, what)
+        )
+        s = gm.eigendecompose(gm.build_grid([16, 16]))
+        assert seen == []
+        gm.head_basis(s, 20)
+        assert seen and all(shape[0] == 16 and "axis basis" in what for shape, what in seen)
 
 def assert_matches_eigh_oracle(s, g):
     lams, vecs = np.linalg.eigh(gm.laplacian(g))
